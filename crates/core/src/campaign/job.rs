@@ -1,20 +1,17 @@
-//! Campaign jobs: one (field, compressor-config) pair, its execution, and
-//! its isolated outcome.
+//! Campaign jobs: one (field, compressor-config) pair and its isolated
+//! outcome. The engine's drain executes them.
 
-use crate::config::AssessConfig;
-use crate::exec::{Assessment, Confidence, Executor, MultiCuZc, PatternRun, PatternTimes};
+use crate::exec::{Confidence, PatternRun, PatternTimes};
 use crate::metrics::Metric;
-use crate::plan::AssessPlan;
-use crate::recommend::ProgressivePolicy;
 use zc_compress::CompressorSpec;
 use zc_data::{AppDataset, Field, GenOptions};
 use zc_gpusim::EndToEnd;
-use zc_tensor::{Shape, Tensor};
+use zc_tensor::Shape;
 
 /// A catalog field by reference: dataset + roster index + generation
 /// options (+ an optional time-series extent). Cheap to clone; the data is
 /// synthesized on demand.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FieldRef {
     /// Source dataset.
     pub dataset: AppDataset,
@@ -167,81 +164,9 @@ impl JobRecord {
     }
 }
 
-/// Execute one job: codec round-trip, then lower the assessment plan and
-/// run it on the group executor. Every error is captured into the outcome.
-///
-/// With a progressive policy, a strided-subsample prepass runs first; if
-/// its estimates already decide the job's verdict far from every
-/// threshold, the full assessment is skipped and the metrics are the
-/// prepass estimates, marked [`Confidence::Subsampled`].
-pub(crate) fn run_job(
-    orig: &Tensor<f32>,
-    spec: &JobSpec,
-    executor: &MultiCuZc,
-    cfg: &AssessConfig,
-    progressive: Option<&ProgressivePolicy>,
-) -> JobOutcome {
-    let codec = spec.compressor.build();
-    let (dec, stats) = match codec.roundtrip(orig) {
-        Ok(r) => r,
-        Err(e) => return JobOutcome::Failed(format!("codec: {e}")),
-    };
-    let pair_bytes = orig.shape().len() as u64 * 8;
-    let mut prepass_run = None;
-    if let Some(policy) = progressive {
-        let run = match executor.prepass(orig, &dec, policy.stride) {
-            Ok(r) => r,
-            Err(e) => return JobOutcome::Failed(format!("prepass: {e}")),
-        };
-        if policy.decide(&run.estimate).is_decided() {
-            let a = Assessment::from_prepass(orig.shape(), &run, cfg);
-            return JobOutcome::Done(Box::new(metrics_from(
-                a,
-                stats,
-                run.estimate.sampled_bytes(),
-            )));
-        }
-        prepass_run = Some(run);
-    }
-    // Jobs submit plans, not ad-hoc metric lists: the lowered pass DAG is
-    // what the device group schedules.
-    let plan = AssessPlan::lower(cfg);
-    let mut a = match executor.run_plan(&plan, orig, &dec, cfg) {
-        Ok(a) => a,
-        Err(e) => return JobOutcome::Failed(format!("assess: {e}")),
-    };
-    let mut assessed = pair_bytes;
-    if let Some(run) = prepass_run {
-        // The frontier case pays for both: the prepass charge rides on top
-        // of the full assessment it failed to avoid.
-        a.modeled_seconds += run.modeled_seconds;
-        a.pattern_times.p1 += run.modeled_seconds;
-        assessed += run.estimate.sampled_bytes();
-    }
-    JobOutcome::Done(Box::new(metrics_from(a, stats, assessed)))
-}
-
-/// Fold an assessment + codec stats into the campaign metric snapshot.
-pub(crate) fn metrics_from(
-    a: Assessment,
-    stats: zc_compress::CompressionStats,
-    assessed_bytes: u64,
-) -> JobMetrics {
-    let report = a.report.with_compression(stats);
-    metrics_from_report(
-        &report,
-        a.modeled_seconds,
-        a.pattern_times,
-        a.runs,
-        a.e2e,
-        a.confidence,
-        assessed_bytes,
-    )
-}
-
-/// Fold an already-assembled report (compression stats attached) plus the
-/// execution accounting into the metric snapshot. The engine calls this
-/// directly when the report is a cache merge rather than one run's output.
+/// Fold an assembled report (compression stats attached; possibly a cache
+/// merge rather than one run's output) plus the execution accounting into
+/// the metric snapshot.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn metrics_from_report(
     report: &crate::report::AnalysisReport,
@@ -273,56 +198,10 @@ pub(crate) fn metrics_from_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zc_compress::ErrorBound;
-
-    fn job(compressor: CompressorSpec) -> (Field, JobSpec) {
-        let field = FieldRef::new(AppDataset::Miranda, 0, GenOptions::scaled(32));
-        let data = field.generate();
-        (
-            data,
-            JobSpec {
-                id: 0,
-                field_index: 0,
-                field,
-                compressor,
-            },
-        )
-    }
-
-    #[test]
-    fn successful_job_produces_metrics() {
-        let (f, spec) = job(CompressorSpec::Sz(ErrorBound::Rel(1e-3)));
-        let cfg = AssessConfig {
-            max_lag: 3,
-            bins: 32,
-            ..Default::default()
-        };
-        let out = run_job(&f.data, &spec, &MultiCuZc::nvlink(1), &cfg, None);
-        let JobOutcome::Done(m) = out else {
-            panic!("job failed")
-        };
-        assert!(m.psnr > 30.0);
-        assert!(m.compression_ratio > 1.0);
-        assert!(m.modeled_seconds > 0.0);
-        assert!(!m.runs.is_empty());
-        assert_eq!(m.confidence, Confidence::Full);
-        assert_eq!(m.assessed_bytes, f.data.shape().len() as u64 * 8);
-    }
-
-    #[test]
-    fn codec_failure_is_captured_not_propagated() {
-        let (f, spec) = job(CompressorSpec::FailDecode { every_nth: 1 });
-        let cfg = AssessConfig::default();
-        let out = run_job(&f.data, &spec, &MultiCuZc::nvlink(1), &cfg, None);
-        let JobOutcome::Failed(msg) = out else {
-            panic!("expected failure")
-        };
-        assert!(msg.contains("codec"), "{msg}");
-    }
 
     #[test]
     fn qualified_names_are_stable() {
-        let (_, spec) = job(CompressorSpec::Lossless);
-        assert_eq!(spec.field.qualified_name(), "MIRANDA/density");
+        let field = FieldRef::new(AppDataset::Miranda, 0, GenOptions::scaled(32));
+        assert_eq!(field.qualified_name(), "MIRANDA/density");
     }
 }

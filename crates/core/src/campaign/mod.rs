@@ -3,11 +3,10 @@
 //!
 //! This module owns the campaign *description* layer: the spec types
 //! ([`CampaignSpec`], [`FieldRef`], [`FleetSpec`], [`Scheduler`]), the job
-//! cross product, and the report/aggregation types. The execution
-//! machinery — admission, field generation, job execution, shard planning
-//! and aggregation — lives in [`crate::engine`]; [`CampaignSpec::run`] is
-//! a convenience wrapper over it, exactly as the resident `zc-serve`
-//! service and the CLI are.
+//! cross product, and the report/aggregation types. Execution belongs to
+//! [`crate::engine`]: a campaign runs as one cache-off
+//! [`crate::engine::Engine`] batch, the same drain the resident `zc-serve`
+//! service feeds.
 //!
 //! Z-checker's original production shape (Di et al., IJHPCA 2017) is not
 //! "assess one field": it is "assess a whole archive of fields under every
@@ -45,7 +44,8 @@ pub use report::{CampaignReport, EngineBusy, FleetUtilization, PatternTotals};
 pub use shard::{FleetSpec, LinkKind, Scheduler, ShardPlan};
 
 use crate::config::AssessConfig;
-use crate::plan::{estimate_job_cost, resolve_slabs, AssessPlan};
+use crate::engine::{job_cost, AssessRequest, Engine, Priced};
+use crate::plan::AssessPlan;
 use crate::recommend::ProgressivePolicy;
 use zc_compress::CompressorSpec;
 use zc_data::{AppDataset, GenOptions};
@@ -169,7 +169,88 @@ impl CampaignSpec {
         &self,
         fleets: &[FleetSpec],
     ) -> Result<Vec<CampaignReport>, CampaignError> {
-        crate::engine::run_campaign(self, fleets)
+        self.fleet.validate().map_err(CampaignError::BadFleet)?;
+        self.cfg
+            .validate()
+            .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
+        for fleet in fleets {
+            fleet.validate().map_err(CampaignError::BadFleet)?;
+            if fleet.gpus_per_job != self.fleet.gpus_per_job {
+                return Err(CampaignError::BadFleet(format!(
+                    "fleet sweep must share gpus_per_job (campaign: {}, fleet: {})",
+                    self.fleet.gpus_per_job, fleet.gpus_per_job
+                )));
+            }
+            if self.fleet.gpus_per_job > 1 && fleet.link != self.fleet.link {
+                return Err(CampaignError::BadFleet(
+                    "ganged jobs embed the link in the job model; \
+                     fleet sweep must share the link kind"
+                        .into(),
+                ));
+            }
+        }
+        // One cache-off engine batch, calibrated on the campaign's config:
+        // the functional work runs once, then is placed per fleet.
+        let mut engine = Engine::open(self.fleet, self.scheduler, &self.cfg, 0);
+        let plan = AssessPlan::lower(&self.cfg);
+        // Admission: one verdict per field (jobs sharing a field share a
+        // plan and a shape). A refused job skips the drain but still
+        // occupies its slot in the shard plan as a failed record.
+        let refused: Vec<Option<String>> = self
+            .fields
+            .iter()
+            .map(|f| {
+                let verdict = engine.admit_plan(&plan, f.shape(), &self.cfg);
+                verdict.err().map(|e| e.to_string())
+            })
+            .collect();
+        let jobs = self.jobs();
+        let admitted: Vec<AssessRequest> = jobs
+            .iter()
+            .filter(|j| refused[j.field_index].is_none())
+            .map(|j| AssessRequest {
+                field: j.field.clone(),
+                compressor: j.compressor,
+                cfg: self.cfg.clone(),
+            })
+            .collect();
+        let mut executed = engine
+            .execute(&admitted, self.progressive.as_ref())
+            .into_iter();
+        let mut priced = Priced::default();
+        for job in jobs {
+            let outcome = match &refused[job.field_index] {
+                Some(msg) => JobOutcome::Failed(msg.clone()),
+                None => {
+                    executed
+                        .next()
+                        .expect("one result per admitted job")
+                        .outcome
+                }
+            };
+            let price = engine.price(&plan, job.field.shape(), &self.cfg);
+            priced.push(job, outcome, price);
+        }
+        fleets
+            .iter()
+            .map(|fleet| {
+                let (records, shard) = engine.place(&priced, fleet);
+                // A fleet carrying a live fault plan aggregates through the
+                // chaos replay; a null (or absent) plan takes the fault-free
+                // path — same bits, no simulation.
+                match fleet.faults.as_ref().filter(|p| !p.is_null()) {
+                    Some(faults) => recover::aggregate_with_faults(
+                        records,
+                        fleet,
+                        &self.cfg,
+                        &shard,
+                        &self.recovery,
+                        faults,
+                    ),
+                    None => Ok(CampaignReport::aggregate(records, fleet, &self.cfg, &shard)),
+                }
+            })
+            .collect()
     }
 
     /// Predicted per-job costs (seconds) and split limits (resolved slab
@@ -178,25 +259,11 @@ impl CampaignSpec {
     /// sharing a field share a cost (the codec config does not change the
     /// modeled assessment work).
     pub fn job_costs(&self) -> (Vec<f64>, Vec<usize>) {
-        let plan_ir = AssessPlan::lower(&self.cfg);
-        let link = self.fleet.link.model(self.fleet.gpus_per_job);
-        let per_field: Vec<(f64, usize)> = self
-            .fields
+        let plan = AssessPlan::lower(&self.cfg);
+        self.jobs()
             .iter()
-            .map(|f| {
-                let shape = f.shape();
-                let est =
-                    estimate_job_cost(&plan_ir, shape, &self.cfg, self.fleet.gpus_per_job, &link);
-                let pair_bytes = shape.len() as u64 * 4 * 2;
-                let planes = (shape.nz() * shape.nw()).max(1);
-                let slabs = resolve_slabs(self.cfg.tiling, pair_bytes, planes, None).unwrap_or(1);
-                (est.seconds, slabs)
-            })
-            .collect();
-        let jobs = self.jobs();
-        let costs = jobs.iter().map(|j| per_field[j.field_index].0).collect();
-        let splittable = jobs.iter().map(|j| per_field[j.field_index].1).collect();
-        (costs, splittable)
+            .map(|j| job_cost(&plan, j.field.shape(), &self.cfg, &self.fleet))
+            .unzip()
     }
 }
 
@@ -291,6 +358,24 @@ mod tests {
             spec.run_on_fleets(&bad),
             Err(CampaignError::BadFleet(_))
         ));
+    }
+
+    #[test]
+    fn repeated_fields_keep_their_own_job_identity() {
+        // The drain generates a field listed twice only once, but every
+        // record still carries the campaign's own id and field index.
+        let mut spec = tiny_spec(2);
+        spec.fields.truncate(1);
+        spec.fields.push(spec.fields[0].clone());
+        let report = spec.run().unwrap();
+        let ids: Vec<_> = report
+            .jobs
+            .iter()
+            .map(|j| (j.spec.id, j.spec.field_index))
+            .collect();
+        assert_eq!(ids, [(0, 0), (1, 0), (2, 1), (3, 1)]);
+        let psnr = |i: usize| report.jobs[i].metrics().unwrap().psnr.to_bits();
+        assert_eq!((psnr(0), psnr(1)), (psnr(2), psnr(3)));
     }
 
     #[test]

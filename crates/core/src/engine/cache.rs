@@ -28,7 +28,6 @@ use crate::plan::PassKind;
 use crate::report::AnalysisReport;
 use std::collections::BTreeMap;
 use zc_compress::CompressionStats;
-use zc_kernels::P1Scalars;
 use zc_tensor::Tensor;
 
 /// FNV-1a 64-bit digest of a field's shape and exact bit content.
@@ -53,6 +52,20 @@ pub fn field_digest(t: &Tensor<f32>) -> u64 {
         }
     }
     h
+}
+
+/// Fill the sections `into` lacks from `from` (a residual run computes
+/// exactly the sections its cached report lacked).
+pub(crate) fn merge_sections(into: &mut AnalysisReport, from: &AnalysisReport) {
+    if into.histograms.is_none() {
+        into.histograms = from.histograms.clone();
+    }
+    if into.stencil.is_none() {
+        into.stencil = from.stencil.clone();
+    }
+    if into.ssim.is_none() {
+        into.ssim = from.ssim;
+    }
 }
 
 /// The value-affecting subset of [`AssessConfig`], in hashable form.
@@ -136,11 +149,13 @@ pub enum Lookup {
     /// outright, no assessment work at all.
     Full(Box<(AnalysisReport, CompressionStats)>),
     /// The scalar moments are cached but some needed section is missing:
-    /// run `AssessPlan::residual(cfg, &covered)` seeded with `p1`, then
-    /// [`ResultCache::absorb`] the result.
+    /// run `AssessPlan::residual(cfg, &covered)` seeded with `cached.p1`,
+    /// fill `cached`'s missing sections from the result, then
+    /// [`ResultCache::absorb`] the merged report.
     Partial {
-        /// Cached pattern-1 raw moments to seed the residual run with.
-        p1: P1Scalars,
+        /// The cached report: the residual run's seed (its pattern-1 raw
+        /// moments) and the sections the residual does not recompute.
+        cached: Box<AnalysisReport>,
         /// Pass kinds the cache already covers (excluded from the residual).
         covered: Vec<PassKind>,
     },
@@ -227,7 +242,7 @@ impl ResultCache {
         self.stats.partial_hits += 1;
         let covered = needed.iter().copied().filter(|&k| e.covers(k)).collect();
         Lookup::Partial {
-            p1: e.report.p1,
+            cached: Box::new(e.report.clone()),
             covered,
         }
     }
@@ -250,15 +265,7 @@ impl ResultCache {
         self.stats.insertions += 1;
         let merged = match self.map.get_mut(&key) {
             Some(e) => {
-                if e.report.histograms.is_none() {
-                    e.report.histograms = report.histograms.clone();
-                }
-                if e.report.stencil.is_none() {
-                    e.report.stencil = report.stencil.clone();
-                }
-                if e.report.ssim.is_none() {
-                    e.report.ssim = report.ssim;
-                }
+                merge_sections(&mut e.report, report);
                 e.last_used = self.clock;
                 e.report.clone()
             }
@@ -296,6 +303,11 @@ impl ResultCache {
     /// Codec stats stored for a key (present after any absorb of it).
     pub fn stats_of(&self, key: &CacheKey) -> Option<CompressionStats> {
         self.map.get(key).map(|e| e.stats)
+    }
+
+    /// Whether the cache can hold anything (a 0-entry budget disables it).
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.budget > 0
     }
 
     /// Cumulative traffic counters.
@@ -376,13 +388,13 @@ mod tests {
             Lookup::Full(_)
         ));
         // Needing stencil → partial, with scalars + ssim covered.
-        let Lookup::Partial { covered, p1 } = cache.lookup(
+        let Lookup::Partial { covered, cached } = cache.lookup(
             &key,
             &[PassKind::P1Scalars, PassKind::P2Stencil, PassKind::P3Ssim],
         ) else {
             panic!("expected partial")
         };
-        assert_eq!(p1, full.p1);
+        assert_eq!(cached.p1, full.p1);
         assert!(covered.contains(&PassKind::P1Scalars));
         assert!(covered.contains(&PassKind::P3Ssim));
         assert!(!covered.contains(&PassKind::P2Stencil));

@@ -1,14 +1,37 @@
-//! The assessment engine — the resident execution core behind campaigns
-//! and the `zc-serve` service.
+//! The assessment engine — the one batch executor behind campaigns and
+//! the `zc-serve` service.
 //!
-//! [`crate::campaign`] describes *what* to assess; this module owns *how*:
-//! admission (static plan verification against the device envelope),
-//! field generation, codec round-trips, plan lowering and execution on the
-//! fleet executor, shard planning, and report aggregation. The one-shot
-//! [`crate::campaign::CampaignSpec::run`] is a thin wrapper over
-//! [`run_campaign`]; a long-lived caller instead holds an [`Engine`] and
-//! feeds it [`AssessRequest`]s — gaining two things a one-shot run cannot
-//! have:
+//! [`crate::campaign`] describes *what* to assess; this module owns *how*.
+//! A caller holds an [`Engine`] session on a fleet and [`Engine::submit`]s
+//! [`AssessRequest`]s. Admission (static plan verification against the
+//! device envelope) happens at submit, so a refused request never occupies
+//! the queue. [`Engine::drain`] then runs the queue as one batch:
+//!
+//! 1. generate each distinct field once (host-parallel, index-ordered);
+//! 2. digest the fields into cache keys — only when the cache is on;
+//! 3. look the requests up in the [`ResultCache`], in ticket order;
+//! 4. run the misses and partial hits host-parallel through
+//!    `zc_par::par_map`, in **waves**: a request whose cache key already
+//!    appeared earlier in the batch waits for the next wave, so an in-batch
+//!    duplicate still resolves as a hit or partial hit against its
+//!    predecessor's result;
+//! 5. absorb each wave's results into the cache, in ticket order — a
+//!    partial hit merges over the sections it looked up, so an eviction
+//!    earlier in the same wave cannot weaken it;
+//! 6. price every job that occupied the device with one cost helper (the
+//!    same one [`crate::campaign::CampaignSpec::job_costs`] uses);
+//! 7. place the priced jobs on the fleet and aggregate.
+//!
+//! A campaign is one such batch on a cache-off session:
+//! [`crate::campaign::CampaignSpec::run_on_fleets`] admits each field once,
+//! runs the admitted jobs through steps 1–5 as one batch (with the
+//! progressive prepass ahead of each plan when the spec carries a policy),
+//! then prices and places the records under each fleet of its sweep —
+//! through the fault replay when a fleet carries a live fault plan. A job
+//! refused at admission skips execution but keeps its failed, priced
+//! record.
+//!
+//! The session adds two things a one-shot run cannot have:
 //!
 //! * **Calibration** ([`CostCalibration`]): one probe job at startup fits
 //!   the closed-form cost estimator to the fleet's modeled executor, so
@@ -21,27 +44,29 @@
 //!   pattern-1 scalars — bit-identical to a cold run, by construction.
 //!
 //! The engine is deterministic end to end: ticket order is submission
-//! order, batch execution is sequential in ticket order (field generation
-//! is host-parallel but index-ordered), and the cache's LRU clock is
+//! order, every host-parallel step is index-ordered, the cache is only
+//! touched between waves and in ticket order, and its LRU clock is
 //! logical. Results are independent of `ZC_PAR_THREADS`.
 
 mod cache;
 mod calibrate;
 
+use cache::merge_sections;
 pub use cache::{field_digest, CacheKey, CacheStats, CfgKey, Lookup, ResultCache};
 pub use calibrate::CostCalibration;
 
 use crate::campaign::{
-    job, recover, CampaignError, CampaignReport, CampaignSpec, FieldRef, FleetSpec,
-    FleetUtilization, JobOutcome, JobRecord, JobSpec, Scheduler,
+    job, CampaignReport, FieldRef, FleetSpec, FleetUtilization, JobOutcome, JobRecord, JobSpec,
+    Scheduler, ShardPlan,
 };
 use crate::config::AssessConfig;
-use crate::exec::{Confidence, Executor, MultiCuZc, PatternTimes};
+use crate::exec::{Assessment, Confidence, Executor, MultiCuZc, PatternTimes};
 use crate::plan::{estimate_job_cost, resolve_slabs, verify, AssessPlan, BackendCaps, PassKind};
-use std::collections::HashMap;
+use crate::recommend::ProgressivePolicy;
+use crate::report::AnalysisReport;
+use std::collections::{BTreeSet, HashMap};
 use zc_compress::CompressorSpec;
-use zc_data::AppDataset;
-use zc_tensor::Tensor;
+use zc_tensor::Shape;
 
 /// Default result-cache capacity (entries).
 const DEFAULT_CACHE_ENTRIES: usize = 256;
@@ -129,7 +154,7 @@ pub struct JobResult {
     pub outcome: JobOutcome,
     /// The full analysis report (merged with any cached sections and the
     /// codec stats) for completed jobs.
-    pub report: Option<crate::report::AnalysisReport>,
+    pub report: Option<AnalysisReport>,
 }
 
 /// What one [`Engine::drain`] returns: per-ticket results in submission
@@ -143,6 +168,59 @@ pub struct BatchReport {
     pub fleet: FleetUtilization,
     /// Cumulative cache counters after the batch.
     pub cache: CacheStats,
+}
+
+/// Predicted seconds (uncalibrated) and split limit (resolved slab count)
+/// of running `plan` on a field of `shape` on one device group of `fleet`
+/// — the one pricing rule behind [`Engine::price`] (shard plans and
+/// service estimates) and [`crate::campaign::CampaignSpec::job_costs`].
+pub(crate) fn job_cost(
+    plan: &AssessPlan,
+    shape: Shape,
+    cfg: &AssessConfig,
+    fleet: &FleetSpec,
+) -> (f64, usize) {
+    let link = fleet.link.model(fleet.gpus_per_job);
+    let est = estimate_job_cost(plan, shape, cfg, fleet.gpus_per_job, &link);
+    let pair_bytes = shape.len() as u64 * 8;
+    let planes = (shape.nz() * shape.nw()).max(1);
+    let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, None).unwrap_or(1);
+    (est.seconds, slabs)
+}
+
+/// How one request of a batch resolved.
+pub(crate) struct Resolved {
+    /// Index of the request's field among the batch's distinct fields.
+    field_index: usize,
+    cache: CacheOutcome,
+    pub(crate) outcome: JobOutcome,
+    report: Option<AnalysisReport>,
+    /// The plan the job occupied the device with (`None` for a full hit,
+    /// which is not a fleet record).
+    plan: Option<AssessPlan>,
+}
+
+/// Jobs that occupied the device, priced for placement: one record per
+/// job, in ticket order, with its calibrated cost and split limit.
+#[derive(Default)]
+pub(crate) struct Priced {
+    records: Vec<JobRecord>,
+    costs: Vec<f64>,
+    splittable: Vec<usize>,
+}
+
+impl Priced {
+    /// Append a job with its [`Engine::price`]; placement assigns its group.
+    pub(crate) fn push(&mut self, spec: JobSpec, outcome: JobOutcome, price: (f64, usize)) {
+        self.records.push(JobRecord {
+            spec,
+            group: 0,
+            outcome,
+            attempts: 1,
+        });
+        self.costs.push(price.0);
+        self.splittable.push(price.1);
+    }
 }
 
 /// A resident assessment session: a fleet, its calibrated cost model, and
@@ -165,18 +243,31 @@ impl Engine {
     /// run the calibration probe (one small deterministic assessment).
     pub fn new(fleet: FleetSpec) -> Result<Engine, EngineError> {
         fleet.validate().map_err(EngineError::BadFleet)?;
-        let calibration = CostCalibration::probe(&fleet, &AssessConfig::default());
-        let executor = fleet.executor();
-        Ok(Engine {
-            executor,
-            scheduler: Scheduler::default(),
+        Ok(Engine::open(
+            fleet,
+            Scheduler::default(),
+            &AssessConfig::default(),
+            DEFAULT_CACHE_ENTRIES,
+        ))
+    }
+
+    /// A session on an already-validated fleet, calibrated on `cfg`.
+    pub(crate) fn open(
+        fleet: FleetSpec,
+        scheduler: Scheduler,
+        cfg: &AssessConfig,
+        cache_entries: usize,
+    ) -> Engine {
+        Engine {
+            calibration: CostCalibration::probe(&fleet, cfg),
+            executor: fleet.executor(),
+            scheduler,
             caps: BackendCaps::v100(),
-            calibration,
-            cache: ResultCache::new(DEFAULT_CACHE_ENTRIES),
+            cache: ResultCache::new(cache_entries),
             pending: Vec::new(),
             next_ticket: 0,
             fleet,
-        })
+        }
     }
 
     /// Replace the job-placement policy (default: the fleet scheduler's
@@ -211,15 +302,41 @@ impl Engine {
     /// admission and backpressure with.
     pub fn estimate_seconds(&self, req: &AssessRequest) -> f64 {
         let plan = AssessPlan::lower(&req.cfg);
-        let link = self.fleet.link.model(self.fleet.gpus_per_job);
-        let est = estimate_job_cost(
-            &plan,
-            req.field.shape(),
-            &req.cfg,
-            self.fleet.gpus_per_job,
-            &link,
-        );
-        self.calibration.apply(est.seconds)
+        self.price(&plan, req.field.shape(), &req.cfg).0
+    }
+
+    /// Calibrated predicted seconds and split limit of running `plan` on a
+    /// field of `shape` — step 6's price, shared by service estimates and
+    /// campaign placement.
+    pub(crate) fn price(
+        &self,
+        plan: &AssessPlan,
+        shape: Shape,
+        cfg: &AssessConfig,
+    ) -> (f64, usize) {
+        let (seconds, slabs) = job_cost(plan, shape, cfg, &self.fleet);
+        (self.calibration.apply(seconds), slabs)
+    }
+
+    /// Verify a lowered plan against the device envelope: the first
+    /// error-severity verifier diagnostic (envelope overflow, malformed
+    /// DAG…) refuses it.
+    pub(crate) fn admit_plan(
+        &self,
+        plan: &AssessPlan,
+        shape: Shape,
+        cfg: &AssessConfig,
+    ) -> Result<(), EngineError> {
+        match verify(plan, shape, cfg, &self.caps)
+            .iter()
+            .find(|d| d.severity == zc_lint::Severity::Error)
+        {
+            Some(d) => Err(EngineError::Admission(format!(
+                "{}: {}",
+                d.lint_id, d.message
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Submit a request. Validation and admission happen *here*, not at
@@ -230,292 +347,247 @@ impl Engine {
         req.cfg
             .validate()
             .map_err(|e| EngineError::BadConfig(e.to_string()))?;
-        let plan = AssessPlan::lower(&req.cfg);
-        if let Some(d) = verify(&plan, req.field.shape(), &req.cfg, &self.caps)
-            .iter()
-            .find(|d| d.severity == zc_lint::Severity::Error)
-        {
-            return Err(EngineError::Admission(format!(
-                "{}: {}",
-                d.lint_id, d.message
-            )));
-        }
+        self.admit_plan(&AssessPlan::lower(&req.cfg), req.field.shape(), &req.cfg)?;
         let ticket = JobTicket(self.next_ticket);
         self.next_ticket += 1;
         self.pending.push((ticket, req));
         Ok(ticket)
     }
 
-    /// Execute every pending request and return the batch.
-    ///
-    /// Fields are generated once per distinct identity (host-parallel,
-    /// index-ordered); execution is sequential in ticket order, so
-    /// duplicate requests inside one batch hit the cache left by their
-    /// predecessor, and results are bit-identical at any worker count.
+    /// Execute every pending request, place the executed jobs on the
+    /// session's fleet, and return the batch.
     pub fn drain(&mut self) -> BatchReport {
-        let pending = std::mem::take(&mut self.pending);
-        // Generate each distinct field once, whatever the requests call it.
-        type FieldId = (AppDataset, usize, usize, usize, u64, usize);
-        let mut index_of: HashMap<FieldId, usize> = HashMap::new();
-        let mut unique: Vec<FieldRef> = Vec::new();
-        let field_of: Vec<usize> = pending
-            .iter()
-            .map(|(_, req)| {
-                let f = &req.field;
-                let id = (
-                    f.dataset,
-                    f.index,
-                    f.opts.scale,
-                    f.opts.scale_z,
-                    f.opts.seed,
-                    f.steps,
-                );
-                *index_of.entry(id).or_insert_with(|| {
-                    unique.push(f.clone());
-                    unique.len() - 1
-                })
-            })
-            .collect();
-        let fields = zc_par::par_map(unique.len(), |i| unique[i].generate());
-        let digests = zc_par::par_map(fields.len(), |i| field_digest(&fields[i].data));
-
-        let link = self.fleet.link.model(self.fleet.gpus_per_job);
-        let mut results = Vec::with_capacity(pending.len());
-        let mut records: Vec<JobRecord> = Vec::new();
-        let mut costs: Vec<f64> = Vec::new();
-        let mut splittable: Vec<usize> = Vec::new();
-        let mut repr_cfg: Option<AssessConfig> = None;
-        for (seq, (ticket, req)) in pending.into_iter().enumerate() {
-            let fi = field_of[seq];
-            let orig: &Tensor<f32> = &fields[fi].data;
-            let key = CacheKey {
-                digest: digests[fi],
-                compressor: req.compressor.label(),
-                cfg: CfgKey::of(&req.cfg),
-            };
-            let full_plan = AssessPlan::lower(&req.cfg);
-            let needed: Vec<PassKind> = full_plan.passes().iter().map(|p| p.kind).collect();
-            let (cache_outcome, executed_plan, run) = match self.cache.lookup(&key, &needed) {
-                Lookup::Full(found) => {
-                    let (report, stats) = *found;
-                    let report = report.with_compression(stats);
-                    let m = job::metrics_from_report(
-                        &report,
-                        0.0,
-                        PatternTimes::default(),
-                        Vec::new(),
-                        None,
-                        Confidence::Full,
-                        0,
-                    );
-                    results.push(JobResult {
-                        ticket,
-                        cache: CacheOutcome::Hit,
-                        outcome: JobOutcome::Done(Box::new(m)),
-                        report: Some(report),
-                    });
-                    continue; // no device time: not a fleet record
-                }
-                Lookup::Partial { p1, covered } => {
-                    let residual = AssessPlan::residual(&req.cfg, &covered);
-                    let run = req
-                        .compressor
-                        .build()
-                        .roundtrip(orig)
-                        .map_err(|e| format!("codec: {e}"))
-                        .and_then(|(dec, stats)| {
-                            self.executor
-                                .run_plan_seeded(&residual, orig, &dec, &req.cfg, p1)
-                                .map(|a| (a, stats))
-                                .map_err(|e| format!("assess: {e}"))
-                        });
-                    (CacheOutcome::Partial, residual, run)
-                }
-                Lookup::Miss => {
-                    let run = req
-                        .compressor
-                        .build()
-                        .roundtrip(orig)
-                        .map_err(|e| format!("codec: {e}"))
-                        .and_then(|(dec, stats)| {
-                            self.executor
-                                .run_plan(&full_plan, orig, &dec, &req.cfg)
-                                .map(|a| (a, stats))
-                                .map_err(|e| format!("assess: {e}"))
-                        });
-                    (CacheOutcome::Miss, full_plan, run)
-                }
-            };
-            // Executed (or failed) on the device: price it for the shard
-            // plan and record it for fleet accounting.
-            let est = estimate_job_cost(
-                &executed_plan,
-                orig.shape(),
-                &req.cfg,
-                self.fleet.gpus_per_job,
-                &link,
-            );
-            costs.push(self.calibration.apply(est.seconds));
-            let pair_bytes = orig.shape().len() as u64 * 8;
-            let planes = (orig.shape().nz() * orig.shape().nw()).max(1);
-            splittable.push(resolve_slabs(req.cfg.tiling, pair_bytes, planes, None).unwrap_or(1));
-            repr_cfg.get_or_insert_with(|| req.cfg.clone());
-            let (outcome, report) = match run {
-                Ok((a, stats)) => {
-                    let merged = self.cache.absorb(key, &a.report, stats);
-                    let report = merged.with_compression(stats);
-                    let m = job::metrics_from_report(
-                        &report,
-                        a.modeled_seconds,
-                        a.pattern_times,
-                        a.runs,
-                        a.e2e,
-                        a.confidence,
-                        pair_bytes,
-                    );
-                    (JobOutcome::Done(Box::new(m)), Some(report))
-                }
-                Err(msg) => (JobOutcome::Failed(msg), None),
-            };
-            records.push(JobRecord {
-                spec: JobSpec {
-                    id: records.len(),
-                    field_index: fi,
+        let (tickets, reqs): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.pending).into_iter().unzip();
+        let mut results = Vec::with_capacity(reqs.len());
+        let mut priced = Priced::default();
+        let mut cfg = None;
+        let resolved = self.execute(&reqs, None);
+        for ((ticket, req), r) in tickets.into_iter().zip(reqs).zip(resolved) {
+            if let Some(plan) = &r.plan {
+                let spec = JobSpec {
+                    id: priced.records.len(),
+                    field_index: r.field_index,
                     field: req.field.clone(),
                     compressor: req.compressor,
-                },
-                group: 0, // placed below, once every executed job is priced
-                outcome: outcome.clone(),
-                attempts: 1,
-            });
+                };
+                let price = self.price(plan, req.field.shape(), &req.cfg);
+                priced.push(spec, r.outcome.clone(), price);
+                cfg.get_or_insert(req.cfg);
+            }
             results.push(JobResult {
                 ticket,
-                cache: cache_outcome,
-                outcome,
-                report,
+                cache: r.cache,
+                outcome: r.outcome,
+                report: r.report,
             });
         }
-        let shard = self
-            .scheduler
-            .plan(&costs, &splittable, self.fleet.groups());
-        for (i, r) in records.iter_mut().enumerate() {
-            r.group = shard.group_of(i);
-        }
-        let agg =
-            CampaignReport::aggregate(records, &self.fleet, &repr_cfg.unwrap_or_default(), &shard);
+        let (records, shard) = self.place(&priced, &self.fleet);
+        let agg = CampaignReport::aggregate(records, &self.fleet, &cfg.unwrap_or_default(), &shard);
         BatchReport {
             results,
             fleet: agg.fleet,
             cache: self.cache.stats(),
         }
     }
-}
 
-/// Execute a campaign description: the engine-side machinery behind
-/// [`CampaignSpec::run_on_fleets`] (and therefore [`CampaignSpec::run`]).
-///
-/// The sequence is the resident engine's, specialized to one batch:
-/// admission (one verifier verdict per field — jobs sharing a field share
-/// a plan and a shape), host-parallel field generation, per-job isolated
-/// execution, calibrated cost-model shard planning per fleet, and
-/// aggregation (through the chaos replay when a fleet carries live
-/// faults).
-pub(crate) fn run_campaign(
-    spec: &CampaignSpec,
-    fleets: &[FleetSpec],
-) -> Result<Vec<CampaignReport>, CampaignError> {
-    spec.fleet.validate().map_err(CampaignError::BadFleet)?;
-    spec.cfg
-        .validate()
-        .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
-    for fleet in fleets {
-        fleet.validate().map_err(CampaignError::BadFleet)?;
-        if fleet.gpus_per_job != spec.fleet.gpus_per_job {
-            return Err(CampaignError::BadFleet(format!(
-                "fleet sweep must share gpus_per_job (campaign: {}, fleet: {})",
-                spec.fleet.gpus_per_job, fleet.gpus_per_job
-            )));
-        }
-        if spec.fleet.gpus_per_job > 1 && fleet.link != spec.fleet.link {
-            return Err(CampaignError::BadFleet(
-                "ganged jobs embed the link in the job model; \
-                 fleet sweep must share the link kind"
-                    .into(),
-            ));
-        }
-    }
-    let jobs = spec.jobs();
-    // Admission: statically verify every job's lowered plan against the
-    // fleet's device envelope before any field is generated or sharded.
-    // Jobs whose plan carries an error-severity diagnostic are recorded as
-    // failed without running.
-    let plan_ir = AssessPlan::lower(&spec.cfg);
-    let caps = BackendCaps::v100();
-    let admission: Vec<Option<String>> = spec
-        .fields
-        .iter()
-        .map(|f| {
-            verify(&plan_ir, f.shape(), &spec.cfg, &caps)
-                .iter()
-                .find(|d| d.severity == zc_lint::Severity::Error)
-                .map(|d| format!("admission: {}: {}", d.lint_id, d.message))
-        })
-        .collect();
-    // Generate each field once up front (host-parallel, index-ordered),
-    // not once per compressor config.
-    let fields = zc_par::par_map(spec.fields.len(), |i| spec.fields[i].generate());
-    let executor = spec.fleet.executor();
-    let outcomes = zc_par::par_map(jobs.len(), |i| {
-        if let Some(msg) = &admission[jobs[i].field_index] {
-            return JobOutcome::Failed(msg.clone());
-        }
-        job::run_job(
-            &fields[jobs[i].field_index].data,
-            &jobs[i],
-            &executor,
-            &spec.cfg,
-            spec.progressive.as_ref(),
-        )
-    });
-    // Calibrate the scheduler's cost model against the fleet executor: a
-    // uniform scale, so placement (and every metric value) is unchanged —
-    // only the predicted makespan moves toward the measured one.
-    let cal = CostCalibration::probe(&spec.fleet, &spec.cfg);
-    let (mut costs, splittable) = spec.job_costs();
-    for c in &mut costs {
-        *c = cal.apply(*c);
-    }
-    let mut reports = Vec::with_capacity(fleets.len());
-    for fleet in fleets {
-        let plan = spec.scheduler.plan(&costs, &splittable, fleet.groups());
-        let records: Vec<JobRecord> = jobs
+    /// Steps 1–5 of a drain (see the module docs): execute a batch of
+    /// admitted requests and return them resolved, in order. With a
+    /// `progressive` policy, each executed plan is preceded by the
+    /// strided-subsample prepass and skipped when the prepass already
+    /// decides the job; such estimates are never cached.
+    pub(crate) fn execute(
+        &mut self,
+        reqs: &[AssessRequest],
+        progressive: Option<&ProgressivePolicy>,
+    ) -> Vec<Resolved> {
+        // 1. Generate each distinct field once.
+        let mut index_of: HashMap<&FieldRef, usize> = HashMap::new();
+        let mut unique: Vec<&FieldRef> = Vec::new();
+        let field_of: Vec<usize> = reqs
             .iter()
-            .zip(&outcomes)
-            .enumerate()
-            .map(|(i, (jspec, outcome))| JobRecord {
-                spec: jspec.clone(),
-                group: plan.group_of(i),
-                outcome: outcome.clone(),
-                attempts: 1,
+            .map(|req| {
+                *index_of.entry(&req.field).or_insert_with(|| {
+                    unique.push(&req.field);
+                    unique.len() - 1
+                })
             })
             .collect();
-        // A fleet carrying a live fault plan aggregates through the chaos
-        // replay; a null (or absent) plan takes the original fault-free
-        // path — same bits, no simulation.
-        let report = match fleet.faults.as_ref().filter(|p| !p.is_null()) {
-            Some(faults) => recover::aggregate_with_faults(
-                records,
-                fleet,
-                &spec.cfg,
-                &plan,
-                &spec.recovery,
-                faults,
-            )?,
-            None => CampaignReport::aggregate(records, fleet, &spec.cfg, &plan),
+        let fields = zc_par::par_map(unique.len(), |i| unique[i].generate().data);
+
+        // 2. Cache keys: content digests, computed only when the cache is on.
+        let keys: Vec<Option<CacheKey>> = if self.cache.is_enabled() {
+            let digests = zc_par::par_map(fields.len(), |i| field_digest(&fields[i]));
+            reqs.iter()
+                .zip(&field_of)
+                .map(|(req, &fi)| {
+                    Some(CacheKey {
+                        digest: digests[fi],
+                        compressor: req.compressor.label(),
+                        cfg: CfgKey::of(&req.cfg),
+                    })
+                })
+                .collect()
+        } else {
+            vec![None; reqs.len()]
         };
-        reports.push(report);
+
+        let mut resolved: Vec<Option<Resolved>> = (0..reqs.len()).map(|_| None).collect();
+        let mut waiting: Vec<usize> = (0..reqs.len()).collect();
+        let executor = &self.executor;
+        while !waiting.is_empty() {
+            // 3. Look up in ticket order; a key already seen waits a wave.
+            let mut seen = BTreeSet::new();
+            let mut next = Vec::new();
+            let mut wave: Vec<(usize, CacheOutcome, AssessPlan, Option<Box<AnalysisReport>>)> =
+                Vec::new();
+            for i in waiting {
+                if let Some(key) = &keys[i] {
+                    if !seen.insert(key) {
+                        next.push(i);
+                        continue;
+                    }
+                }
+                let cfg = &reqs[i].cfg;
+                let plan = AssessPlan::lower(cfg);
+                let needed: Vec<PassKind> = plan.passes().iter().map(|p| p.kind).collect();
+                let lookup = match &keys[i] {
+                    Some(key) => self.cache.lookup(key, &needed),
+                    None => Lookup::Miss,
+                };
+                match lookup {
+                    Lookup::Full(found) => {
+                        let (report, stats) = *found;
+                        let report = report.with_compression(stats);
+                        let m = job::metrics_from_report(
+                            &report,
+                            0.0,
+                            PatternTimes::default(),
+                            Vec::new(),
+                            None,
+                            Confidence::Full,
+                            0,
+                        );
+                        resolved[i] = Some(Resolved {
+                            field_index: field_of[i],
+                            cache: CacheOutcome::Hit,
+                            outcome: JobOutcome::Done(Box::new(m)),
+                            report: Some(report),
+                            plan: None, // no device time: not a fleet record
+                        });
+                    }
+                    Lookup::Partial { cached, covered } => wave.push((
+                        i,
+                        CacheOutcome::Partial,
+                        AssessPlan::residual(cfg, &covered),
+                        Some(cached),
+                    )),
+                    Lookup::Miss => wave.push((i, CacheOutcome::Miss, plan, None)),
+                }
+            }
+
+            // 4. Run the wave's misses and partial hits host-parallel.
+            let runs = zc_par::par_map(wave.len(), |w| {
+                let (i, _, plan, cached) = &wave[w];
+                let (req, orig) = (&reqs[*i], &fields[field_of[*i]]);
+                let (dec, stats) = req
+                    .compressor
+                    .build()
+                    .roundtrip(orig)
+                    .map_err(|e| format!("codec: {e}"))?;
+                let mut prepass = None;
+                if let Some(policy) = progressive {
+                    let run = executor
+                        .prepass(orig, &dec, policy.stride)
+                        .map_err(|e| format!("prepass: {e}"))?;
+                    if policy.decide(&run.estimate).is_decided() {
+                        let a = Assessment::from_prepass(orig.shape(), &run, &req.cfg);
+                        return Ok((a, stats, run.estimate.sampled_bytes()));
+                    }
+                    prepass = Some(run);
+                }
+                let mut a = match cached {
+                    Some(c) => executor.run_plan_seeded(plan, orig, &dec, &req.cfg, c.p1),
+                    None => executor.run_plan(plan, orig, &dec, &req.cfg),
+                }
+                .map_err(|e| format!("assess: {e}"))?;
+                let mut assessed = orig.shape().len() as u64 * 8;
+                if let Some(run) = prepass {
+                    // The frontier case pays for both: the prepass charge
+                    // rides on top of the full assessment it failed to avoid.
+                    a.modeled_seconds += run.modeled_seconds;
+                    a.pattern_times.p1 += run.modeled_seconds;
+                    assessed += run.estimate.sampled_bytes();
+                }
+                Ok((a, stats, assessed))
+            });
+
+            // 5. Absorb into the cache in ticket order.
+            for ((i, cache, plan, cached), run) in wave.into_iter().zip(runs) {
+                let (outcome, report) = match run {
+                    Ok((mut a, stats, assessed)) => {
+                        if let Some(cached) = cached {
+                            // Merge over the sections looked up, not over
+                            // whatever the entry holds now: an earlier
+                            // absorb of this wave may have evicted it.
+                            let mut merged = *cached;
+                            merge_sections(&mut merged, &a.report);
+                            a.report = merged;
+                        }
+                        let report = match &keys[i] {
+                            Some(key) if a.confidence == Confidence::Full => {
+                                self.cache.absorb(key.clone(), &a.report, stats)
+                            }
+                            _ => a.report,
+                        }
+                        .with_compression(stats);
+                        let m = job::metrics_from_report(
+                            &report,
+                            a.modeled_seconds,
+                            a.pattern_times,
+                            a.runs,
+                            a.e2e,
+                            a.confidence,
+                            assessed,
+                        );
+                        (JobOutcome::Done(Box::new(m)), Some(report))
+                    }
+                    Err(msg) => (JobOutcome::Failed(msg), None),
+                };
+                resolved[i] = Some(Resolved {
+                    field_index: field_of[i],
+                    cache,
+                    outcome,
+                    report,
+                    plan: Some(plan),
+                });
+            }
+            waiting = next;
+        }
+
+        resolved
+            .into_iter()
+            .map(|r| r.expect("every request resolves in some wave"))
+            .collect()
     }
-    Ok(reports)
+
+    /// Step 7's placement: shard a drained batch's priced jobs over `fleet`
+    /// with the session's scheduler.
+    pub(crate) fn place(&self, priced: &Priced, fleet: &FleetSpec) -> (Vec<JobRecord>, ShardPlan) {
+        let shard = self
+            .scheduler
+            .plan(&priced.costs, &priced.splittable, fleet.groups());
+        let records = priced
+            .records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| JobRecord {
+                group: shard.group_of(i),
+                ..r.clone()
+            })
+            .collect();
+        (records, shard)
+    }
 }
 
 #[cfg(test)]
@@ -523,7 +595,7 @@ mod tests {
     use super::*;
     use crate::metrics::{Metric, MetricSelection};
     use zc_compress::ErrorBound;
-    use zc_data::GenOptions;
+    use zc_data::{AppDataset, GenOptions};
 
     fn request(metrics: MetricSelection) -> AssessRequest {
         AssessRequest {
@@ -601,5 +673,39 @@ mod tests {
         let req = request(MetricSelection::all());
         assert!(engine.estimate_seconds(&req) > 0.0);
         assert!(engine.calibration().scale > 1.0);
+    }
+
+    #[test]
+    fn service_estimates_and_campaign_costs_share_one_price() {
+        let req = request(MetricSelection::all());
+        let engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
+        let spec = crate::campaign::CampaignSpec {
+            fields: vec![req.field.clone()],
+            compressors: vec![req.compressor],
+            cfg: req.cfg.clone(),
+            fleet: FleetSpec::nvlink(2),
+            scheduler: Scheduler::List,
+            progressive: None,
+            recovery: Default::default(),
+        };
+        let (costs, _) = spec.job_costs();
+        assert_eq!(
+            engine.estimate_seconds(&req).to_bits(),
+            engine.calibration().apply(costs[0]).to_bits()
+        );
+    }
+
+    #[test]
+    fn a_cache_off_batch_runs_every_request_as_a_miss() {
+        let mut engine = Engine::new(FleetSpec::nvlink(1))
+            .unwrap()
+            .with_cache_entries(0);
+        engine.submit(request(MetricSelection::all())).unwrap();
+        engine.submit(request(MetricSelection::all())).unwrap();
+        let batch = engine.drain();
+        // Without a cache both duplicates run, as misses in one wave.
+        assert!(batch.results.iter().all(|r| r.cache == CacheOutcome::Miss));
+        assert_eq!(batch.cache.lookups(), 0);
+        assert_eq!(batch.cache.insertions, 0);
     }
 }

@@ -20,14 +20,12 @@
 
 pub mod cpu_ref;
 mod cuzc;
-pub mod f64path;
 mod mozc;
 mod multigpu;
 mod ompzc;
 mod serial;
 
 pub use cuzc::CuZc;
-pub use f64path::assess_generic;
 pub use mozc::MoZc;
 pub use multigpu::MultiCuZc;
 pub use ompzc::OmpZc;

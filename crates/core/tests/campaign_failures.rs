@@ -97,6 +97,38 @@ fn all_jobs_failing_still_produces_a_report() {
 }
 
 #[test]
+fn admission_refusals_stay_failed_records_priced_into_the_plan() {
+    // 65536 histogram bins are a valid config, but the histogram pass's
+    // shared-memory bins overflow the device's per-block cap: admission
+    // refuses every job before it runs. Refused jobs are records, not
+    // errors, and the scheduler still prices them.
+    let spec = CampaignSpec {
+        fields: fields(AppDataset::Nyx, 2),
+        compressors: vec![CompressorSpec::Sz(ErrorBound::Rel(1e-3))],
+        cfg: AssessConfig {
+            bins: 1 << 16,
+            ..small_cfg()
+        },
+        scheduler: Scheduler::List,
+        progressive: None,
+        recovery: RecoveryPolicy::default(),
+        fleet: FleetSpec::nvlink(2),
+    };
+    let report = spec.run().unwrap();
+    assert_eq!(report.completed(), 0);
+    assert_eq!(report.failures().len(), 2);
+    for (job, msg) in report.failures() {
+        assert!(msg.starts_with("admission: plan/"), "{msg}");
+        assert_eq!(job.attempts, 1);
+    }
+    for (i, job) in report.jobs.iter().enumerate() {
+        assert_eq!((job.spec.id, job.spec.field_index), (i, i));
+    }
+    assert!(report.fleet.predicted_makespan_s > 0.0);
+    assert_eq!(report.fleet.makespan_s, 0.0);
+}
+
+#[test]
 fn empty_catalog_campaign_is_a_clean_no_op() {
     let spec = CampaignSpec {
         fields: vec![],

@@ -202,3 +202,55 @@ fn eviction_never_changes_metric_values() {
         tiny.cache_stats()
     );
 }
+
+#[test]
+fn eviction_inside_a_wave_never_weakens_a_partial_hit() {
+    // K is cached with {psnr, ssim}. In the batch [full L, full K] both
+    // look up in one wave (L misses, K is a partial hit); absorbing L then
+    // evicts K from the 1-entry cache before K's residual result is
+    // absorbed. K must still merge over the sections it looked up.
+    let narrow = MetricSelection::none()
+        .with(Metric::Psnr)
+        .with(Metric::Ssim);
+    let mut tiny = Engine::new(FleetSpec::nvlink(1))
+        .unwrap()
+        .with_cache_entries(1);
+    tiny.submit(request(narrow, 0)).unwrap();
+    tiny.drain();
+    let mut uncached = Engine::new(FleetSpec::nvlink(1))
+        .unwrap()
+        .with_cache_entries(0);
+    for engine in [&mut tiny, &mut uncached] {
+        engine.submit(request(MetricSelection::all(), 1)).unwrap();
+        engine.submit(request(MetricSelection::all(), 0)).unwrap();
+    }
+    let (a, b) = (tiny.drain(), uncached.drain());
+    let outcomes: Vec<_> = a.results.iter().map(|r| r.cache).collect();
+    assert_eq!(outcomes, [CacheOutcome::Miss, CacheOutcome::Partial]);
+    assert!(
+        tiny.cache_stats().evictions >= 2,
+        "{:?}",
+        tiny.cache_stats()
+    );
+    for (ra, rb) in a.results.iter().zip(&b.results) {
+        let (pa, pb) = (ra.report.as_ref().unwrap(), rb.report.as_ref().unwrap());
+        // Every metric bit, bar the wall-clock codec throughputs.
+        for m in Metric::ALL {
+            if matches!(
+                m,
+                Metric::CompressionThroughput | Metric::DecompressionThroughput
+            ) {
+                continue;
+            }
+            let (va, vb) = (pa.scalar(m), pb.scalar(m));
+            assert_eq!(
+                va.map(f64::to_bits),
+                vb.map(f64::to_bits),
+                "{m:?}: {va:?} vs {vb:?}"
+            );
+        }
+    }
+    // The re-inserted entry holds every section, so a repeat is a full hit.
+    tiny.submit(request(MetricSelection::all(), 0)).unwrap();
+    assert_eq!(tiny.drain().results[0].cache, CacheOutcome::Hit);
+}

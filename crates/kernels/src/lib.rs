@@ -107,8 +107,9 @@ pub struct FieldPair<'a> {
 impl<'a> FieldPair<'a> {
     /// Pair two congruent tensors (panics on shape mismatch — callers
     /// validate shapes at the API boundary).
-    // charging-lint: exempt — these are `Tensor` (global-memory) views, not
-    // `SharedBuf` raw views; kernels charge reads against them explicitly.
+    // zc-lint: exempt(charging/uncharged-access) — these are `Tensor`
+    // (global-memory) views, not `SharedBuf` raw views; kernels charge
+    // reads against them explicitly.
     pub fn new(orig: &'a Tensor<f32>, dec: &'a Tensor<f32>) -> Self {
         assert_eq!(orig.shape(), dec.shape(), "field pair must be congruent");
         FieldPair {

@@ -6,9 +6,9 @@
 //! access outside a warp scope, sync-under-divergence, raw field-pair
 //! indexing, and order-sensitive float reductions. The runtime
 //! counterpart is the sanitizer's audits; the lints catch the same bug
-//! classes at review time, on paths no test happens to execute. The
-//! legacy `// charging-lint: exempt` marker semantics are preserved by
-//! the framework (it waives exactly the two charging lints).
+//! classes at review time, on paths no test happens to execute. Waivers
+//! are typed `// zc-lint: exempt(<id>)` markers naming each lint they
+//! waive.
 
 use std::path::{Path, PathBuf};
 use zc_lint::{error_count, lint_file, render_table, scan_source, LINTS};
@@ -61,9 +61,10 @@ fn scanner_sees_the_known_exempt_site() {
         .iter()
         .find(|f| f.name == "new" && f.contains(".as_slice()"))
         .expect("FieldPair::new not found by the scanner");
-    assert!(
-        new.exempt_legacy,
-        "FieldPair::new lost its charging-lint exemption marker"
+    assert_eq!(
+        new.exempt_ids,
+        vec!["charging/uncharged-access"],
+        "FieldPair::new lost its typed uncharged-access exemption marker"
     );
 }
 

@@ -26,7 +26,7 @@ mod scan;
 pub use lints::{
     find_kernels_src, lint_dir, lint_file, lint_source, rs_sources, Lint, CHARGE_APIS, LINTS,
 };
-pub use scan::{scan_source, CodeLine, FnBody, EXEMPT_MARKER, LEGACY_EXEMPT_MARKER};
+pub use scan::{scan_source, CodeLine, FnBody, EXEMPT_MARKER};
 
 use std::fmt;
 

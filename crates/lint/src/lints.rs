@@ -7,8 +7,7 @@
 //! the classic CUDA deadlock, raw field indexing bypasses the charge APIs,
 //! and order-sensitive float reductions break the golden tier's exact
 //! `f64`-bit pins. Every finding carries a typed lint id; waive one with a
-//! `// zc-lint: exempt(<id>)` marker (the legacy `// charging-lint:
-//! exempt` blanket still covers the two charging lints).
+//! `// zc-lint: exempt(<id>)` marker.
 
 use crate::scan::{scan_source, FnBody};
 use crate::{Diagnostic, Location, Severity};
@@ -36,8 +35,6 @@ pub struct Lint {
     pub id: &'static str,
     /// One-line description for `zc-lint --list` and docs.
     pub description: &'static str,
-    /// Whether the legacy `charging-lint: exempt` marker waives it.
-    pub legacy_exempt: bool,
     check: fn(&Lint, &FnBody, &mut Vec<Diagnostic>),
 }
 
@@ -50,7 +47,7 @@ impl Lint {
         message: String,
         out: &mut Vec<Diagnostic>,
     ) {
-        if f.is_exempt(self.id, self.legacy_exempt, line) {
+        if f.is_exempt(self.id, line) {
             return;
         }
         out.push(Diagnostic {
@@ -267,31 +264,26 @@ pub const LINTS: &[Lint] = &[
     Lint {
         id: "charging/uncharged-access",
         description: "raw as_slice/as_mut_slice view in a function that never charges",
-        legacy_exempt: true,
         check: uncharged_access,
     },
     Lint {
         id: "kernel/unscoped-shared",
         description: "shared-memory access outside a warp_begin/warp_end scope",
-        legacy_exempt: false,
         check: unscoped_shared,
     },
     Lint {
         id: "kernel/sync-under-divergence",
         description: "sync_threads under divergence (open warp scope or lane-conditional)",
-        legacy_exempt: false,
         check: sync_under_divergence,
     },
     Lint {
         id: "kernel/raw-slice-index",
         description: "field-pair storage indexed without a charge API",
-        legacy_exempt: true,
         check: raw_slice_index,
     },
     Lint {
         id: "kernel/float-reduction-order",
         description: "order-sensitive float reduction (parallel/reversed/f32/data-dependent)",
-        legacy_exempt: false,
         check: float_reduction_order,
     },
 ];

@@ -36,9 +36,6 @@ pub struct FnBody {
     pub name: String,
     /// The body's analyzable lines (header included).
     pub lines: Vec<CodeLine>,
-    /// A legacy `// charging-lint: exempt` marker above the function —
-    /// waives the charging lints, exactly as the pre-zc-lint scanner did.
-    pub exempt_legacy: bool,
     /// Lint ids waived by `// zc-lint: exempt(<id>, ...)` markers above.
     pub exempt_ids: Vec<String>,
 }
@@ -60,12 +57,7 @@ impl FnBody {
     }
 
     /// Is a lint waived for this function (or for `line` specifically)?
-    /// The legacy marker covers exactly the charging lints; the typed
-    /// marker covers the ids it names.
-    pub fn is_exempt(&self, lint_id: &str, legacy_covers: bool, line: usize) -> bool {
-        if legacy_covers && self.exempt_legacy {
-            return true;
-        }
+    pub fn is_exempt(&self, lint_id: &str, line: usize) -> bool {
         if self.exempt_ids.iter().any(|id| id == lint_id) {
             return true;
         }
@@ -75,9 +67,6 @@ impl FnBody {
             .is_some_and(|l| l.line_exempt.iter().any(|id| id == lint_id))
     }
 }
-
-/// The legacy blanket marker (`// charging-lint: exempt`).
-pub const LEGACY_EXEMPT_MARKER: &str = "charging-lint: exempt";
 
 /// The typed marker prefix: `// zc-lint: exempt(<lint-id>, ...)`.
 pub const EXEMPT_MARKER: &str = "zc-lint: exempt(";
@@ -275,15 +264,12 @@ pub fn scan_source(file: &str, src: &str) -> Vec<FnBody> {
         }
 
         // Exemption markers live in the comment/attribute block above.
-        let mut exempt_legacy = false;
         let mut exempt_ids = Vec::new();
         let mut j = i;
         while j > 0 {
             let above_raw = raw_lines[j - 1].trim_start();
             if above_raw.starts_with("//") || above_raw.starts_with("#[") {
                 let (_, above_comment) = &stripped[j - 1];
-                exempt_legacy |= above_comment.contains(LEGACY_EXEMPT_MARKER)
-                    || above_raw.contains(LEGACY_EXEMPT_MARKER);
                 collect_exempt_ids(above_comment, &mut exempt_ids);
                 j -= 1;
             } else {
@@ -336,7 +322,6 @@ pub fn scan_source(file: &str, src: &str) -> Vec<FnBody> {
             line: start + 1,
             name,
             lines,
-            exempt_legacy,
             exempt_ids,
         });
     }
@@ -379,7 +364,7 @@ fn plain() {
         assert_eq!(fns.len(), 2);
         assert_eq!(fns[0].name, "helper");
         assert_eq!(fns[0].exempt_ids, vec!["kernel/unscoped-shared"]);
-        assert!(fns[0].is_exempt("kernel/unscoped-shared", false, fns[0].line));
+        assert!(fns[0].is_exempt("kernel/unscoped-shared", fns[0].line));
         assert_eq!(fns[1].name, "plain");
         assert!(!fns[1].contains("not_a_fn"));
     }

@@ -1,6 +1,6 @@
 //! Positive/negative snippets for every registered lint: each lint must
 //! fire on its minimal bad shape, stay quiet on the charged/scoped
-//! equivalent, and respect both exemption-marker dialects.
+//! equivalent, and respect the typed exemption marker.
 
 use zc_lint::{error_count, lint_source, Severity, LINTS};
 
@@ -30,15 +30,24 @@ fn uncharged_access_fires_and_charging_silences_it() {
 }
 
 #[test]
-fn legacy_marker_still_waives_the_charging_lints() {
-    let src = "\
-// charging-lint: exempt — tensor views, charged by the caller
+fn typed_marker_waives_every_lint_it_names() {
+    let body = "\
 fn k(t: &Tensor<f32>) {
     let s = t.as_slice();
     let v = self.fields.orig[0];
 }
 ";
-    assert!(ids(src).is_empty(), "legacy marker must keep working");
+    let typed = format!(
+        "// zc-lint: exempt(charging/uncharged-access, kernel/raw-slice-index) — tensor views, \
+         charged by the caller\n{body}"
+    );
+    assert!(ids(&typed).is_empty(), "both named lints must be waived");
+    // The retired blanket marker waives nothing.
+    let retired = format!("// charging-lint: exempt — tensor views\n{body}");
+    assert_eq!(
+        ids(&retired),
+        vec!["charging/uncharged-access", "kernel/raw-slice-index"]
+    );
 }
 
 #[test]

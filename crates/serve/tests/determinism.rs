@@ -1,8 +1,9 @@
 //! Determinism tier: a served trace is bit-identical at every host worker
 //! count.
 //!
-//! The engine generates batch fields host-parallel but index-ordered, and
-//! executes in ticket order; the service loop adds only modeled time. So
+//! The engine generates batch fields and runs each wave of jobs
+//! host-parallel but index-ordered, and touches the cache only between
+//! waves in ticket order; the service loop adds only modeled time. So
 //! the entire serve report — every verdict, every latency bit, every cache
 //! counter — must be `==` at 1 worker, 2 workers, and the machine's full
 //! parallelism. Kept as a single `#[test]` because the `ZC_PAR_THREADS`
