@@ -36,7 +36,7 @@
 //!    while the device time its attempts burned stays on the clocks.
 
 use super::job::{JobOutcome, JobRecord};
-use super::report::{result_bytes, CampaignReport, FleetUtilization};
+use super::report::{result_bytes, CampaignReport};
 use super::shard::{FleetSpec, ShardPlan};
 use super::CampaignError;
 use crate::config::AssessConfig;
@@ -312,48 +312,18 @@ pub(crate) fn aggregate_with_faults(
 
     // Rebuild the aggregate from the simulated clocks. Baseline charges
     // (counters, engine legs, payload, exact assessed bytes) fold over the
-    // *surviving* completed jobs in job order — the same accumulation the
-    // fault-free aggregate performs — then the fault extras land on top.
-    let mut totals = super::report::PatternTotals::default();
-    let mut engines = super::report::EngineBusy::default();
-    let mut completed = 0usize;
-    let mut payload_bytes = 0u64;
-    let mut assessed_bytes = 0u64;
-    for r in &jobs {
-        if let Some(m) = r.metrics() {
-            totals.absorb(&m.runs);
-            if let Some(e) = &m.e2e {
-                engines.absorb(e);
-            }
-            completed += 1;
-            payload_bytes += r.spec.field.shape().len() as u64 * 4;
-            assessed_bytes += m.assessed_bytes;
-        }
-    }
-    engines.h2d_s += h2d_x;
-    engines.compute_s += compute_x;
-    engines.d2h_s += d2h_x;
-    assessed_bytes += extra_bytes as u64;
+    // *surviving* completed jobs in job order — the fold the fault-free
+    // aggregate uses too — then the fault extras land on top.
+    let mut report = CampaignReport::from_busy_clocks(jobs, fleet, plan, clocks);
+    let summary = &mut report.fleet;
+    summary.engines.h2d_s += h2d_x;
+    summary.engines.compute_s += compute_x;
+    summary.engines.d2h_s += d2h_x;
+    summary.assessed_bytes += extra_bytes as u64;
+    let makespan_s = summary.makespan_s;
 
-    let makespan_s = clocks.iter().copied().fold(0.0, f64::max);
-    let (utilization, jobs_per_sec, assessed_gbs) = if makespan_s > 0.0 {
-        (
-            clocks.iter().sum::<f64>() / (groups as f64 * makespan_s),
-            completed as f64 / makespan_s,
-            payload_bytes as f64 / makespan_s / 1e9,
-        )
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-    engines.span_s = groups as f64 * makespan_s;
-    let predicted_makespan_s = plan.predicted_makespan();
-    let makespan_rel_error = if makespan_s > 0.0 && predicted_makespan_s > 0.0 {
-        (predicted_makespan_s - makespan_s) / makespan_s
-    } else {
-        0.0
-    };
-
-    let runnable = completed as u64 + rec.lost_jobs;
+    let completed = report.completed() as u64;
+    let runnable = completed + rec.lost_jobs;
     rec.completion = if runnable > 0 {
         completed as f64 / runnable as f64
     } else {
@@ -367,25 +337,8 @@ pub(crate) fn aggregate_with_faults(
     rec.dead_devices = (0..groups as u32)
         .filter(|&g| death_at[g as usize].is_some_and(|d| d <= makespan_s))
         .collect();
-
-    Ok(CampaignReport {
-        jobs,
-        totals,
-        fleet: FleetUtilization {
-            gpus: fleet.gpus,
-            groups: groups as u32,
-            busy_s: clocks,
-            makespan_s,
-            utilization,
-            jobs_per_sec,
-            assessed_gbs,
-            engines,
-            predicted_makespan_s,
-            makespan_rel_error,
-            assessed_bytes,
-        },
-        recovery: Some(rec),
-    })
+    report.recovery = Some(rec);
+    Ok(report)
 }
 
 /// The list scheduler's greedy placement rule over the survivors: least

@@ -171,11 +171,6 @@ impl CampaignReport {
         let link = fleet.link.model(fleet.gpus);
         let gather_s = link.link_latency_s + result_bytes(cfg) as f64 / (link.link_bw_gbs * 1e9);
         let mut busy_s = vec![0.0f64; groups];
-        let mut totals = PatternTotals::default();
-        let mut engines = EngineBusy::default();
-        let mut completed = 0usize;
-        let mut payload_bytes = 0u64;
-        let mut assessed_bytes = 0u64;
         for r in &jobs {
             if let Some(m) = r.metrics() {
                 let span = m
@@ -186,6 +181,31 @@ impl CampaignReport {
                 for &(g, share) in plan.shares_of(r.spec.id) {
                     busy_s[g as usize] += share * span + gather_s;
                 }
+            }
+        }
+        CampaignReport::from_busy_clocks(jobs, fleet, plan, busy_s)
+    }
+
+    /// Fold the completed jobs and the device groups' busy clocks into a
+    /// report: counter totals, engine legs, payload and assessed bytes
+    /// accumulate over the completed jobs in job order; the makespan,
+    /// utilization, throughput and prediction error derive from the
+    /// clocks. The fault-free aggregate and the recovery replay both end
+    /// here; the replay then adds its fault extras on top.
+    pub(super) fn from_busy_clocks(
+        jobs: Vec<JobRecord>,
+        fleet: &FleetSpec,
+        plan: &ShardPlan,
+        busy_s: Vec<f64>,
+    ) -> CampaignReport {
+        let groups = busy_s.len();
+        let mut totals = PatternTotals::default();
+        let mut engines = EngineBusy::default();
+        let mut completed = 0usize;
+        let mut payload_bytes = 0u64;
+        let mut assessed_bytes = 0u64;
+        for r in &jobs {
+            if let Some(m) = r.metrics() {
                 totals.absorb(&m.runs);
                 if let Some(e2e) = &m.e2e {
                     engines.absorb(e2e);

@@ -6,14 +6,12 @@
 //! carrying the derivative metrics), collecting counters, occupancy
 //! profiles (Table II) and modeled times (Figs. 10–12).
 
-use super::{AssessError, Assessment, Executor};
-use crate::config::AssessConfig;
+use super::Executor;
 use crate::plan::{
-    gpu_prepass_charge, subsample_scan, AssessPlan, Pass, PassBackend, PassCtx, PassExecution,
-    PassKind, PassLaunch, PassOutput, PlanRunner, PrepassRun,
+    gpu_prepass_charge, Pass, PassCtx, PassExecution, PassKind, PassLaunch, PassOutput,
 };
 use zc_gpusim::stream::HostLink;
-use zc_gpusim::{GpuSim, LaunchResult, TileCharge};
+use zc_gpusim::{Counters, GpuSim, LaunchResult, TileCharge};
 use zc_kernels::p3::SsimParams;
 use zc_kernels::{
     FieldPair, HasReferencePath, P1FusedKernel, P1HistKernel, P2FusedKernel, P2Stats, Reference,
@@ -72,7 +70,11 @@ impl CuZc {
     }
 }
 
-impl PassBackend for CuZc {
+impl Executor for CuZc {
+    fn name(&self) -> &'static str {
+        "cuZC"
+    }
+
     fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution {
         let f = FieldPair::new(ctx.orig, ctx.dec);
         let cfg = ctx.cfg;
@@ -160,60 +162,18 @@ impl PassBackend for CuZc {
     fn device_capacity(&self) -> Option<u64> {
         Some(self.sim.dev.mem_bytes)
     }
-}
-
-impl Executor for CuZc {
-    fn name(&self) -> &'static str {
-        "cuZC"
-    }
-
-    fn run_plan(
-        &self,
-        plan: &AssessPlan,
-        orig: &zc_tensor::Tensor<f32>,
-        dec: &zc_tensor::Tensor<f32>,
-        cfg: &AssessConfig,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan).run(self, orig, dec, cfg, None)
-    }
-
-    fn run_plan_seeded(
-        &self,
-        plan: &AssessPlan,
-        orig: &zc_tensor::Tensor<f32>,
-        dec: &zc_tensor::Tensor<f32>,
-        cfg: &AssessConfig,
-        seed: zc_kernels::P1Scalars,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan)
-            .with_seed(seed)
-            .run(self, orig, dec, cfg, None)
-    }
 
     /// The prepass on the pattern-oriented coordinator: the same fused P1
     /// reduction, launched over the subsample as a strided gather.
-    fn prepass(
-        &self,
-        orig: &zc_tensor::Tensor<f32>,
-        dec: &zc_tensor::Tensor<f32>,
-        stride: usize,
-    ) -> Result<PrepassRun, AssessError> {
-        if orig.shape() != dec.shape() {
-            return Err(AssessError::ShapeMismatch);
-        }
-        let estimate = subsample_scan(orig, dec, stride);
-        let (counters, modeled_seconds) = gpu_prepass_charge(estimate.sampled(), stride);
-        Ok(PrepassRun {
-            estimate,
-            counters,
-            modeled_seconds,
-        })
+    fn prepass_charge(&self, sampled: u64, stride: usize) -> (Counters, f64) {
+        gpu_prepass_charge(sampled, stride)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AssessConfig;
     use crate::exec::SerialZc;
     use crate::metrics::Pattern;
     use zc_tensor::{Shape, Tensor};

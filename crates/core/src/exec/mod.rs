@@ -1,10 +1,13 @@
 //! Executors — the "execution model + module coordinator" of Fig. 2.
 //!
-//! Five implementations of the same assessment contract. Since the plan-IR
-//! refactor, an executor is a [`crate::plan::PassBackend`] ("run one pass")
-//! plus, for the multi-GPU case, a [`crate::plan::DevicePlacement`] policy;
-//! ordering, dependency resolution, counter merging, profile construction
-//! and [`Assessment`] assembly live once in [`crate::plan::PlanRunner`]:
+//! Five implementations of one [`Executor`] contract. An executor supplies
+//! only how it runs and prices *one* pass ([`Executor::run_pass`]), plus
+//! optional hooks: its host↔device link, its device capacity, a
+//! [`crate::plan::DevicePlacement`] policy (the multi-GPU case) and its
+//! price for the subsample prepass. Ordering, dependency resolution,
+//! counter merging, profile construction and [`Assessment`] assembly live
+//! once in [`crate::plan::PlanRunner`], and the trait's provided methods
+//! (`run_plan`, `run_plan_seeded`, `assess`, `prepass`) are written once:
 //!
 //! | name | paper role | backend engine |
 //! |---|---|---|
@@ -33,9 +36,13 @@ pub use serial::SerialZc;
 
 use crate::config::{AssessConfig, ExecutorKind};
 use crate::metrics::Pattern;
-use crate::plan::{subsample_scan, AssessPlan, PrepassRun};
+use crate::plan::{
+    subsample_scan, AssessPlan, DevicePlacement, Pass, PassCtx, PassExecution, PlanRunner,
+    PrepassRun,
+};
 use crate::report::AnalysisReport;
 use std::fmt;
+use zc_gpusim::stream::HostLink;
 use zc_gpusim::{Counters, EndToEnd, KernelClass, KernelResources};
 use zc_tensor::{Shape, Tensor};
 
@@ -272,13 +279,49 @@ impl std::error::Error for AssessError {}
 
 /// The assessment contract every executor implements.
 ///
-/// The required method is [`Executor::run_plan`]: execute an
-/// already-lowered [`AssessPlan`]. [`Executor::assess`] is provided — it
-/// lowers the configuration and runs the plan, so `assess` is literally
-/// "lower, then schedule" for every executor.
+/// An executor supplies [`Executor::name`] and [`Executor::run_pass`] —
+/// "given this pass, produce its output and the launches it cost" — and
+/// may override the hooks that describe its platform: [`Executor::transfer`],
+/// [`Executor::device_capacity`], [`Executor::placement`] and
+/// [`Executor::prepass_charge`]. Everything else is provided once:
+/// [`Executor::run_plan`] and [`Executor::run_plan_seeded`] drive the
+/// [`PlanRunner`], [`Executor::assess`] is "lower, then run the plan", and
+/// [`Executor::prepass`] is the shared subsample scan plus the executor's
+/// charge for it.
 pub trait Executor {
     /// Executor name as used in the paper's figures.
     fn name(&self) -> &'static str;
+
+    /// Execute one pass, returning partials + counters.
+    fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution;
+
+    /// The modeled host↔device link, for executors whose inputs must be
+    /// staged onto an accelerator (`None` = host-resident, no transfer
+    /// legs, no end-to-end timeline).
+    fn transfer(&self) -> Option<HostLink> {
+        None
+    }
+
+    /// Device (global) memory capacity in bytes, for executors that stage
+    /// fields onto an accelerator (`None` = host-resident, unconstrained).
+    /// Field pairs larger than this are assessed out-of-core: the slab
+    /// resolution forces enough tiles that the resident window fits.
+    fn device_capacity(&self) -> Option<u64> {
+        None
+    }
+
+    /// The multi-device placement policy the runner re-prices the modeled
+    /// times under (`None` = one device or host).
+    fn placement(&self) -> Option<DevicePlacement<'_>> {
+        None
+    }
+
+    /// The platform model's price — counters and modeled seconds — for the
+    /// strided prepass scan over `sampled` elements drawn at `stride`. The
+    /// default charges nothing (the ground-truth reference).
+    fn prepass_charge(&self, _sampled: u64, _stride: usize) -> (Counters, f64) {
+        (Counters::default(), 0.0)
+    }
 
     /// Execute a lowered assessment plan on a field pair.
     fn run_plan(
@@ -287,7 +330,9 @@ pub trait Executor {
         orig: &Tensor<f32>,
         dec: &Tensor<f32>,
         cfg: &AssessConfig,
-    ) -> Result<Assessment, AssessError>;
+    ) -> Result<Assessment, AssessError> {
+        PlanRunner::new(plan).run(self, orig, dec, cfg)
+    }
 
     /// Execute a lowered (typically residual) plan with already-computed
     /// pattern-1 scalars fed forward through the plan's dependency edges
@@ -302,7 +347,11 @@ pub trait Executor {
         dec: &Tensor<f32>,
         cfg: &AssessConfig,
         seed: zc_kernels::P1Scalars,
-    ) -> Result<Assessment, AssessError>;
+    ) -> Result<Assessment, AssessError> {
+        PlanRunner::new(plan)
+            .with_seed(seed)
+            .run(self, orig, dec, cfg)
+    }
 
     /// Assess a field pair under a configuration (lower + run the plan).
     fn assess(
@@ -318,8 +367,7 @@ pub trait Executor {
     /// Run the progressive strided-subsample pattern-1 prepass. The
     /// estimate is always the shared host scan ([`subsample_scan`]) — bit
     /// identical on every executor — while the modeled charge is the
-    /// backend's own (this default charges nothing; each executor
-    /// overrides it with its platform model's price for the scan).
+    /// executor's own [`Executor::prepass_charge`].
     fn prepass(
         &self,
         orig: &Tensor<f32>,
@@ -329,10 +377,12 @@ pub trait Executor {
         if orig.shape() != dec.shape() {
             return Err(AssessError::ShapeMismatch);
         }
+        let estimate = subsample_scan(orig, dec, stride);
+        let (counters, modeled_seconds) = self.prepass_charge(estimate.sampled(), stride);
         Ok(PrepassRun {
-            estimate: subsample_scan(orig, dec, stride),
-            counters: Counters::default(),
-            modeled_seconds: 0.0,
+            estimate,
+            counters,
+            modeled_seconds,
         })
     }
 }

@@ -5,20 +5,17 @@
 //! autocorrelation lag, and the no-FIFO SSIM. The values are identical to
 //! cuZC's; the traffic and launch counts are the metric-oriented design's.
 
-use super::{AssessError, Assessment, Executor};
-use crate::config::AssessConfig;
+use super::Executor;
 use crate::plan::{
-    gpu_prepass_charge, subsample_scan, AssessPlan, Pass, PassBackend, PassCtx, PassExecution,
-    PassKind, PassLaunch, PassOutput, PlanRunner, PrepassRun,
+    gpu_prepass_charge, Pass, PassCtx, PassExecution, PassKind, PassLaunch, PassOutput,
 };
 use zc_gpusim::stream::HostLink;
-use zc_gpusim::{BlockKernel, GpuSim, LaunchResult, TileCharge};
+use zc_gpusim::{BlockKernel, Counters, GpuSim, LaunchResult, TileCharge};
 use zc_kernels::mo::{
     MoAutocorrKernel, MoDerivKernel, MoHistKernel, MoHistKind, MoP1Kernel, MoP1Metric,
 };
 use zc_kernels::p3::SsimParams;
 use zc_kernels::{FieldPair, P1Histograms, P2Stats, SsimFusedKernel};
-use zc_tensor::Tensor;
 
 /// The metric-oriented GPU executor.
 #[derive(Clone, Debug)]
@@ -52,7 +49,11 @@ impl MoZc {
     }
 }
 
-impl PassBackend for MoZc {
+impl Executor for MoZc {
+    fn name(&self) -> &'static str {
+        "moZC"
+    }
+
     fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution {
         let f = FieldPair::new(ctx.orig, ctx.dec);
         let cfg = ctx.cfg;
@@ -182,62 +183,20 @@ impl PassBackend for MoZc {
     fn device_capacity(&self) -> Option<u64> {
         Some(self.sim.dev.mem_bytes)
     }
-}
-
-impl Executor for MoZc {
-    fn name(&self) -> &'static str {
-        "moZC"
-    }
-
-    fn run_plan(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan).run(self, orig, dec, cfg, None)
-    }
-
-    fn run_plan_seeded(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-        seed: zc_kernels::P1Scalars,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan)
-            .with_seed(seed)
-            .run(self, orig, dec, cfg, None)
-    }
 
     /// The prepass on the metric-oriented GPU baseline: one strided-gather
     /// reduction launch, charged at the device's sector-wasteful strided
     /// bandwidth.
-    fn prepass(
-        &self,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        stride: usize,
-    ) -> Result<PrepassRun, AssessError> {
-        if orig.shape() != dec.shape() {
-            return Err(AssessError::ShapeMismatch);
-        }
-        let estimate = subsample_scan(orig, dec, stride);
-        let (counters, modeled_seconds) = gpu_prepass_charge(estimate.sampled(), stride);
-        Ok(PrepassRun {
-            estimate,
-            counters,
-            modeled_seconds,
-        })
+    fn prepass_charge(&self, sampled: u64, stride: usize) -> (Counters, f64) {
+        gpu_prepass_charge(sampled, stride)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{CuZc, Executor};
+    use crate::config::AssessConfig;
+    use crate::exec::CuZc;
     use zc_tensor::{Shape, Tensor};
 
     fn fields() -> (Tensor<f32>, Tensor<f32>) {

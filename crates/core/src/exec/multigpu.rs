@@ -10,12 +10,11 @@
 //! all-reduce of the scalar partials — the paper's "fine-grained
 //! inter-GPU synchronization and communication".
 
-use super::{AssessError, Assessment, Executor};
-use crate::config::AssessConfig;
+use super::Executor;
 use crate::exec::CuZc;
-use crate::plan::{AssessPlan, DevicePlacement, PlanRunner, PrepassRun};
-use zc_gpusim::MultiGpuModel;
-use zc_tensor::Tensor;
+use crate::plan::{DevicePlacement, Pass, PassCtx, PassExecution};
+use zc_gpusim::stream::HostLink;
+use zc_gpusim::{Counters, MultiGpuModel};
 
 /// The multi-device pattern-oriented executor.
 #[derive(Clone, Debug)]
@@ -46,78 +45,54 @@ impl MultiCuZc {
             inner: CuZc::default(),
         }
     }
-
-    /// The placement policy this executor applies over the shared plan.
-    fn placement(&self) -> DevicePlacement<'_> {
-        DevicePlacement {
-            gpus: self.gpus,
-            link: self.link,
-            sim: &self.inner.sim,
-        }
-    }
 }
 
+/// Same passes as single-GPU cuZC — only the placement policy (grid
+/// partitioning + interconnect pricing) differs, so counters and metric
+/// values are identical by construction.
 impl Executor for MultiCuZc {
     fn name(&self) -> &'static str {
         "cuZC-multi"
     }
 
-    fn run_plan(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-    ) -> Result<Assessment, AssessError> {
-        // Same backend, same plan, same passes as single-GPU cuZC — only
-        // the placement policy (grid partitioning + interconnect pricing)
-        // differs, so counters and metric values are identical by
-        // construction.
-        PlanRunner::new(plan).run(&self.inner, orig, dec, cfg, Some(&self.placement()))
+    fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution {
+        self.inner.run_pass(pass, ctx)
     }
 
-    fn run_plan_seeded(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-        seed: zc_kernels::P1Scalars,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan).with_seed(seed).run(
-            &self.inner,
-            orig,
-            dec,
-            cfg,
-            Some(&self.placement()),
-        )
+    fn transfer(&self) -> Option<HostLink> {
+        self.inner.transfer()
+    }
+
+    fn device_capacity(&self) -> Option<u64> {
+        self.inner.device_capacity()
+    }
+
+    fn placement(&self) -> Option<DevicePlacement<'_>> {
+        Some(DevicePlacement {
+            gpus: self.gpus,
+            link: self.link,
+            sim: &self.inner.sim,
+        })
     }
 
     /// The group prepass: the single-device gather split across the gang
-    /// (compute divides, the tiny partial all-reduce rides the link). The
-    /// estimate itself is the shared host scan — identical to every other
-    /// executor's.
-    fn prepass(
-        &self,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        stride: usize,
-    ) -> Result<PrepassRun, AssessError> {
-        let mut run = self.inner.prepass(orig, dec, stride)?;
+    /// (compute divides, the tiny partial all-reduce rides the link).
+    fn prepass_charge(&self, sampled: u64, stride: usize) -> (Counters, f64) {
+        let (counters, mut secs) = self.inner.prepass_charge(sampled, stride);
         let g = self.gpus.max(1);
         if g > 1 {
-            run.modeled_seconds =
-                run.modeled_seconds / g as f64 + 2.0 * (g - 1) as f64 * self.link.link_latency_s;
+            secs = secs / g as f64 + 2.0 * (g - 1) as f64 * self.link.link_latency_s;
         }
-        Ok(run)
+        (counters, secs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AssessConfig;
     use crate::metrics::Metric;
-    use zc_tensor::Shape;
+    use zc_tensor::{Shape, Tensor};
 
     fn fields() -> (Tensor<f32>, Tensor<f32>) {
         let orig = Tensor::from_fn(Shape::d3(48, 40, 32), |[x, y, z, _]| {

@@ -6,16 +6,11 @@
 //! arithmetic per element — and converts the counters into modeled
 //! dual-socket-Xeon-6148 time via [`zc_gpusim::cost::CpuModel`].
 
-use super::{cpu_ref, AssessError, Assessment, Executor};
-use crate::config::AssessConfig;
-use crate::plan::{
-    subsample_scan, AssessPlan, Pass, PassBackend, PassCtx, PassExecution, PassKind, PassLaunch,
-    PassOutput, PlanRunner, PrepassRun,
-};
+use super::{cpu_ref, Executor};
+use crate::plan::{Pass, PassCtx, PassExecution, PassKind, PassLaunch, PassOutput};
 use zc_gpusim::cost::CpuModel;
 use zc_gpusim::{Counters, KernelClass};
 use zc_kernels::FieldPair;
-use zc_tensor::Tensor;
 
 /// The multithreaded CPU executor.
 #[derive(Clone, Debug)]
@@ -94,7 +89,11 @@ impl OmpZc {
     }
 }
 
-impl PassBackend for OmpZc {
+impl Executor for OmpZc {
+    fn name(&self) -> &'static str {
+        "ompZC"
+    }
+
     fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution {
         let f = FieldPair::new(ctx.orig, ctx.dec);
         let n = f.len() as u64;
@@ -150,69 +149,27 @@ impl PassBackend for OmpZc {
             PassKind::CompressionMeta => unreachable!("meta pass is not executed"),
         }
     }
-}
-
-impl Executor for OmpZc {
-    fn name(&self) -> &'static str {
-        "ompZC"
-    }
-
-    fn run_plan(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan).run(self, orig, dec, cfg, None)
-    }
-
-    fn run_plan_seeded(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-        seed: zc_kernels::P1Scalars,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan)
-            .with_seed(seed)
-            .run(self, orig, dec, cfg, None)
-    }
 
     /// The prepass on the CPU baseline is one strided scalar sweep over the
     /// subsample — priced on the same Xeon model as the full passes.
-    fn prepass(
-        &self,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        stride: usize,
-    ) -> Result<PrepassRun, AssessError> {
-        if orig.shape() != dec.shape() {
-            return Err(AssessError::ShapeMismatch);
-        }
-        let estimate = subsample_scan(orig, dec, stride);
-        let n = estimate.sampled();
+    fn prepass_charge(&self, sampled: u64, _stride: usize) -> (Counters, f64) {
         let counters = Counters {
-            global_read_bytes: 8 * n,
-            lane_flops: 8 * n,
-            special_ops: 2 * n, // the relative-error divides
+            global_read_bytes: 8 * sampled,
+            lane_flops: 8 * sampled,
+            special_ops: 2 * sampled, // the relative-error divides
             launches: 1,
             ..Default::default()
         };
-        Ok(PrepassRun {
-            estimate,
-            counters,
-            modeled_seconds: self.model.time(&counters).total_s,
-        })
+        (counters, self.model.time(&counters).total_s)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AssessConfig;
     use crate::exec::SerialZc;
-    use zc_tensor::Shape;
+    use zc_tensor::{Shape, Tensor};
 
     fn fields() -> (Tensor<f32>, Tensor<f32>) {
         let orig = Tensor::from_fn(Shape::d3(20, 18, 14), |[x, y, z, _]| {

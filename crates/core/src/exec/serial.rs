@@ -4,22 +4,22 @@
 //! claim ("cuZ-Checker has the correct calculation on all assessment
 //! metrics by comparing it with the Z-checker's output").
 
-use super::{AssessError, Assessment, Executor};
-use crate::config::AssessConfig;
+use super::Executor;
 use crate::exec::cpu_ref;
-use crate::plan::{
-    subsample_scan, AssessPlan, Pass, PassBackend, PassCtx, PassExecution, PassKind, PassOutput,
-    PlanRunner, PrepassRun,
-};
-use zc_gpusim::Counters;
+use crate::plan::{Pass, PassCtx, PassExecution, PassKind, PassOutput};
 use zc_kernels::FieldPair;
-use zc_tensor::Tensor;
 
 /// The serial reference executor.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SerialZc;
 
-impl PassBackend for SerialZc {
+/// Ground truth charges nothing — no counters, no modeled time — for the
+/// passes and (through the default hook) for the prepass alike.
+impl Executor for SerialZc {
+    fn name(&self) -> &'static str {
+        "serial"
+    }
+
     fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution {
         let f = FieldPair::new(ctx.orig, ctx.dec);
         // Slab-tiled dispatch when the plan resolved more than one slab;
@@ -54,58 +54,13 @@ impl PassBackend for SerialZc {
     }
 }
 
-impl Executor for SerialZc {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn run_plan(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan).run(self, orig, dec, cfg, None)
-    }
-
-    fn run_plan_seeded(
-        &self,
-        plan: &AssessPlan,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        cfg: &AssessConfig,
-        seed: zc_kernels::P1Scalars,
-    ) -> Result<Assessment, AssessError> {
-        PlanRunner::new(plan)
-            .with_seed(seed)
-            .run(self, orig, dec, cfg, None)
-    }
-
-    /// Ground truth charges nothing for the prepass either: the shared
-    /// strided scan with zero counters and zero modeled time.
-    fn prepass(
-        &self,
-        orig: &Tensor<f32>,
-        dec: &Tensor<f32>,
-        stride: usize,
-    ) -> Result<PrepassRun, AssessError> {
-        if orig.shape() != dec.shape() {
-            return Err(AssessError::ShapeMismatch);
-        }
-        Ok(PrepassRun {
-            estimate: subsample_scan(orig, dec, stride),
-            counters: Counters::default(),
-            modeled_seconds: 0.0,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AssessConfig;
+    use crate::exec::AssessError;
     use crate::metrics::{Metric, MetricSelection, Pattern};
-    use zc_tensor::Shape;
+    use zc_tensor::{Shape, Tensor};
 
     #[test]
     fn full_assessment_produces_all_sections() {

@@ -14,7 +14,7 @@
 //! * [`exec`] — the execution models / module coordinator: the serial
 //!   reference, the multithreaded-CPU `ompZC`, the metric-oriented GPU
 //!   `moZC`, the pattern-oriented GPU `cuZC`, and its multi-device
-//!   placement `MultiCuZc` — each a [`plan::PassBackend`];
+//!   placement `MultiCuZc` — each an [`exec::Executor`];
 //! * [`report`] — the analysis report (every metric value);
 //! * [`campaign`] — sharded multi-field batch assessment over the
 //!   simulated multi-GPU fleet (catalog × compressor sweep → aggregate

@@ -10,11 +10,11 @@
 //!    stencil, the pattern-3 SSIM window sweep, and the compression-meta
 //!    node — each tagged with its pattern, kernel class, input needs and
 //!    the metrics it serves.
-//! 2. A [`PassBackend`] knows how to execute *one* pass ("run this pass,
+//! 2. An [`Executor`] knows how to execute *one* pass ("run this pass,
 //!    return partials + counters"). [`SerialZc`], [`OmpZc`], [`MoZc`] and
-//!    [`CuZc`] are each nothing more than a backend; [`MultiCuZc`] is the
-//!    [`CuZc`] backend plus a [`DevicePlacement`] policy.
-//! 3. [`PlanRunner`] owns everything the executors used to duplicate:
+//!    [`CuZc`] supply little more than that; [`MultiCuZc`] runs the
+//!    [`CuZc`] passes and adds a [`DevicePlacement`] policy.
+//! 3. [`PlanRunner`] owns everything else an executor needs:
 //!    ordering, dependency resolution, counter merging, [`PatternRun`] /
 //!    [`PatternProfile`] construction, the modeled stream timeline
 //!    ([`zc_gpusim::stream`]) and the final [`Assessment`] assembly.
@@ -35,13 +35,13 @@
 
 pub mod verify;
 pub use verify::{
-    footprint, verify, verify_estimate, verify_tile_schedule, BackendCaps, PassFootprint,
-    PlanFootprint,
+    footprint, verify, verify_tile_schedule, BackendCaps, PassFootprint, PlanFootprint,
 };
 
 use crate::config::AssessConfig;
 use crate::exec::{
-    validate, AssessError, Assessment, Confidence, PatternProfile, PatternRun, PatternTimes,
+    validate, AssessError, Assessment, Confidence, Executor, PatternProfile, PatternRun,
+    PatternTimes,
 };
 use crate::metrics::{Metric, MetricSelection, Pattern};
 use crate::report::AnalysisReport;
@@ -50,6 +50,7 @@ use zc_gpusim::cost::gpu_time;
 use zc_gpusim::stream::{EndToEnd, Engine, HostLink, Timeline};
 use zc_gpusim::{occupancy, Counters, GpuSim, KernelClass, KernelResources, MultiGpuModel};
 use zc_kernels::p3::SsimAcc;
+use zc_kernels::traffic::{self, Traffic};
 use zc_kernels::{P1Histograms, P1Scalars, P2Stats};
 use zc_tensor::{Shape, Tensor};
 
@@ -111,6 +112,21 @@ impl PassKind {
                 Pattern::SlidingWindow => PassKind::P3Ssim,
                 Pattern::CompressionMeta => PassKind::CompressionMeta,
             },
+        }
+    }
+
+    /// The pass's closed-form device traffic over an `n`-element field
+    /// pair under a configuration — the kernels' own declarations
+    /// ([`zc_kernels::traffic`]) — or `None` for the meta pass, which
+    /// launches nothing. The cost estimator, the footprint table and the
+    /// capacity attribution all read this one mapping.
+    pub fn traffic(self, n: f64, cfg: &AssessConfig) -> Option<Traffic> {
+        match self {
+            PassKind::P1Scalars => Some(traffic::p1_scalars(n)),
+            PassKind::P1Hist => Some(traffic::p1_hist(n)),
+            PassKind::P2Stencil => Some(traffic::p2_stencil(n, cfg.max_lag as f64)),
+            PassKind::P3Ssim => Some(traffic::p3_ssim(n, cfg.ssim.window as f64)),
+            PassKind::CompressionMeta => None,
         }
     }
 }
@@ -373,27 +389,6 @@ impl PassCtx<'_> {
     }
 }
 
-/// An executor, reduced to its essence: run one pass of the plan.
-pub trait PassBackend {
-    /// Execute one pass, returning partials + counters.
-    fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution;
-
-    /// The modeled host↔device link, for backends whose inputs must be
-    /// staged onto an accelerator (`None` = host-resident, no transfer
-    /// legs, no end-to-end timeline).
-    fn transfer(&self) -> Option<HostLink> {
-        None
-    }
-
-    /// Device (global) memory capacity in bytes, for backends that stage
-    /// fields onto an accelerator (`None` = host-resident, unconstrained).
-    /// Field pairs larger than this are assessed out-of-core: the slab
-    /// resolution forces enough tiles that the resident window fits.
-    fn device_capacity(&self) -> Option<u64> {
-        None
-    }
-}
-
 /// Target field-pair bytes per slab under [`TilingPolicy::Auto`] (~8 MiB
 /// keeps a 256³ pair at 16 slabs).
 ///
@@ -485,36 +480,9 @@ pub struct CostEstimate {
     pub seconds: f64,
 }
 
-/// The estimator's closed-form per-pass traffic: (bytes, flops, launches)
-/// for one pass over an `n`-element field under a configuration, `None`
-/// for passes that launch nothing. One function feeds both
-/// [`estimate_job_cost`] and the plan verifier's cross-check against the
-/// kernels' own declared models (`zc_kernels::traffic`) — so the
-/// estimator cannot silently undercharge a pass without
-/// `plan/undercharged-estimate` firing.
-pub fn pass_traffic_estimate(
-    kind: PassKind,
-    n: f64,
-    cfg: &AssessConfig,
-) -> Option<(f64, f64, f64)> {
-    let window = cfg.ssim.window as f64;
-    let lags = cfg.max_lag as f64;
-    // Per-element work of the fused pattern kernels: both f32 fields
-    // stream through once per sweep (8 B/element); the stencil sweeps
-    // once per lag; the SSIM FIFO does ~window incremental updates per
-    // element.
-    match kind {
-        PassKind::P1Scalars => Some((8.0 * n, 30.0 * n, 1.0)),
-        PassKind::P1Hist => Some((8.0 * n, 12.0 * n, 1.0)),
-        PassKind::P2Stencil => Some((8.0 * n * lags, 24.0 * n * lags, lags.max(1.0))),
-        PassKind::P3Ssim => Some((8.0 * n, 11.0 * n * window, 1.0)),
-        PassKind::CompressionMeta => None,
-    }
-}
-
 /// Predict one job's assessment cost from its pass DAG: per-pass counter
-/// estimates (bytes + flops from the field shape and the configuration,
-/// mirroring the fused cuZC kernels' per-element work) are priced on an
+/// estimates (the kernels' declared traffic, [`PassKind::traffic`], from
+/// the field shape and the configuration) are priced on an
 /// effective-rate roofline and overlapped through the stream-timeline
 /// model. `gpus > 1` models the ganged placement — compute divides across
 /// the group and the partial all-reduce rides `link`.
@@ -530,17 +498,17 @@ pub fn estimate_job_cost(
     let mut pass_seconds = Vec::new();
     let (mut bytes_total, mut flops_total) = (0u64, 0u64);
     for pass in plan.passes() {
-        let Some((bytes, flops, launches)) = pass_traffic_estimate(pass.kind, n, cfg) else {
+        let Some(t) = pass.kind.traffic(n, cfg) else {
             continue;
         };
-        let mut secs = (bytes / g / EST_BW_BYTES_PER_S).max(flops / g / EST_FLOPS_PER_S)
-            + launches * EST_LAUNCH_S;
+        let mut secs = (t.bytes / g / EST_BW_BYTES_PER_S).max(t.flops / g / EST_FLOPS_PER_S)
+            + t.launches * EST_LAUNCH_S;
         if gpus > 1 {
             // Ring all-reduce of the group's partials.
             secs += 2.0 * (g - 1.0) * link.link_latency_s;
         }
-        bytes_total += bytes as u64;
-        flops_total += flops as u64;
+        bytes_total += t.bytes as u64;
+        flops_total += t.flops as u64;
         pass_seconds.push((pass.kind, secs));
     }
     let compute_s = pass_seconds.iter().map(|(_, s)| s).sum();
@@ -632,8 +600,8 @@ pub struct PrepassRun {
     pub modeled_seconds: f64,
 }
 
-/// The shared host-side strided scan every executor's prepass hook wraps:
-/// element `0, stride, 2·stride, …` of both fields in flat order through
+/// The shared host-side strided scan [`Executor::prepass`] runs on every
+/// executor: element `0, stride, 2·stride, …` of both fields in flat order through
 /// the exact [`P1Scalars::absorb`] sequence — one fixed order, so the
 /// estimate carries no executor- or thread-count dependence.
 pub fn subsample_scan(orig: &Tensor<f32>, dec: &Tensor<f32>, stride: usize) -> PrepassEstimate {
@@ -655,7 +623,7 @@ pub fn subsample_scan(orig: &Tensor<f32>, dec: &Tensor<f32>, stride: usize) -> P
 /// The modeled GPU charge for a strided-gather prepass over `sampled`
 /// elements: a strided read pulls whole 32-byte sectors, so the wasted
 /// bandwidth grows with the stride up to the 8-element sector width.
-/// Shared by the moZC and cuZC prepass hooks.
+/// Shared by the moZC and cuZC `prepass_charge` hooks.
 pub(crate) fn gpu_prepass_charge(sampled: u64, stride: usize) -> (Counters, f64) {
     let waste = stride.clamp(1, 8) as u64;
     let c = Counters {
@@ -839,7 +807,7 @@ fn d2h_bytes(kind: PassKind, cfg: &AssessConfig) -> u64 {
     }
 }
 
-/// The shared scheduler: drives any [`PassBackend`] through a lowered
+/// The shared scheduler: drives any [`Executor`] through a lowered
 /// [`AssessPlan`] and assembles the [`Assessment`].
 pub struct PlanRunner<'a> {
     plan: &'a AssessPlan,
@@ -863,15 +831,14 @@ impl<'a> PlanRunner<'a> {
         self
     }
 
-    /// Execute the plan on a backend, optionally re-pricing the modeled
-    /// times under a multi-device placement.
+    /// Execute the plan on an executor, re-pricing the modeled times under
+    /// its multi-device placement when it has one.
     pub fn run(
         &self,
-        backend: &dyn PassBackend,
+        backend: &(impl Executor + ?Sized),
         orig: &Tensor<f32>,
         dec: &Tensor<f32>,
         cfg: &AssessConfig,
-        placement: Option<&DevicePlacement<'_>>,
     ) -> Result<Assessment, AssessError> {
         let non_finite = validate(orig, dec, cfg)?;
         let t0 = Instant::now();
@@ -968,7 +935,7 @@ impl<'a> PlanRunner<'a> {
         // Device placement re-prices the merged per-pattern runs (compute
         // share + halo/all-reduce communication). Counters, runs, profiles
         // and metric values are placement-invariant by construction.
-        if let Some(p) = placement {
+        if let Some(p) = backend.placement() {
             if p.gpus > 1 {
                 let placed = p.pattern_times(&runs, orig.shape(), cfg);
                 for (kind, secs) in pass_seconds.iter_mut() {

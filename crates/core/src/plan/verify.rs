@@ -26,10 +26,6 @@
 //!   time and attributed to the heaviest field-reading pass; the message
 //!   is the same [`AssessError::Capacity`] rendering the runtime path
 //!   produces, so both surfaces report identically.
-//! * **Estimator honesty** (`plan/undercharged-estimate`) — the cost
-//!   estimator's closed forms ([`pass_traffic_estimate`]) cross-checked
-//!   against the kernels' own declared traffic models
-//!   ([`zc_kernels::traffic`]).
 //! * **Deferred finalize** (`plan/deferred-finalize`) — the tiled stream
 //!   timeline's producer/consumer contract: no dependent tile may consume
 //!   a prefix scalar its producer slab has not finalized yet
@@ -37,11 +33,10 @@
 //!
 //! [`PlanRunner`]: super::PlanRunner
 
-use super::{pass_traffic_estimate, resolve_slabs, AssessPlan, Pass, PassKind, RESIDENT_SLABS};
+use super::{resolve_slabs, AssessPlan, Pass, PassKind, RESIDENT_SLABS};
 use crate::config::{AssessConfig, ExecutorKind};
 use crate::exec::AssessError;
 use zc_gpusim::{DeviceSpec, KernelResources};
-use zc_kernels::traffic;
 use zc_lint::{Diagnostic, Location, Severity};
 use zc_tensor::Shape;
 
@@ -105,7 +100,8 @@ impl BackendCaps {
 }
 
 /// One pass's static footprint: the kernel resource declaration of its
-/// worst launch plus the estimator's closed-form traffic.
+/// worst launch plus its declared closed-form traffic ([`PassKind::traffic`],
+/// the figures the cost estimator prices).
 #[derive(Clone, Debug)]
 pub struct PassFootprint {
     /// Which pass.
@@ -171,16 +167,15 @@ pub fn footprint(
         .passes()
         .iter()
         .map(|p| {
-            let (est_bytes, est_flops, est_launches) =
-                pass_traffic_estimate(p.kind, n, cfg).unwrap_or((0.0, 0.0, 0.0));
+            let t = p.kind.traffic(n, cfg);
             PassFootprint {
                 kind: p.kind,
                 deps: p.deps.clone(),
                 auxiliary: p.is_auxiliary(),
                 resources: pass_resources(p.kind, cfg),
-                est_bytes,
-                est_flops,
-                est_launches,
+                est_bytes: t.map_or(0.0, |t| t.bytes),
+                est_flops: t.map_or(0.0, |t| t.flops),
+                est_launches: t.map_or(0.0, |t| t.launches),
             }
         })
         .collect();
@@ -220,7 +215,7 @@ pub fn heaviest_field_pass(
     plan.passes()
         .iter()
         .filter(|p| p.reads_fields)
-        .filter_map(|p| pass_traffic_estimate(p.kind, n, cfg).map(|(b, _, _)| (p.kind, b)))
+        .filter_map(|p| p.kind.traffic(n, cfg).map(|t| (p.kind, t.bytes)))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(k, _)| k)
 }
@@ -236,44 +231,6 @@ fn diag(lint_id: &'static str, at: String, message: String) -> Diagnostic {
 
 fn at(kind: PassKind) -> String {
     format!("plan:{kind:?}")
-}
-
-/// Cross-check one pass's estimator closed form against the kernel's own
-/// declared traffic model. `est` is `(bytes, flops, launches)` as the
-/// estimator prices them; `None` means the estimate is honest (covers at
-/// least the declared payload). Public as the verifier's test seam:
-/// mutant estimates are injected here.
-pub fn verify_estimate(
-    kind: PassKind,
-    n: f64,
-    cfg: &AssessConfig,
-    est: (f64, f64, f64),
-) -> Option<Diagnostic> {
-    let declared = match kind {
-        PassKind::P1Scalars => traffic::p1_scalars(n),
-        PassKind::P1Hist => traffic::p1_hist(n),
-        PassKind::P2Stencil => traffic::p2_stencil(n, cfg.max_lag as f64),
-        PassKind::P3Ssim => traffic::p3_ssim(n, cfg.ssim.window as f64),
-        PassKind::CompressionMeta => return None,
-    };
-    let (bytes, flops, launches) = est;
-    let under = |e: f64, d: f64| e < d * (1.0 - 1e-9);
-    if under(bytes, declared.bytes)
-        || under(flops, declared.flops)
-        || under(launches, declared.launches)
-    {
-        return Some(diag(
-            "plan/undercharged-estimate",
-            at(kind),
-            format!(
-                "estimator prices {kind:?} at {bytes:.0} B / {flops:.0} flops / \
-                 {launches:.0} launch(es) but the kernel declares {:.0} B / {:.0} flops / \
-                 {:.0} launch(es) — the estimate undercharges the pass",
-                declared.bytes, declared.flops, declared.launches
-            ),
-        ));
-    }
-    None
 }
 
 /// Validate the tiled stream timeline's deferred-finalize contract for one
@@ -469,14 +426,6 @@ pub fn verify(
                 _ => "plan".to_string(),
             };
             out.push(diag("plan/capacity", at, e.to_string()));
-        }
-    }
-
-    // -- estimator honesty -------------------------------------------------
-    let n = shape.len() as f64;
-    for p in passes {
-        if let Some(est) = pass_traffic_estimate(p.kind, n, cfg) {
-            out.extend(verify_estimate(p.kind, n, cfg, est));
         }
     }
 

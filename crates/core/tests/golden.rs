@@ -22,9 +22,10 @@
 //! cargo test -p zc-core --test golden regen -- --ignored --nocapture
 //! ```
 
-use zc_core::exec::{Executor, SerialZc};
+use zc_core::exec::{CuZc, Executor, MoZc, MultiCuZc, OmpZc, SerialZc};
 use zc_core::{AssessConfig, Metric};
 use zc_data::Rng64;
+use zc_gpusim::Counters;
 use zc_tensor::{Shape, Tensor};
 
 /// The fixed pair: a seeded uniform field in [-1, 1) and a decompressed
@@ -110,8 +111,8 @@ fn regen() {
 // ---------------------------------------------------------------------------
 // Progressive-prepass golden pins: the stride-8 subsample estimates on the
 // same fixed pair. The prepass is the basis of campaign early-exits, so its
-// estimates are pinned exactly too (same regen flow: the `regen_prepass`
-// ignored test prints the block).
+// estimates are pinned exactly too, as is each executor's charge for it
+// (same regen flow: the `regen_prepass` ignored test prints both blocks).
 
 /// Stride used by the pinned prepass (the `ProgressivePolicy` default).
 const GOLDEN_PREPASS_STRIDE: usize = 8;
@@ -194,6 +195,66 @@ fn pruned_verdict_agrees_with_full_assessment_on_both_sides() {
     }
 }
 
+/// The five executors whose stride-8 prepass charge is pinned, in the order
+/// of [`GOLDEN_PREPASS_CHARGES`]. The multi-GPU gang has more than one
+/// device so its split-and-all-reduce scaling is exercised.
+fn prepass_executors() -> Vec<Box<dyn Executor>> {
+    vec![
+        Box::new(SerialZc),
+        Box::new(OmpZc::default()),
+        Box::new(MoZc::default()),
+        Box::new(CuZc::default()),
+        Box::new(MultiCuZc::nvlink(4)),
+    ]
+}
+
+/// A pinned prepass charge's counters: (global read bytes, lane flops,
+/// special ops, launches); every other counter is zero.
+type Charge = (u64, u64, u64, u64);
+
+/// (executor name, prepass counters, prepass `modeled_seconds` bits).
+const GOLDEN_PREPASS_CHARGES: &[(&str, Charge, u64)] = &[
+    ("serial", (0, 0, 0, 0), 0x0),
+    ("ompZC", (32768, 32768, 8192, 1), 0x3f028de50e888635),
+    ("moZC", (262144, 122880, 0, 1), 0x3edab1636ef235fb),
+    ("cuZC", (262144, 122880, 0, 1), 0x3edab1636ef235fb),
+    ("cuZC-multi", (262144, 122880, 0, 1), 0x3f10254db466578d),
+];
+
+/// The full counter set a pinned charge tuple stands for.
+fn charge_counters((global_read_bytes, lane_flops, special_ops, launches): Charge) -> Counters {
+    Counters {
+        global_read_bytes,
+        lane_flops,
+        special_ops,
+        launches,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn prepass_charges_match_golden_constants_exactly() {
+    let (orig, dec) = golden_pair();
+    let execs = prepass_executors();
+    assert_eq!(execs.len(), GOLDEN_PREPASS_CHARGES.len());
+    for (e, &(name, charge, secs_bits)) in execs.iter().zip(GOLDEN_PREPASS_CHARGES) {
+        assert_eq!(e.name(), name);
+        let run = e.prepass(&orig, &dec, GOLDEN_PREPASS_STRIDE).unwrap();
+        assert_eq!(
+            run.counters,
+            charge_counters(charge),
+            "{name} prepass counters drifted"
+        );
+        assert_eq!(
+            run.modeled_seconds.to_bits(),
+            secs_bits,
+            "{name} prepass charge drifted: got {:?}, golden {:?}",
+            run.modeled_seconds,
+            f64::from_bits(secs_bits)
+        );
+    }
+}
+
 #[test]
 #[ignore = "regenerates the prepass golden block; run with --nocapture"]
 fn regen_prepass() {
@@ -211,4 +272,17 @@ fn regen_prepass() {
         e.value_range(),
         e.mse()
     );
+    println!("const GOLDEN_PREPASS_CHARGES: &[(&str, Charge, u64)] = &[");
+    for ex in prepass_executors() {
+        let run = ex.prepass(&orig, &dec, GOLDEN_PREPASS_STRIDE).unwrap();
+        let c = run.counters;
+        let charge = (c.global_read_bytes, c.lane_flops, c.special_ops, c.launches);
+        assert_eq!(c, charge_counters(charge), "a new counter needs pinning");
+        println!(
+            "    ({:?}, {charge:?}, {:#x}),",
+            ex.name(),
+            run.modeled_seconds.to_bits()
+        );
+    }
+    println!("];");
 }

@@ -2,13 +2,11 @@
 //!
 //! Each fused kernel declares, in closed form, how many global-memory
 //! bytes, lane flops, and launches one sweep over an `n`-element field
-//! pair costs. The declarations live *here*, next to the kernels, so the
-//! plan verifier (`zc_core::plan::verify`) can cross-check the cost
-//! estimator's closed forms against what the kernels say about
-//! themselves: if either side drifts — a kernel starts reading a halo
-//! twice, or the estimator's constant rots — the
-//! `plan/undercharged-estimate` diagnostic fires at plan time instead of
-//! the discrepancy surfacing as a silently wrong schedule.
+//! pair costs. The declarations live *here*, next to the kernels, and are
+//! the only copy of these formulas: the job cost estimator, the plan
+//! footprint table and the capacity attribution in `zc_core::plan` all
+//! read them (through `PassKind::traffic`), so the estimator prices
+//! exactly what the kernels say about themselves.
 //!
 //! The models price *useful* traffic (the payload each pass must touch),
 //! not staging amplification — the simulator's measured counters are
