@@ -176,6 +176,13 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries dropped by LRU pressure.
     pub evictions: u64,
+    /// Fields the engine synthesized: each distinct field of a batch at
+    /// most once, and none for a full hit whose digest it remembers
+    /// (always 0 from a bare [`ResultCache`]).
+    pub fields_generated: u64,
+    /// Distinct batch fields keyed from the engine's digest memo without
+    /// generating their data (always 0 from a bare [`ResultCache`]).
+    pub digests_reused: u64,
 }
 
 impl CacheStats {

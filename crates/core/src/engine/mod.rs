@@ -7,14 +7,20 @@
 //! device envelope) happens at submit, so a refused request never occupies
 //! the queue. [`Engine::drain`] then runs the queue as one batch:
 //!
-//! 1. generate each distinct field once (host-parallel, index-ordered);
-//! 2. digest the fields into cache keys — only when the cache is on;
+//! 1. index the batch's distinct fields by reference — no data yet;
+//! 2. key each distinct field by its content digest — only when the cache
+//!    is on. A field the **digest memo** remembers is keyed without its
+//!    data; the rest are generated and digested host-parallel, and their
+//!    data kept for the rest of the batch;
 //! 3. look the requests up in the [`ResultCache`], in ticket order;
 //! 4. run the misses and partial hits host-parallel through
 //!    `zc_par::par_map`, in **waves**: a request whose cache key already
 //!    appeared earlier in the batch waits for the next wave, so an in-batch
 //!    duplicate still resolves as a hit or partial hit against its
-//!    predecessor's result;
+//!    predecessor's result. Before a wave runs, the fields it needs that
+//!    are not yet in memory are generated host-parallel. Each distinct
+//!    field is generated at most once per batch, and never for a full hit
+//!    whose digest the memo remembers: a hot batch synthesizes nothing;
 //! 5. absorb each wave's results into the cache, in ticket order — a
 //!    partial hit merges over the sections it looked up, so an eviction
 //!    earlier in the same wave cannot weaken it;
@@ -42,6 +48,15 @@
 //!   request whose metrics partially overlap a cached result runs only a
 //!   *residual plan* of the missing passes, seeded with the cached
 //!   pattern-1 scalars — bit-identical to a cold run, by construction.
+//!   Beside it, the digest memo maps each recently generated [`FieldRef`]
+//!   to its digest, so a repeated request is keyed without synthesizing
+//!   its field. Mapping provenance to content is sound only because
+//!   [`FieldRef::generate`] is a pure, seeded function of the reference:
+//!   the same reference always yields the same bits, at any worker count.
+//!   The key itself stays content, so two references with identical bytes
+//!   still share an entry. The memo holds at most as many entries as the
+//!   cache's budget, evicts exact-LRU on a logical clock, and is unused
+//!   when the cache is off.
 //!
 //! The engine is deterministic end to end: ticket order is submission
 //! order, every host-parallel step is index-ordered, the cache is only
@@ -66,7 +81,7 @@ use crate::recommend::ProgressivePolicy;
 use crate::report::AnalysisReport;
 use std::collections::{BTreeSet, HashMap};
 use zc_compress::CompressorSpec;
-use zc_tensor::Shape;
+use zc_tensor::{Shape, Tensor};
 
 /// Default result-cache capacity (entries).
 const DEFAULT_CACHE_ENTRIES: usize = 256;
@@ -223,6 +238,57 @@ impl Priced {
     }
 }
 
+/// Provenance → content: the digest each recently generated field hashed
+/// to (see the module docs for why this is sound). Bounded by the result
+/// cache's entry budget, with exact LRU eviction on a logical clock.
+#[derive(Clone, Debug)]
+struct DigestMemo {
+    /// Digest and last-use stamp per field reference.
+    map: HashMap<FieldRef, (u64, u64)>,
+    budget: usize,
+    clock: u64,
+    /// Lookups answered from the memo.
+    reused: u64,
+}
+
+impl DigestMemo {
+    fn new(budget: usize) -> Self {
+        DigestMemo {
+            map: HashMap::new(),
+            budget,
+            clock: 0,
+            reused: 0,
+        }
+    }
+
+    /// The remembered digest of `field`, touching its LRU stamp.
+    fn get(&mut self, field: &FieldRef) -> Option<u64> {
+        self.clock += 1;
+        let (digest, last_used) = self.map.get_mut(field)?;
+        *last_used = self.clock;
+        self.reused += 1;
+        Some(*digest)
+    }
+
+    /// Remember `field`'s digest, evicting the least recently used entry
+    /// beyond the budget.
+    fn remember(&mut self, field: FieldRef, digest: u64) {
+        self.clock += 1;
+        self.map.insert(field, (digest, self.clock));
+        while self.map.len() > self.budget {
+            // Stamps are unique, so the victim is independent of the
+            // map's iteration order.
+            let victim = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(f, _)| f.clone())
+                .expect("non-empty map over budget");
+            self.map.remove(&victim);
+        }
+    }
+}
+
 /// A resident assessment session: a fleet, its calibrated cost model, and
 /// a content-addressed result cache, fed by [`Engine::submit`] and driven
 /// by [`Engine::drain`].
@@ -234,6 +300,8 @@ pub struct Engine {
     caps: BackendCaps,
     calibration: CostCalibration,
     cache: ResultCache,
+    memo: DigestMemo,
+    fields_generated: u64,
     pending: Vec<(JobTicket, AssessRequest)>,
     next_ticket: u64,
 }
@@ -264,6 +332,8 @@ impl Engine {
             scheduler,
             caps: BackendCaps::v100(),
             cache: ResultCache::new(cache_entries),
+            memo: DigestMemo::new(cache_entries),
+            fields_generated: 0,
             pending: Vec::new(),
             next_ticket: 0,
             fleet,
@@ -277,9 +347,11 @@ impl Engine {
         self
     }
 
-    /// Replace the result-cache capacity (0 disables caching).
+    /// Replace the result-cache capacity (0 disables caching). The digest
+    /// memo shares the budget.
     pub fn with_cache_entries(mut self, entries: usize) -> Self {
         self.cache = ResultCache::new(entries);
+        self.memo = DigestMemo::new(entries);
         self
     }
 
@@ -288,9 +360,19 @@ impl Engine {
         self.calibration
     }
 
-    /// Cumulative cache counters.
+    /// Cumulative cache counters, with the session's field generation.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            fields_generated: self.fields_generated,
+            digests_reused: self.memo.reused,
+            ..self.cache.stats()
+        }
+    }
+
+    /// Field digests the session remembers (never more than the cache's
+    /// entry budget; none when the cache is off).
+    pub fn remembered_digests(&self) -> usize {
+        self.memo.map.len()
     }
 
     /// Requests submitted but not yet drained.
@@ -387,7 +469,7 @@ impl Engine {
         BatchReport {
             results,
             fleet: agg.fleet,
-            cache: self.cache.stats(),
+            cache: self.cache_stats(),
         }
     }
 
@@ -401,7 +483,7 @@ impl Engine {
         reqs: &[AssessRequest],
         progressive: Option<&ProgressivePolicy>,
     ) -> Vec<Resolved> {
-        // 1. Generate each distinct field once.
+        // 1. Index the distinct fields; their data is generated on demand.
         let mut index_of: HashMap<&FieldRef, usize> = HashMap::new();
         let mut unique: Vec<&FieldRef> = Vec::new();
         let field_of: Vec<usize> = reqs
@@ -413,16 +495,31 @@ impl Engine {
                 })
             })
             .collect();
-        let fields = zc_par::par_map(unique.len(), |i| unique[i].generate().data);
+        let mut fields: Vec<Option<Tensor<f32>>> = unique.iter().map(|_| None).collect();
 
-        // 2. Cache keys: content digests, computed only when the cache is on.
+        // 2. Cache keys: content digests, computed only when the cache is
+        // on, and only for fields the memo does not remember.
         let keys: Vec<Option<CacheKey>> = if self.cache.is_enabled() {
-            let digests = zc_par::par_map(fields.len(), |i| field_digest(&fields[i]));
+            let mut digests: Vec<Option<u64>> = unique.iter().map(|f| self.memo.get(f)).collect();
+            let unknown: Vec<usize> = (0..unique.len())
+                .filter(|&u| digests[u].is_none())
+                .collect();
+            let fresh = zc_par::par_map(unknown.len(), |k| {
+                let data = unique[unknown[k]].generate().data;
+                let digest = field_digest(&data);
+                (data, digest)
+            });
+            self.fields_generated += unknown.len() as u64;
+            for (u, (data, digest)) in unknown.into_iter().zip(fresh) {
+                self.memo.remember(unique[u].clone(), digest);
+                digests[u] = Some(digest);
+                fields[u] = Some(data);
+            }
             reqs.iter()
                 .zip(&field_of)
                 .map(|(req, &fi)| {
                     Some(CacheKey {
-                        digest: digests[fi],
+                        digest: digests[fi].expect("every distinct field is keyed"),
                         compressor: req.compressor.label(),
                         cfg: CfgKey::of(&req.cfg),
                     })
@@ -486,10 +583,26 @@ impl Engine {
                 }
             }
 
-            // 4. Run the wave's misses and partial hits host-parallel.
+            // 4. Generate the fields the wave needs that are not yet in
+            // memory, then run its misses and partial hits host-parallel.
+            let absent: Vec<usize> = wave
+                .iter()
+                .map(|(i, ..)| field_of[*i])
+                .filter(|&u| fields[u].is_none())
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let generated = zc_par::par_map(absent.len(), |a| unique[absent[a]].generate().data);
+            self.fields_generated += absent.len() as u64;
+            for (u, data) in absent.into_iter().zip(generated) {
+                fields[u] = Some(data);
+            }
             let runs = zc_par::par_map(wave.len(), |w| {
                 let (i, _, plan, cached) = &wave[w];
-                let (req, orig) = (&reqs[*i], &fields[field_of[*i]]);
+                let req = &reqs[*i];
+                let orig = fields[field_of[*i]]
+                    .as_ref()
+                    .expect("a wave's fields are generated before it runs");
                 let (dec, stats) = req
                     .compressor
                     .build()
@@ -707,5 +820,51 @@ mod tests {
         assert!(batch.results.iter().all(|r| r.cache == CacheOutcome::Miss));
         assert_eq!(batch.cache.lookups(), 0);
         assert_eq!(batch.cache.insertions, 0);
+    }
+
+    #[test]
+    fn a_cache_off_execute_generates_each_field_once_and_skips_the_memo() {
+        let mut engine = Engine::new(FleetSpec::nvlink(1))
+            .unwrap()
+            .with_cache_entries(0);
+        let other = |seed| AssessRequest {
+            field: FieldRef::new(AppDataset::Nyx, 0, GenOptions::scaled(32).with_seed(seed)),
+            ..request(MetricSelection::all())
+        };
+        // Three distinct fields over five requests, the first repeated.
+        let reqs = [
+            request(MetricSelection::all()),
+            other(1),
+            request(MetricSelection::none().with(Metric::Psnr)),
+            other(2),
+            request(MetricSelection::all()),
+        ];
+        let resolved = engine.execute(&reqs, None);
+        assert!(resolved.iter().all(|r| r.cache == CacheOutcome::Miss));
+        let stats = engine.cache_stats();
+        assert_eq!(stats.fields_generated, 3);
+        assert_eq!(stats.digests_reused, 0);
+        assert_eq!(engine.remembered_digests(), 0);
+        // A second batch regenerates: without a cache nothing is remembered.
+        engine.execute(&reqs[..2], None);
+        assert_eq!(engine.cache_stats().fields_generated, 5);
+        assert_eq!(engine.remembered_digests(), 0);
+    }
+
+    #[test]
+    fn the_digest_memo_evicts_its_least_recently_used_field() {
+        let field =
+            |seed| FieldRef::new(AppDataset::Nyx, 0, GenOptions::scaled(32).with_seed(seed));
+        let mut memo = DigestMemo::new(2);
+        memo.remember(field(0), 10);
+        memo.remember(field(1), 11);
+        // Touch field 0 so field 1 becomes the victim.
+        assert_eq!(memo.get(&field(0)), Some(10));
+        memo.remember(field(2), 12);
+        assert_eq!(memo.map.len(), 2);
+        assert_eq!(memo.get(&field(1)), None);
+        assert_eq!(memo.get(&field(0)), Some(10));
+        assert_eq!(memo.get(&field(2)), Some(12));
+        assert_eq!(memo.reused, 3);
     }
 }

@@ -7,7 +7,9 @@
 //! since the cache sits above the executor choice. The remaining tests pin
 //! the key semantics (metric selection is coverage, not key; value-affecting
 //! knobs are key) and that LRU eviction only ever costs re-runs, never
-//! correctness.
+//! correctness. The digest memo's tests pin that a full hit synthesizes
+//! no field data and that the memo stays within the cache's budget
+//! without moving a metric bit.
 
 use zc_compress::{CompressorSpec, ErrorBound};
 use zc_core::campaign::{FieldRef, FleetSpec, JobOutcome};
@@ -15,7 +17,7 @@ use zc_core::engine::{AssessRequest, CacheOutcome, Engine};
 use zc_core::exec::{CuZc, Executor, MoZc, OmpZc, SerialZc};
 use zc_core::metrics::{Metric, MetricSelection};
 use zc_core::plan::{AssessPlan, PassKind};
-use zc_core::AssessConfig;
+use zc_core::{AnalysisReport, AssessConfig};
 use zc_data::{AppDataset, GenOptions};
 use zc_tensor::{Shape, Tensor};
 
@@ -253,4 +255,89 @@ fn eviction_inside_a_wave_never_weakens_a_partial_hit() {
     // The re-inserted entry holds every section, so a repeat is a full hit.
     tiny.submit(request(MetricSelection::all(), 0)).unwrap();
     assert_eq!(tiny.drain().results[0].cache, CacheOutcome::Hit);
+}
+
+/// Every metric of a report as exact bits, bar the wall-clock codec
+/// throughputs.
+fn metric_bits(report: &AnalysisReport) -> Vec<Option<u64>> {
+    Metric::ALL
+        .iter()
+        .filter(|m| {
+            !matches!(
+                m,
+                Metric::CompressionThroughput | Metric::DecompressionThroughput
+            )
+        })
+        .map(|&m| report.scalar(m).map(f64::to_bits))
+        .collect()
+}
+
+#[test]
+fn a_batch_of_only_full_hits_generates_no_field() {
+    let psnr = MetricSelection::none().with(Metric::Psnr);
+    let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
+    for seed in [0, 1, 2] {
+        engine
+            .submit(request(MetricSelection::all(), seed))
+            .unwrap();
+    }
+    let first = engine.drain();
+    assert_eq!(first.cache.fields_generated, 3);
+    assert_eq!(first.cache.digests_reused, 0);
+
+    // Full profiles and a subset of them, all cached: every request is a
+    // full hit, keyed from the memo without synthesizing its field.
+    for (metrics, seed) in [(MetricSelection::all(), 2), (psnr.clone(), 0), (psnr, 2)] {
+        engine.submit(request(metrics, seed)).unwrap();
+    }
+    let hot = engine.drain();
+    assert!(hot.results.iter().all(|r| r.cache == CacheOutcome::Hit));
+    assert_eq!(hot.cache.fields_generated, first.cache.fields_generated);
+    assert_eq!(
+        hot.cache.digests_reused, 2,
+        "two distinct fields, keyed once each"
+    );
+    let bits = |batch: &zc_core::engine::BatchReport, i: usize| {
+        metric_bits(batch.results[i].report.as_ref().expect("completed"))
+    };
+    for (hit, cold) in [(0, 2), (1, 0), (2, 2)] {
+        assert_eq!(
+            bits(&hot, hit),
+            bits(&first, cold),
+            "hit {hit} vs first drain"
+        );
+    }
+}
+
+#[test]
+fn the_digest_memo_stays_within_the_cache_budget() {
+    // Seven distinct fields through a 2-entry session, some in one batch,
+    // some repeated after eviction: the memo never outgrows the budget,
+    // and every request matches a cache-off cold run bit for bit.
+    let batches: [&[u64]; 5] = [&[0, 1, 2, 3], &[3, 4], &[0], &[4, 5, 6, 5], &[6, 1]];
+    let mut small = Engine::new(FleetSpec::nvlink(1))
+        .unwrap()
+        .with_cache_entries(2);
+    let mut cold = Engine::new(FleetSpec::nvlink(1))
+        .unwrap()
+        .with_cache_entries(0);
+    for seeds in batches {
+        for &seed in seeds {
+            small.submit(request(MetricSelection::all(), seed)).unwrap();
+            cold.submit(request(MetricSelection::all(), seed)).unwrap();
+        }
+        let (a, b) = (small.drain(), cold.drain());
+        assert!(
+            small.remembered_digests() <= 2,
+            "{seeds:?}: memo over budget"
+        );
+        for ((ra, rb), seed) in a.results.iter().zip(&b.results).zip(seeds) {
+            let (pa, pb) = (ra.report.as_ref().unwrap(), rb.report.as_ref().unwrap());
+            assert_eq!(metric_bits(pa), metric_bits(pb), "seed {seed} in {seeds:?}");
+        }
+    }
+    let stats = small.cache_stats();
+    assert!(stats.digests_reused > 0, "{stats:?}");
+    assert!(stats.evictions > 0, "{stats:?}");
+    assert_eq!(cold.remembered_digests(), 0);
 }

@@ -20,7 +20,9 @@
 //!   [`ServeError::Saturated`] instead of queueing unboundedly;
 //! * **caching for free**: the engine's content-addressed result cache
 //!   turns the service's overlapping traffic into full and partial hits —
-//!   the exact access pattern the cache exists for.
+//!   the exact access pattern the cache exists for. A full hit is keyed
+//!   from the engine's remembered field digest, so it synthesizes no field
+//!   data ([`ServeReport`] counts fields generated and digests reused).
 //!
 //! Everything is deterministic: traces are seeded ([`RequestTrace`]),
 //! time is modeled (no wall clock), the engine drains in ticket order, and
@@ -314,6 +316,11 @@ impl ServeReport {
                 format!("{:.3}", self.cache.partial_rate()),
             ),
             (
+                "fields generated",
+                format!("{}", self.cache.fields_generated),
+            ),
+            ("digests reused", format!("{}", self.cache.digests_reused)),
+            (
                 "assessed MB",
                 format!("{:.2}", self.assessed_bytes as f64 / 1e6),
             ),
@@ -594,6 +601,8 @@ mod tests {
         assert_eq!(report.failed, 0);
         // The skewed trace must produce repeat traffic the cache absorbs.
         assert!(report.cache.hits + report.cache.partial_hits > 0);
+        // Repeats are keyed from the digest memo, not regenerated.
+        assert!(report.cache.digests_reused > 0, "{:?}", report.cache);
         assert!(report.jobs_per_sec > 0.0);
         assert!(report.p99_latency_s >= report.p50_latency_s);
     }

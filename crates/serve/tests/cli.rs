@@ -243,6 +243,8 @@ fn serve_demo_runs_the_service_loop() {
         "completed",
         "jobs/s (modeled)",
         "cache hit rate",
+        "fields generated",
+        "digests reused",
         "p99 latency (ms)",
     ] {
         assert!(stdout.contains(needle), "missing '{needle}' in:\n{stdout}");
