@@ -5,13 +5,18 @@
 //! experiment index. Binaries:
 //!
 //! * `table1` — the pattern classification table,
-//! * `fig9`  — dataset visualization (PGM slices),
+//! * Fig. 9 — dataset visualization (PGM slices; the `dataset_gallery` example),
 //! * `fig10` — overall cuZC speedups vs ompZC and moZC,
 //! * `fig11` — per-pattern absolute throughput of all three systems,
 //! * `fig12` — per-pattern speedups,
 //! * `table2` — the runtime profile (Regs/TB, SMem/TB, Iters/thread, TB/SM),
 //! * `ablation` — design-choice ablations (FIFO, fusion, cube size, window),
 //! * `multigpu` — the §VI future-work multi-GPU scaling model.
+//!
+//! Beyond the paper, `campaign` and `chaos` write `BENCH_campaign.json`
+//! and `BENCH_chaos.json` (modeled fleet throughput, fault recovery).
+//! Host wall-clock performance is measured only by zcbench, the benchmark
+//! of record, a package of its own in `src/bin/zcbench/` (see its README).
 //!
 //! ## Scaled execution, full-shape modeling
 //!

@@ -20,9 +20,6 @@ pub struct HarnessOpts {
     pub rel_bound: f64,
     /// Optional path for a machine-readable CSV copy of the figure data.
     pub csv: Option<std::path::PathBuf>,
-    /// Run the stream-overlap section (hotpath: modeled end-to-end
-    /// overlapped vs serialized transfer+compute on the 256³ field).
-    pub overlap: bool,
     /// Assessment configuration.
     pub cfg: AssessConfig,
 }
@@ -34,7 +31,6 @@ impl Default for HarnessOpts {
             max_fields: None,
             rel_bound: 1e-3,
             csv: None,
-            overlap: false,
             cfg: AssessConfig::default(),
         }
     }
@@ -73,7 +69,6 @@ impl HarnessOpts {
                 "--csv" => {
                     opts.csv = Some(std::path::PathBuf::from(take("--csv")?));
                 }
-                "--overlap" => opts.overlap = true,
                 other => return Err(format!("unknown argument '{other}'")),
             }
         }
@@ -281,9 +276,6 @@ mod tests {
         assert_eq!(o.max_fields, Some(2));
         assert!((o.rel_bound - 1e-4).abs() < 1e-18);
         assert!(HarnessOpts::from_args(["--bogus".to_string()].into_iter()).is_err());
-        assert!(!o.overlap);
-        let o = HarnessOpts::from_args(["--overlap".to_string()].into_iter()).unwrap();
-        assert!(o.overlap);
         let o =
             HarnessOpts::from_args(["--csv", "/tmp/x.csv"].iter().map(|s| s.to_string())).unwrap();
         assert_eq!(o.csv.as_deref(), Some(std::path::Path::new("/tmp/x.csv")));

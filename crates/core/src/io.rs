@@ -55,7 +55,8 @@ pub fn read_raw<T: Element>(
     endian: Endianness,
 ) -> Result<Tensor<T>, IoError> {
     let file = File::open(path)?;
-    let expected = (shape.len() * T::BYTES) as u64;
+    // Saturating: a shape too large to address can never match a file.
+    let expected = (shape.len() as u64).saturating_mul(T::BYTES as u64);
     let got = file.metadata()?.len();
     if got != expected {
         return Err(IoError::SizeMismatch { expected, got });
@@ -281,7 +282,9 @@ pub fn write_zcf<T: Element>(path: &Path, t: &Tensor<T>) -> Result<(), ZcfError>
 /// Read a ZCF file written by [`write_zcf`]. The element type must match
 /// the stored tag.
 pub fn read_zcf<T: Element>(path: &Path) -> Result<Tensor<T>, ZcfError> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != ZCF_MAGIC {
@@ -321,13 +324,16 @@ pub fn read_zcf<T: Element>(path: &Path) -> Result<Tensor<T>, ZcfError> {
     if shape.len().checked_mul(T::BYTES).is_none() || shape.len() > (1 << 34) {
         return Err(ZcfError::BadHeader("payload too large"));
     }
+    // Compare the declared payload with what the file holds before
+    // allocating it: a short file or trailing garbage is a header/payload
+    // inconsistency, not an allocation the header gets to size.
+    let header_len = (4 + 1 + tag_len + 1 + 8 * ndim) as u64;
+    let remaining = file_len.saturating_sub(header_len);
+    if remaining != (shape.len() * T::BYTES) as u64 {
+        return Err(ZcfError::BadHeader("payload length does not match header"));
+    }
     let mut payload = vec![0u8; shape.len() * T::BYTES];
     r.read_exact(&mut payload)?;
-    // Trailing garbage is a header/payload inconsistency.
-    let mut extra = [0u8; 1];
-    if r.read(&mut extra)? != 0 {
-        return Err(ZcfError::BadHeader("trailing bytes after payload"));
-    }
     let data: Vec<T> = payload
         .chunks_exact(T::BYTES)
         .map(T::from_le_slice)
@@ -395,6 +401,50 @@ mod zcf_tests {
         std::fs::write(&p, b"not a zcf file at all").unwrap();
         let r: Result<Tensor<f32>, _> = read_zcf(&p);
         assert!(matches!(r, Err(ZcfError::BadMagic)));
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A ZCF header for an `f32` tensor with `dims`, followed by `payload`.
+    fn zcf_bytes(dims: &[u64], payload: &[u8]) -> Vec<u8> {
+        let mut b = b"ZCF1".to_vec();
+        b.push(3);
+        b.extend_from_slice(b"f32");
+        b.push(dims.len() as u8);
+        for d in dims {
+            b.extend_from_slice(&d.to_le_bytes());
+        }
+        b.extend_from_slice(payload);
+        b
+    }
+
+    #[test]
+    fn zcf_rejects_an_overflowing_element_count() {
+        let p = tmp("g.zcf");
+        std::fs::write(&p, zcf_bytes(&[1 << 32; 4], &[])).unwrap();
+        let r: Result<Tensor<f32>, _> = read_zcf(&p);
+        assert!(
+            matches!(r, Err(ZcfError::BadHeader("invalid shape"))),
+            "{r:?}"
+        );
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn zcf_checks_the_declared_payload_before_allocating_it() {
+        // 2^34 f32 elements (64 GiB) declared over a 4-byte payload, then
+        // one element declared over five bytes of payload.
+        let p = tmp("h.zcf");
+        for (dims, payload) in [([1u64 << 17, 1 << 17], 4), ([1, 1], 5)] {
+            std::fs::write(&p, zcf_bytes(&dims, &vec![0; payload])).unwrap();
+            let r: Result<Tensor<f32>, _> = read_zcf(&p);
+            assert!(
+                matches!(
+                    r,
+                    Err(ZcfError::BadHeader("payload length does not match header"))
+                ),
+                "{r:?}"
+            );
+        }
         std::fs::remove_file(&p).ok();
     }
 

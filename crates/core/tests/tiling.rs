@@ -122,6 +122,13 @@ fn tiled_gpu_run_populates_streaming_timeline() {
         e2e.overlapped_s <= e2e.serialized_s,
         "overlapped makespan must never exceed the serialized sum"
     );
+    // The streaming claim: slab tiles overlap transfers with compute
+    // enough to hide more than 5% of the serialized time.
+    assert!(
+        e2e.saving() > 0.05,
+        "tiled overlap saving must exceed 5%, got {:.2}% ({e2e:?})",
+        e2e.saving() * 100.0
+    );
 }
 
 #[test]

@@ -587,24 +587,34 @@ mod tests {
 
     #[test]
     fn served_trace_completes_and_caches() {
-        let mut server = Server::new(small_cfg()).unwrap();
-        let report = server.run_trace(&RequestTrace::synthetic(11, 24));
-        assert!(report.completed > 0);
-        assert_eq!(
-            report.completed
-                + report.failed
-                + report.saturated
-                + report.quota_refused
-                + report.admission_refused,
-            24
-        );
-        assert_eq!(report.failed, 0);
-        // The skewed trace must produce repeat traffic the cache absorbs.
-        assert!(report.cache.hits + report.cache.partial_hits > 0);
-        // Repeats are keyed from the digest memo, not regenerated.
-        assert!(report.cache.digests_reused > 0, "{:?}", report.cache);
-        assert!(report.jobs_per_sec > 0.0);
-        assert!(report.p99_latency_s >= report.p50_latency_s);
+        for gpus in [2, 4, 8] {
+            let mut server = Server::new(ServeConfig {
+                fleet: FleetSpec::nvlink(gpus),
+                ..small_cfg()
+            })
+            .unwrap();
+            let report = server.run_trace(&RequestTrace::synthetic(11, 24));
+            let ctx = format!("{gpus} GPUs: {:?}", report.cache);
+            assert!(report.completed > 0, "{ctx}");
+            assert_eq!(
+                report.completed
+                    + report.failed
+                    + report.saturated
+                    + report.quota_refused
+                    + report.admission_refused,
+                24,
+                "{ctx}"
+            );
+            assert_eq!(report.failed, 0, "{ctx}");
+            // The skewed trace repeats keys (full hits), and its
+            // overlapping metric sets leave keys half-covered (partial hits).
+            assert!(report.cache.hits > 0, "{ctx}");
+            assert!(report.cache.partial_hits > 0, "{ctx}");
+            // Repeats are keyed from the digest memo, not regenerated.
+            assert!(report.cache.digests_reused > 0, "{ctx}");
+            assert!(report.jobs_per_sec > 0.0, "{ctx}");
+            assert!(report.p99_latency_s >= report.p50_latency_s, "{ctx}");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! process via the Cargo-provided binary path).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn cuzc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_cuzc"))
@@ -115,6 +116,34 @@ fn bad_arguments_fail_cleanly() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // Shapes whose element or byte count overflows: refused before any
+    // read, not wrapped to a size an empty file matches.
+    let empty = tmpdir("overflow").join("empty.f32");
+    std::fs::write(&empty, b"").unwrap();
+    for (shape, why) in [
+        ("4611686018427387904x4", "overflows"),
+        ("4611686018427387904", "expects"),
+    ] {
+        let mut child = cuzc()
+            .args(["--input", empty.to_str().unwrap(), "--shape", shape])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let t0 = Instant::now();
+        while child.try_wait().unwrap().is_none() {
+            if t0.elapsed() > Duration::from_secs(30) {
+                child.kill().ok();
+                panic!("cuzc hung on --shape {shape}");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{shape}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "{shape}: {err}");
+        assert!(err.contains(why), "{shape}: {err}");
+    }
 }
 
 #[test]

@@ -9,6 +9,8 @@ pub enum ShapeError {
     ZeroExtent,
     /// More than [`crate::MAX_NDIM`] (or zero) extents were supplied.
     TooManyDims(usize),
+    /// The product of the extents does not fit in `usize`.
+    ElementCountOverflow,
     /// Backing buffer length does not match the shape's element count.
     LenMismatch {
         /// Elements implied by the shape.
@@ -28,6 +30,9 @@ impl fmt::Display for ShapeError {
             ShapeError::ZeroExtent => write!(f, "shape extents must be non-zero"),
             ShapeError::TooManyDims(n) => {
                 write!(f, "expected 1..={} dimensions, got {n}", crate::MAX_NDIM)
+            }
+            ShapeError::ElementCountOverflow => {
+                write!(f, "element count overflows the address space")
             }
             ShapeError::LenMismatch { expected, got } => {
                 write!(

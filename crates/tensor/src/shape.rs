@@ -76,8 +76,10 @@ impl Shape {
 
     /// Construct from a slice of 1–4 extents (fastest-varying first).
     ///
-    /// Returns [`ShapeError::ZeroExtent`] if any extent is zero and
-    /// [`ShapeError::TooManyDims`] for more than [`MAX_NDIM`] extents.
+    /// Returns [`ShapeError::ZeroExtent`] if any extent is zero,
+    /// [`ShapeError::TooManyDims`] for more than [`MAX_NDIM`] extents, and
+    /// [`ShapeError::ElementCountOverflow`] if the element count does not
+    /// fit in `usize` — so [`Shape::len`] never wraps.
     pub fn new(extents: &[usize]) -> Result<Self, ShapeError> {
         if extents.is_empty() || extents.len() > MAX_NDIM {
             return Err(ShapeError::TooManyDims(extents.len()));
@@ -85,6 +87,10 @@ impl Shape {
         if extents.contains(&0) {
             return Err(ShapeError::ZeroExtent);
         }
+        extents
+            .iter()
+            .try_fold(1usize, |n, &e| n.checked_mul(e))
+            .ok_or(ShapeError::ElementCountOverflow)?;
         let mut dims = [1usize; MAX_NDIM];
         dims[..extents.len()].copy_from_slice(extents);
         Ok(Shape {
@@ -290,6 +296,18 @@ mod tests {
             Err(ShapeError::TooManyDims(5))
         );
         assert_eq!(Shape::new(&[]), Err(ShapeError::TooManyDims(0)));
+    }
+
+    #[test]
+    fn element_count_overflow_rejected() {
+        let big = 1usize << (usize::BITS - 2);
+        assert_eq!(Shape::new(&[big, 4]), Err(ShapeError::ElementCountOverflow));
+        assert_eq!(
+            Shape::new(&[1 << 16, 1 << 16, 1 << 16, 1 << 16]),
+            Err(ShapeError::ElementCountOverflow)
+        );
+        // A product just below the limit is still a shape.
+        assert_eq!(Shape::new(&[big, 3]).unwrap().len(), big * 3);
     }
 
     #[test]
