@@ -2,13 +2,20 @@
 
 use crate::CodecError;
 
+/// Widest access served in one step: a read starts at most 7 bits into a
+/// byte, so 56 bits always fit the one `u64` it loads. Wider accesses split
+/// in two.
+const WIDE: u32 = 56;
+
 /// Append-only bit sink. Bits are packed least-significant-bit-first within
 /// each byte, so short writes of `n` bits store the low `n` bits of `value`.
 #[derive(Default, Debug, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Unused bit capacity remaining in the final byte (0 = full/absent).
-    used: u32,
+    /// Bits not yet flushed to `bytes`, first bit lowest (fewer than 64).
+    pending: u64,
+    /// Number of bits in `pending`.
+    n_pending: u32,
 }
 
 impl BitWriter {
@@ -18,24 +25,24 @@ impl BitWriter {
     }
 
     /// Append the low `n` bits of `value` (n ≤ 64).
-    pub fn write_bits(&mut self, mut value: u64, mut n: u32) {
+    #[inline]
+    pub fn write_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
-        if n < 64 {
-            value &= (1u64 << n) - 1;
+        if n > WIDE {
+            self.write_bits(value, 32);
+            self.write_bits(value >> 32, n - 32);
+            return;
         }
-        while n > 0 {
-            if self.used == 0 {
-                self.bytes.push(0);
-                self.used = 8; // capacity remaining in the new byte
-            }
-            let take = n.min(self.used);
-            let shift = 8 - self.used;
-            if let Some(b) = self.bytes.last_mut() {
-                *b |= ((value & ((1u64 << take) - 1)) as u8) << shift;
-            }
-            value >>= take;
-            self.used -= take;
-            n -= take;
+        let value = value & ((1u64 << n) - 1);
+        self.pending |= value << self.n_pending;
+        let free = 64 - self.n_pending;
+        if n < free {
+            self.n_pending += n;
+        } else {
+            // `pending` is full: flush it and keep the bits that did not fit.
+            self.bytes.extend_from_slice(&self.pending.to_le_bytes());
+            self.pending = value >> free;
+            self.n_pending = n - free;
         }
     }
 
@@ -47,11 +54,14 @@ impl BitWriter {
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8 - self.used as usize
+        self.bytes.len() * 8 + self.n_pending as usize
     }
 
     /// Finish, returning the packed bytes (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = self.n_pending.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.pending.to_le_bytes()[..tail]);
         self.bytes
     }
 }
@@ -74,25 +84,45 @@ impl<'a> BitReader<'a> {
         self.bytes.len() * 8 - self.pos_bits
     }
 
+    /// The next `n` bits (n ≤ 56) as the low bits of the result, without
+    /// consuming them. Bits past the end of the stream read as 0.
+    #[inline]
+    pub(crate) fn peek_bits(&self, n: u32) -> u64 {
+        debug_assert!(n <= WIDE);
+        let at = self.pos_bits / 8;
+        let word = match self.bytes.get(at..at + 8) {
+            Some(b) => u64::from_le_bytes(b.try_into().expect("8-byte slice")),
+            None => {
+                let mut b = [0u8; 8];
+                let tail = &self.bytes[at..];
+                b[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(b)
+            }
+        };
+        (word >> (self.pos_bits % 8)) & ((1u64 << n) - 1)
+    }
+
+    /// Consume `n` bits already inspected with `peek_bits` (n ≤ remaining).
+    #[inline]
+    pub(crate) fn skip_bits(&mut self, n: u32) {
+        debug_assert!(n as usize <= self.remaining());
+        self.pos_bits += n as usize;
+    }
+
     /// Read `n` bits (n ≤ 64) as the low bits of the result.
+    #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u64, CodecError> {
         debug_assert!(n <= 64);
         if (n as usize) > self.remaining() {
             return Err(CodecError::Corrupt("bitstream exhausted"));
         }
-        let mut out = 0u64;
-        let mut got = 0u32;
-        while got < n {
-            let byte = self.bytes[self.pos_bits / 8];
-            let off = (self.pos_bits % 8) as u32;
-            let avail = 8 - off;
-            let take = (n - got).min(avail);
-            let chunk = ((byte >> off) as u64) & ((1u64 << take) - 1);
-            out |= chunk << got;
-            got += take;
-            self.pos_bits += take as usize;
+        if n > WIDE {
+            let low = self.read_bits(32)?;
+            return Ok(low | self.read_bits(n - 32)? << 32);
         }
-        Ok(out)
+        let value = self.peek_bits(n);
+        self.skip_bits(n);
+        Ok(value)
     }
 
     /// Read a single bit.

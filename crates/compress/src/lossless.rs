@@ -36,15 +36,12 @@ impl Compressor for LosslessCompressor {
         let n = t.len();
         let mut w = BitWriter::new();
         w.write_bits(n as u64, 64);
-        // Per plane: frequency table → codebook → stream.
+        // Per plane: symbol counts → codebook → stream.
         for plane in 0..4usize {
-            let mut freqs = vec![0u64; 256];
-            for &v in t.iter() {
-                freqs[v.to_le_bytes()[plane] as usize] += 1;
-            }
-            let codec = HuffmanCodec::from_frequencies(&freqs).expect("non-empty tensor");
-            codec.write_codebook(&mut w);
             let symbols: Vec<u32> = t.iter().map(|&v| v.to_le_bytes()[plane] as u32).collect();
+            let counts = HuffmanCodec::counts_of(symbols.iter().copied());
+            let codec = HuffmanCodec::from_counts(256, &counts).expect("non-empty tensor");
+            codec.write_codebook(&mut w);
             codec.encode(&symbols, &mut w).expect("all symbols counted");
         }
         let bytes = w.into_bytes();

@@ -1,11 +1,23 @@
 //! The SZ-1.4-class error-bounded compressor (the cuSZ stand-in).
 //!
-//! Pipeline (identical in structure to cuSZ / SZ 1.4):
+//! Pipeline (SZ 1.4's sequential one):
 //!
 //! 1. **Lorenzo prediction** over the progressively reconstructed field,
+//!    element by element in storage order,
 //! 2. **linear-scale quantization** of residuals with the user's error
 //!    bound (out-of-range residuals become verbatim-stored outliers),
 //! 3. **canonical Huffman coding** of the quantization codes.
+//!
+//! cuSZ keeps the same three stages but replaces the sequential
+//! prediction-over-reconstruction loop with *dual quantization* (prequantize
+//! the field, then predict on the prequantized values), which makes every
+//! element independent and the loop parallel. That moves decompressed
+//! values, so it is a ROADMAP item of its own rather than part of this
+//! codec.
+//!
+//! The entropy stage costs O(n + the span of the codes that occur), never
+//! the `2·radius + 1` alphabet (65,537 symbols at the default radius): see
+//! [`crate::huffman`].
 //!
 //! The decompressor replays predictions over the same reconstruction, so
 //! `|original - decompressed| <= eb` holds for every element (property-
@@ -143,12 +155,15 @@ impl Compressor for SzCompressor {
         }
 
         // Entropy stage.
-        let alphabet = quant.alphabet_len() + 1;
-        let mut freqs = vec![0u64; alphabet];
-        for &s in &symbols {
-            freqs[s as usize] += 1;
+        // The outlier symbol is counted apart from the window of
+        // quantization codes it would otherwise stretch to symbol 0.
+        let codes = symbols.iter().copied().filter(|&s| s != OUTLIER_SYMBOL);
+        let mut counts = HuffmanCodec::counts_of(codes);
+        if !outliers.is_empty() {
+            counts.insert(0, (OUTLIER_SYMBOL, outliers.len() as u64));
         }
-        let codec = HuffmanCodec::from_frequencies(&freqs).expect("non-empty symbol stream");
+        let alphabet = (quant.alphabet_len() + 1) as u32;
+        let codec = HuffmanCodec::from_counts(alphabet, &counts).expect("non-empty symbol stream");
         let mut w = BitWriter::new();
         w.write_bits(eb.to_bits(), 64);
         w.write_bits(self.radius as u64, 32);

@@ -1,6 +1,7 @@
 //! Property-based tests for the compression substrate, driven by a
 //! deterministic inline RNG (no external property-testing dependency).
 
+use std::collections::BTreeMap;
 use zc_compress::{
     BitReader, BitWriter, Compressor, ErrorBound, HuffmanCodec, SzCompressor, ZfpLikeCompressor,
 };
@@ -112,24 +113,117 @@ fn zfp_stream_size_is_rate_exact() {
     }
 }
 
+/// `(symbol, count)` of every used symbol, in symbol order, counted
+/// independently of [`HuffmanCodec::counts_of`].
+fn counts_of(symbols: &[u32]) -> Vec<(u32, u64)> {
+    let mut counts = BTreeMap::new();
+    for &s in symbols {
+        *counts.entry(s).or_insert(0u64) += 1;
+    }
+    counts.into_iter().collect()
+}
+
+/// Write `codec`'s codebook and `symbols`, read both back, and return the
+/// codebook as read with the decoded symbols.
+fn huffman_roundtrip(codec: &HuffmanCodec, symbols: &[u32]) -> (HuffmanCodec, Vec<u32>) {
+    let mut w = BitWriter::new();
+    codec.write_codebook(&mut w);
+    codec.encode(symbols, &mut w).unwrap();
+    let bytes = w.into_bytes();
+    let mut r = BitReader::new(&bytes);
+    let read = HuffmanCodec::read_codebook(&mut r).unwrap();
+    let decoded = read.decode(&mut r, symbols.len()).unwrap();
+    (read, decoded)
+}
+
 #[test]
 fn huffman_roundtrips_arbitrary_streams() {
     let mut rng = Rng(0x4ff);
     for case in 0..64 {
         let n = rng.usize(1, 2000);
         let symbols: Vec<u32> = (0..n).map(|_| rng.usize(0, 500) as u32).collect();
-        let mut freqs = vec![0u64; 500];
-        for &s in &symbols {
-            freqs[s as usize] += 1;
+        let counts = HuffmanCodec::counts_of(symbols.iter().copied());
+        assert_eq!(counts, counts_of(&symbols), "case {case}");
+        let codec = HuffmanCodec::from_counts(500, &counts).unwrap();
+        let (_, decoded) = huffman_roundtrip(&codec, &symbols);
+        assert_eq!(decoded, symbols, "case {case}");
+    }
+}
+
+#[test]
+fn huffman_roundtrips_sz_shaped_alphabets() {
+    // SZ's default alphabet: the outlier symbol 0 plus quantization codes
+    // in a window around the zero-residual symbol 32,769.
+    let mut rng = Rng(0x5a5a);
+    for case in 0..48 {
+        let half = rng.usize(0, 400);
+        let outlier_rate = [0.0, 0.01, 0.3][case % 3];
+        let n = rng.usize(1, 4000);
+        let symbols: Vec<u32> = (0..n)
+            .map(|_| {
+                if rng.f64(0.0, 1.0) < outlier_rate {
+                    0
+                } else {
+                    // Residual codes concentrate near the centre.
+                    let r = rng.f64(-1.0, 1.0).powi(3) * half as f64;
+                    (32_769 + r.round() as i64) as u32
+                }
+            })
+            .collect();
+        let counts = HuffmanCodec::counts_of(symbols.iter().copied());
+        assert_eq!(counts, counts_of(&symbols), "case {case}");
+        let codec = HuffmanCodec::from_counts(65_537, &counts).unwrap();
+        let (read, decoded) = huffman_roundtrip(&codec, &symbols);
+        assert_eq!(decoded, symbols, "case {case}");
+        assert_eq!(read.alphabet_len(), 65_537, "case {case}");
+    }
+}
+
+#[test]
+fn huffman_roundtrips_single_symbol_streams() {
+    let mut rng = Rng(0x51e);
+    for case in 0..32 {
+        let alphabet = rng.usize(1, 70_000) as u32;
+        let s = rng.usize(0, alphabet as usize) as u32;
+        let symbols = vec![s; rng.usize(1, 3000)];
+        let codec = HuffmanCodec::from_counts(alphabet, &counts_of(&symbols)).unwrap();
+        assert_eq!(codec.length_of(s), 1, "case {case}");
+        let (_, decoded) = huffman_roundtrip(&codec, &symbols);
+        assert_eq!(decoded, symbols, "case {case}");
+    }
+}
+
+#[test]
+fn huffman_limits_fibonacci_code_lengths() {
+    // Fibonacci frequencies build the deepest possible Huffman tree: k
+    // symbols reach depth k - 1, so k > 49 forces length limiting.
+    let mut rng = Rng(0xf1b);
+    for case in 0..16 {
+        let k = rng.usize(50, 80);
+        let mut fib = (1u64, 1u64);
+        let mut symbol = 0u32;
+        let counts: Vec<(u32, u64)> = (0..k)
+            .map(|_| {
+                symbol += rng.usize(1, 900) as u32;
+                let f = fib.0;
+                fib = (fib.1, fib.0 + fib.1);
+                (symbol, f)
+            })
+            .collect();
+        let codec = HuffmanCodec::from_counts(65_537, &counts).unwrap();
+        let lengths: Vec<u32> = counts.iter().map(|&(s, _)| codec.length_of(s)).collect();
+        assert!(
+            lengths.iter().all(|&l| (1..=48).contains(&l)),
+            "case {case}"
+        );
+        let kraft: u128 = lengths.iter().map(|&l| 1u128 << (48 - l)).sum();
+        assert!(kraft <= 1 << 48, "case {case}");
+        // Every symbol a few times, in a shuffled order.
+        let mut symbols: Vec<u32> = counts.iter().flat_map(|&(s, _)| [s; 3]).collect();
+        for i in (1..symbols.len()).rev() {
+            symbols.swap(i, rng.usize(0, i + 1));
         }
-        let codec = HuffmanCodec::from_frequencies(&freqs).unwrap();
-        let mut w = BitWriter::new();
-        codec.write_codebook(&mut w);
-        codec.encode(&symbols, &mut w).unwrap();
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        let codec2 = HuffmanCodec::read_codebook(&mut r).unwrap();
-        let decoded = codec2.decode(&mut r, symbols.len()).unwrap();
+        let (_, decoded) = huffman_roundtrip(&codec, &symbols);
         assert_eq!(decoded, symbols, "case {case}");
     }
 }

@@ -6,7 +6,7 @@
 //! normalized coordinates in `[0,1]³` through deterministic fBm-based
 //! recipes.
 
-use crate::noise::{fbm3, NoiseSpec};
+use crate::noise::{FbmRows, NoiseSpec};
 use crate::rng::SplitMix64;
 use zc_tensor::{Shape, Tensor};
 
@@ -41,11 +41,52 @@ impl FieldKind {
     /// Evaluate the unit-amplitude recipe at normalized coordinates.
     ///
     /// `seed` decorrelates fields; output is in approximately `[-1, 1]` for
-    /// signed kinds and `[0, 1]` for non-negative kinds.
+    /// signed kinds and `[0, 1]` for non-negative kinds. One sample of
+    /// [`FieldKind::rows`].
     pub fn eval(self, seed: u64, u: f64, v: f64, w: f64) -> f64 {
+        let mut out = [0.0];
+        self.rows(seed, &[u]).eval(v, w, &mut out);
+        out[0]
+    }
+
+    /// The recipe along rows that share the `us` coordinates:
+    /// [`FieldRows::eval`] at `(v, w)` sets `out[i] = self.eval(seed, us[i],
+    /// v, w)`, bit for bit.
+    pub fn rows(self, seed: u64, us: &[f64]) -> FieldRows<'_> {
+        let (spec, stretch_u, stretch_w) = self.noise(seed);
+        let xs: Vec<f64> = us.iter().map(|&u| u * stretch_u).collect();
+        FieldRows {
+            kind: self,
+            us,
+            noise: FbmRows::new(&spec, &xs),
+            stretch_w,
+        }
+    }
+
+    /// The recipe's fBm and the stretch it applies to the `u` and `w`
+    /// coordinates before sampling it.
+    fn noise(self, seed: u64) -> (NoiseSpec, f64, f64) {
+        let (frequency, octaves, stretch_u, stretch_w) = match self {
+            FieldKind::Smooth => (3.0, 3, 1.0, 1.0),
+            FieldKind::Vortex => (6.0, 4, 1.0, 1.0),
+            FieldKind::Plume => (5.0, 5, 1.0, 1.0),
+            FieldKind::LogClustered => (4.0, 6, 1.0, 1.0),
+            FieldKind::LogSmooth => (3.0, 4, 1.0, 1.0),
+            // Stretch u 6x relative to v: rain bands aligned with v.
+            FieldKind::Banded => (4.0, 4, 6.0, 2.0),
+            FieldKind::Turbulent | FieldKind::TurbulentVelocity => (4.0, 7, 1.0, 1.0),
+        };
+        (
+            NoiseSpec::new(seed, frequency, octaves),
+            stretch_u,
+            stretch_w,
+        )
+    }
+
+    /// Shape the recipe's noise value `n` at `(u, v, w)` into its output.
+    fn shape(self, n: f64, u: f64, v: f64, w: f64) -> f64 {
         match self {
             FieldKind::Smooth => {
-                let n = fbm3(&NoiseSpec::new(seed, 3.0, 3), u, v, w);
                 // Vertical stratification + gentle horizontal variability,
                 // kept in [0, 1] for the unsigned range mapping.
                 (1.0 - w) * 0.7 + 0.15 * (n + 1.0)
@@ -58,41 +99,48 @@ impl FieldKind {
                 let rc = 0.08; // eye-wall radius
                 let vt = if r < rc { r / rc } else { rc / r };
                 let theta_component = dx / r; // one cartesian component
-                let n = fbm3(&NoiseSpec::new(seed, 6.0, 4), u, v, w);
                 vt * theta_component * (1.0 + 0.25 * n)
             }
             FieldKind::Plume => {
-                let n = fbm3(&NoiseSpec::new(seed, 5.0, 5), u, v, w);
                 // Threshold: only the top of the noise survives; sharpen.
                 let t = ((n - 0.25) / 0.75).max(0.0);
                 t * t
             }
-            FieldKind::LogClustered => {
-                let n = fbm3(&NoiseSpec::new(seed, 4.0, 6), u, v, w);
-                // ~4 decades of dynamic range, like baryon density.
-                (4.0 * n).exp() / 4.0f64.exp()
-            }
-            FieldKind::LogSmooth => {
-                let n = fbm3(&NoiseSpec::new(seed, 3.0, 4), u, v, w);
-                (1.5 * n).exp() / 1.5f64.exp()
-            }
+            // ~4 decades of dynamic range, like baryon density.
+            FieldKind::LogClustered => (4.0 * n).exp() / 4.0f64.exp(),
+            FieldKind::LogSmooth => (1.5 * n).exp() / 1.5f64.exp(),
             FieldKind::Banded => {
-                // Stretch u 6x relative to v: rain bands aligned with v.
-                let n = fbm3(&NoiseSpec::new(seed, 4.0, 4), u * 6.0, v, w * 2.0);
                 let t = ((n + 0.1) / 1.1).max(0.0);
                 t * t
             }
-            FieldKind::Turbulent => {
-                let n = fbm3(&NoiseSpec::new(seed, 4.0, 7), u, v, w);
-                0.5 + 0.5 * n
-            }
-            FieldKind::TurbulentVelocity => fbm3(&NoiseSpec::new(seed, 4.0, 7), u, v, w),
+            FieldKind::Turbulent => 0.5 + 0.5 * n,
+            FieldKind::TurbulentVelocity => n,
         }
     }
 
     /// Whether the recipe produces signed values.
     pub fn signed(self) -> bool {
         matches!(self, FieldKind::Vortex | FieldKind::TurbulentVelocity)
+    }
+}
+
+/// A [`FieldKind`] recipe set up for rows that share their `u`
+/// coordinates (see [`FieldKind::rows`]).
+#[derive(Clone, Debug)]
+pub struct FieldRows<'a> {
+    kind: FieldKind,
+    us: &'a [f64],
+    noise: FbmRows,
+    stretch_w: f64,
+}
+
+impl FieldRows<'_> {
+    /// Evaluate the row at `(v, w)` into `out`, one value per `u`.
+    pub fn eval(&self, v: f64, w: f64, out: &mut [f64]) {
+        self.noise.eval(v, w * self.stretch_w, out);
+        for (n, &u) in out.iter_mut().zip(self.us) {
+            *n = self.kind.shape(*n, u, v, w);
+        }
     }
 }
 
@@ -118,7 +166,7 @@ pub fn synthesize_evolving(
     range: (f64, f64),
     drift: Option<f64>,
 ) -> Tensor<f32> {
-    let [nx, ny, nz, nw] = shape.dims();
+    let [nx, ny, nz, _] = shape.dims();
     let (lo, hi) = range;
     let inv = |n: usize| 1.0 / n.max(2).saturating_sub(1).max(1) as f64;
     let (ix, iy, iz) = (inv(nx), inv(ny), inv(nz));
@@ -134,21 +182,22 @@ pub fn synthesize_evolving(
             None => (seed ^ SplitMix64::mix(w4 as u64 + 1), 0.0),
         };
         let wz = z as f64 * iz;
-        for y in 0..ny {
+        let us: Vec<f64> = (0..nx).map(|x| x as f64 * ix + t_off).collect();
+        let rows = kind.rows(wseed, &us);
+        let mut units = vec![0f64; nx];
+        for (y, row) in chunk.chunks_exact_mut(nx).enumerate() {
             let vy = y as f64 * iy;
-            for x in 0..nx {
-                let uu = x as f64 * ix + t_off;
-                let unit = kind.eval(wseed, uu, vy, wz);
+            rows.eval(vy, wz, &mut units);
+            for (dst, &unit) in row.iter_mut().zip(&units) {
                 let t = if kind.signed() {
                     (unit + 1.0) * 0.5
                 } else {
                     unit
                 };
-                chunk[x + y * nx] = (lo + (hi - lo) * t) as f32;
+                *dst = (lo + (hi - lo) * t) as f32;
             }
         }
     });
-    let _ = nw;
     Tensor::from_vec(shape, data).expect("buffer sized from shape")
 }
 

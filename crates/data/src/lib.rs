@@ -29,7 +29,7 @@ mod rng;
 pub mod spectral;
 
 pub use catalog::{catalog_fields, AppDataset, Field, GenOptions};
-pub use fields::{synthesize_evolving, FieldKind};
-pub use noise::{fbm3, value_noise3, NoiseSpec};
+pub use fields::{synthesize_evolving, FieldKind, FieldRows};
+pub use noise::{fbm3, value_noise3, FbmRows, NoiseSpec};
 pub use rng::{Rng64, SplitMix64};
 pub use spectral::{fft_1d, fft_3d, gaussian_random_field, GrfSpec};
