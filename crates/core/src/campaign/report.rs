@@ -419,7 +419,15 @@ mod tests {
         // legs dwarfs the modeled kernel time, so this campaign's idle is
         // transfer-bound — exactly the diagnosis the split exists to make.
         assert!(e.transfer_bound());
-        assert!(e.h2d_fraction() > e.compute_fraction());
+        // Each tiny job runs as one slab, so its pair uploads in exactly
+        // one PCIe leg.
+        let link = zc_gpusim::stream::HostLink::pcie();
+        for job in &report.jobs {
+            let m = job.metrics().expect("every job completes");
+            let pair_bytes = job.spec.field.shape().len() as u64 * 4 * 2;
+            let h2d = m.e2e.expect("device executor").h2d_s;
+            assert_eq!(h2d.to_bits(), link.transfer_s(pair_bytes).to_bits());
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! correctness check compares against; the `_par` versions are the
 //! functional engine of the ompZC executor, parallelized with `zc_par`'s
 //! deterministic fork/join. Both produce values matching the GPU kernels
-//! to floating-point reduction tolerance.
+//! to floating-point reduction tolerance. Every pass takes a slab count
+//! and folds the slabs in order; one slab is the monolithic scan.
 
 use crate::config::SsimSettings;
 use zc_kernels::acc::{deriv1_nd, deriv2_nd};
@@ -29,14 +30,9 @@ pub fn slab_ranges(n: usize, slabs: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Serial fused pattern-1 scan.
-pub fn p1_scan(f: &FieldPair<'_>) -> P1Scalars {
-    p1_scan_tiled(f, 1)
-}
-
-/// Slab-tiled serial pattern-1 scan: one carried accumulator absorbs each
-/// z-slab in order — the absorb sequence is identical to the monolithic
-/// scan, so the result is bit-identical for every slab count.
+/// Serial fused pattern-1 scan, slab-tiled: one carried accumulator
+/// absorbs each z-slab in order, so the absorb sequence — and every bit of
+/// the result — is the same for every slab count (1 = monolithic).
 pub fn p1_scan_tiled(f: &FieldPair<'_>, slabs: usize) -> P1Scalars {
     let plane = f.shape.slab_len().max(1);
     let mut acc = P1Scalars::identity();
@@ -49,14 +45,9 @@ pub fn p1_scan_tiled(f: &FieldPair<'_>, slabs: usize) -> P1Scalars {
     acc
 }
 
-/// Parallel fused pattern-1 scan (one task per z-slab).
-pub fn p1_scan_par(f: &FieldPair<'_>) -> P1Scalars {
-    p1_scan_par_tiled(f, 1)
-}
-
-/// Slab-tiled parallel pattern-1 scan: plane tasks fork within each slab,
-/// partials combine in ascending plane order into a carried accumulator —
-/// the same combine sequence as the monolithic parallel scan.
+/// Parallel fused pattern-1 scan, slab-tiled: plane tasks fork within each
+/// slab, partials combine in ascending plane order into a carried
+/// accumulator — the same combine sequence for every slab count.
 pub fn p1_scan_par_tiled(f: &FieldPair<'_>, slabs: usize) -> P1Scalars {
     let slab = f.shape.slab_len();
     let tasks = f.orig.len().div_ceil(slab);
@@ -105,14 +96,9 @@ fn hist_insert(h: &mut P1Histograms, orig: &[f32], dec: &[f32]) {
     }
 }
 
-/// Serial histogram pass (bounds from the scalar pass).
-pub fn histograms(f: &FieldPair<'_>, scalars: &P1Scalars, bins: usize) -> P1Histograms {
-    histograms_tiled(f, scalars, bins, 1)
-}
-
-/// Slab-tiled serial histogram pass — integer bin counts merge exactly, so
-/// any contiguous split reproduces the monolithic histograms bit-for-bit
-/// (bounds come from the already-complete scalar pass).
+/// Serial histogram pass, slab-tiled (bounds from the already-complete
+/// scalar pass). Integer bin counts merge exactly, so any contiguous split
+/// reproduces the one-slab histograms bit-for-bit.
 pub fn histograms_tiled(
     f: &FieldPair<'_>,
     scalars: &P1Scalars,
@@ -131,12 +117,7 @@ pub fn histograms_tiled(
     h
 }
 
-/// Parallel histogram pass.
-pub fn histograms_par(f: &FieldPair<'_>, scalars: &P1Scalars, bins: usize) -> P1Histograms {
-    histograms_par_tiled(f, scalars, bins, 1)
-}
-
-/// Slab-tiled parallel histogram pass (plane tasks fork within each slab,
+/// Parallel histogram pass, slab-tiled (plane tasks fork within each slab,
 /// counts merge in ascending plane order).
 pub fn histograms_par_tiled(
     f: &FieldPair<'_>,
@@ -244,12 +225,8 @@ fn p2_planes(f: &FieldPair<'_>) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Serial pattern-2 scan (derivatives + all autocorrelation lags).
-pub fn p2_scan(f: &FieldPair<'_>, mean_e: f64, max_lag: usize) -> P2Stats {
-    p2_scan_tiled(f, mean_e, max_lag, 1)
-}
-
-/// Slab-tiled serial pattern-2 scan. Stencil reads inside `p2_plane`
+/// Serial pattern-2 scan (derivatives + all autocorrelation lags),
+/// slab-tiled. Stencil reads inside `p2_plane`
 /// reach one z slice past the plane itself (derivative halo, lag reach for
 /// autocorrelation), so tiling changes only where the plane sequence is
 /// cut — the carried combine keeps the (w4-outer, z-inner) order and the
@@ -265,13 +242,9 @@ pub fn p2_scan_tiled(f: &FieldPair<'_>, mean_e: f64, max_lag: usize, slabs: usiz
     st
 }
 
-/// Parallel pattern-2 scan (one task per z plane).
-pub fn p2_scan_par(f: &FieldPair<'_>, mean_e: f64, max_lag: usize) -> P2Stats {
-    p2_scan_par_tiled(f, mean_e, max_lag, 1)
-}
-
-/// Slab-tiled parallel pattern-2 scan: plane tasks fork within each slab,
-/// partials combine in ascending plane order into a carried accumulator.
+/// Parallel pattern-2 scan, slab-tiled: plane tasks (one per z plane) fork
+/// within each slab, partials combine in ascending plane order into a
+/// carried accumulator.
 pub fn p2_scan_par_tiled(f: &FieldPair<'_>, mean_e: f64, max_lag: usize, slabs: usize) -> P2Stats {
     let planes = p2_planes(f);
     let mut acc = P2Stats::identity(max_lag);
@@ -340,18 +313,13 @@ impl Svt {
     }
 }
 
-/// SSIM over all windows via summed-volume tables. Serial or parallel over
-/// z window origins depending on `parallel`.
-pub fn ssim_scan(f: &FieldPair<'_>, ssim: &SsimSettings, range: f64, parallel: bool) -> SsimAcc {
-    ssim_scan_tiled(f, ssim, range, parallel, 1)
-}
-
-/// Slab-tiled SSIM scan: within each w4 component the z window rows fold
-/// in ascending order regardless of where slab boundaries fall, so the
-/// accumulation sequence (and hence every bit of the result) matches the
-/// monolithic scan. Window rows whose support straddles a slab boundary
-/// read the one-window halo (slices already resident from the previous
-/// slab in the streaming schedule).
+/// SSIM over all windows via summed-volume tables, serial or parallel over
+/// z window origins depending on `parallel`, slab-tiled: within each w4
+/// component the z window rows fold in ascending order regardless of where
+/// slab boundaries fall, so the accumulation sequence (and hence every bit
+/// of the result) is the same for every slab count. Window rows whose
+/// support straddles a slab boundary read the one-window halo (slices
+/// already resident from the previous slab in the streaming schedule).
 pub fn ssim_scan_tiled(
     f: &FieldPair<'_>,
     ssim: &SsimSettings,
@@ -436,8 +404,8 @@ mod tests {
     fn parallel_p1_matches_serial() {
         let (orig, dec) = fields(Shape::d3(31, 17, 9));
         let f = FieldPair::new(&orig, &dec);
-        let a = p1_scan(&f);
-        let b = p1_scan_par(&f);
+        let a = p1_scan_tiled(&f, 1);
+        let b = p1_scan_par_tiled(&f, 1);
         assert_eq!(a.n, b.n);
         assert_eq!(a.min_e, b.min_e);
         assert!((a.sum_e2 - b.sum_e2).abs() < 1e-9 * a.sum_e2.abs().max(1e-30));
@@ -447,9 +415,9 @@ mod tests {
     fn parallel_histograms_match_serial() {
         let (orig, dec) = fields(Shape::d3(20, 20, 8));
         let f = FieldPair::new(&orig, &dec);
-        let scalars = p1_scan(&f);
-        let a = histograms(&f, &scalars, 64);
-        let b = histograms_par(&f, &scalars, 64);
+        let scalars = p1_scan_tiled(&f, 1);
+        let a = histograms_tiled(&f, &scalars, 64, 1);
+        let b = histograms_par_tiled(&f, &scalars, 64, 1);
         assert_eq!(a.err_pdf.counts(), b.err_pdf.counts());
         assert_eq!(a.value_hist.counts(), b.value_hist.counts());
         assert_eq!(a.rel_pdf.counts(), b.rel_pdf.counts());
@@ -459,9 +427,9 @@ mod tests {
     fn parallel_p2_matches_serial() {
         let (orig, dec) = fields(Shape::d3(14, 13, 12));
         let f = FieldPair::new(&orig, &dec);
-        let mu = p1_scan(&f).mean_e();
-        let a = p2_scan(&f, mu, 3);
-        let b = p2_scan_par(&f, mu, 3);
+        let mu = p1_scan_tiled(&f, 1).mean_e();
+        let a = p2_scan_tiled(&f, mu, 3, 1);
+        let b = p2_scan_par_tiled(&f, mu, 3, 1);
         assert_eq!(a.n_interior, b.n_interior);
         assert_eq!(a.ac_n, b.ac_n);
         assert!((a.sum_grad_x - b.sum_grad_x).abs() < 1e-9 * a.sum_grad_x.max(1e-30));
@@ -477,7 +445,7 @@ mod tests {
             k1: 0.01,
             k2: 0.03,
         };
-        let got = ssim_scan(&f, &settings, 2.0, false);
+        let got = ssim_scan_tiled(&f, &settings, 2.0, false, 1);
         // Brute force.
         let mut want = SsimAcc::default();
         let pos = |n: usize| (n - 5) / 2 + 1;
@@ -514,8 +482,8 @@ mod tests {
         let (orig, dec) = fields(Shape::d3(20, 20, 20));
         let f = FieldPair::new(&orig, &dec);
         let settings = SsimSettings::default();
-        let a = ssim_scan(&f, &settings, 2.0, false);
-        let b = ssim_scan(&f, &settings, 2.0, true);
+        let a = ssim_scan_tiled(&f, &settings, 2.0, false, 1);
+        let b = ssim_scan_tiled(&f, &settings, 2.0, true, 1);
         assert_eq!(a.windows, b.windows);
         assert!((a.sum - b.sum).abs() < 1e-9 * a.sum.abs().max(1e-30));
     }
@@ -524,10 +492,10 @@ mod tests {
     fn tiled_scans_are_bit_identical_to_monolithic() {
         let (orig, dec) = fields(Shape::d3(18, 14, 13));
         let f = FieldPair::new(&orig, &dec);
-        let mono = p1_scan(&f);
-        let hist = histograms(&f, &mono, 32);
-        let p2 = p2_scan(&f, mono.mean_e(), 3);
-        let ssim = ssim_scan(&f, &SsimSettings::default(), 2.0, false);
+        let mono = p1_scan_tiled(&f, 1);
+        let hist = histograms_tiled(&f, &mono, 32, 1);
+        let p2 = p2_scan_tiled(&f, mono.mean_e(), 3, 1);
+        let ssim = ssim_scan_tiled(&f, &SsimSettings::default(), 2.0, false, 1);
         for slabs in [1usize, 2, 3, 5, 13, 64] {
             assert_eq!(
                 p1_scan_tiled(&f, slabs).sum_e2.to_bits(),
@@ -535,7 +503,7 @@ mod tests {
             );
             assert_eq!(
                 p1_scan_par_tiled(&f, slabs).sum_e2.to_bits(),
-                p1_scan_par(&f).sum_e2.to_bits()
+                p1_scan_par_tiled(&f, 1).sum_e2.to_bits()
             );
             let h = histograms_tiled(&f, &mono, 32, slabs);
             assert_eq!(h.err_pdf.counts(), hist.err_pdf.counts());
@@ -551,7 +519,9 @@ mod tests {
                 p2_scan_par_tiled(&f, mono.mean_e(), 3, slabs)
                     .sum_grad_x
                     .to_bits(),
-                p2_scan_par(&f, mono.mean_e(), 3).sum_grad_x.to_bits()
+                p2_scan_par_tiled(&f, mono.mean_e(), 3, 1)
+                    .sum_grad_x
+                    .to_bits()
             );
             let t3 = ssim_scan_tiled(&f, &SsimSettings::default(), 2.0, false, slabs);
             assert_eq!(t3.sum.to_bits(), ssim.sum.to_bits());
@@ -576,7 +546,7 @@ mod tests {
     fn window_too_large_yields_empty() {
         let (orig, dec) = fields(Shape::d3(6, 6, 6));
         let f = FieldPair::new(&orig, &dec);
-        let got = ssim_scan(&f, &SsimSettings::default(), 1.0, false);
+        let got = ssim_scan_tiled(&f, &SsimSettings::default(), 1.0, false, 1);
         assert_eq!(got.windows, 0);
     }
 }

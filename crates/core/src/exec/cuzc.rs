@@ -39,33 +39,19 @@ impl Default for CuZc {
 }
 
 impl CuZc {
-    /// Launch a kernel through the configured lane path.
-    fn launch<K: HasReferencePath>(&self, k: &K, grid: usize) -> LaunchResult<K::Output> {
-        if self.reference_path {
-            self.sim.launch(&Reference(k), grid)
-        } else {
-            self.sim.launch(k, grid)
-        }
-    }
-
-    /// Launch a kernel slab-tiled (contiguous block ranges) when the plan
-    /// resolved more than one slab, monolithic otherwise. Tiled results are
-    /// bit-identical to monolithic by construction (`GpuSim::launch_tiled`);
-    /// the per-tile charges feed the streaming timeline.
+    /// Launch a kernel slab-tiled (contiguous block ranges) through the
+    /// configured lane path; one slab is a monolithic launch. The per-tile
+    /// charges feed the stream timeline.
     fn launch_slabs<K: HasReferencePath>(
         &self,
         k: &K,
         grid: usize,
         slabs: usize,
     ) -> (LaunchResult<K::Output>, Vec<TileCharge>) {
-        if slabs > 1 {
-            if self.reference_path {
-                self.sim.launch_tiled(&Reference(k), grid, slabs)
-            } else {
-                self.sim.launch_tiled(k, grid, slabs)
-            }
+        if self.reference_path {
+            self.sim.launch_tiled(&Reference(k), grid, slabs)
         } else {
-            (self.launch(k, grid), Vec::new())
+            self.sim.launch_tiled(k, grid, slabs)
         }
     }
 }

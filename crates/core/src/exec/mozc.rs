@@ -10,7 +10,7 @@ use crate::plan::{
     gpu_prepass_charge, Pass, PassCtx, PassExecution, PassKind, PassLaunch, PassOutput,
 };
 use zc_gpusim::stream::HostLink;
-use zc_gpusim::{BlockKernel, Counters, GpuSim, LaunchResult, TileCharge};
+use zc_gpusim::{Counters, GpuSim, TileCharge};
 use zc_kernels::mo::{
     MoAutocorrKernel, MoDerivKernel, MoHistKernel, MoHistKind, MoP1Kernel, MoP1Metric,
 };
@@ -28,23 +28,6 @@ impl Default for MoZc {
     fn default() -> Self {
         MoZc {
             sim: GpuSim::v100(),
-        }
-    }
-}
-
-impl MoZc {
-    /// Launch slab-tiled when the plan resolved more than one slab,
-    /// monolithic otherwise (results are bit-identical either way).
-    fn launch_slabs<K: BlockKernel>(
-        &self,
-        k: &K,
-        grid: usize,
-        slabs: usize,
-    ) -> (LaunchResult<K::Output>, Vec<TileCharge>) {
-        if slabs > 1 {
-            self.sim.launch_tiled(k, grid, slabs)
-        } else {
-            (self.sim.launch(k, grid), Vec::new())
         }
     }
 }
@@ -69,7 +52,7 @@ impl Executor for MoZc {
                 let mut p1 = None;
                 for metric in MoP1Metric::SCALARS {
                     let k = MoP1Kernel { fields: f, metric };
-                    let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                    let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                     launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                     kernel_tiles.push(tiles);
                     p1 = Some(r.output);
@@ -96,7 +79,7 @@ impl Executor for MoZc {
                         kind,
                         bins: cfg.bins,
                     };
-                    let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                    let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                     launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                     kernel_tiles.push(tiles);
                     outs.push(r.output);
@@ -128,7 +111,7 @@ impl Executor for MoZc {
                         order,
                         max_lag: cfg.max_lag,
                     };
-                    let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                    let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                     launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                     kernel_tiles.push(tiles);
                     stats.combine(&r.output);
@@ -141,7 +124,7 @@ impl Executor for MoZc {
                         mean_e: ctx.p1().mean_e(),
                         max_lag: cfg.max_lag,
                     };
-                    let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                    let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                     launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                     kernel_tiles.push(tiles);
                     stats.combine(&r.output);
@@ -166,7 +149,7 @@ impl Executor for MoZc {
                     params,
                     fifo_in_shared: false,
                 };
-                let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                 launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                 let mut ex = PassExecution::new(PassOutput::Ssim(r.output), launches);
                 ex.fold_tiles(slabs, &tiles);

@@ -22,9 +22,9 @@ impl Executor for SerialZc {
 
     fn run_pass(&self, pass: &Pass, ctx: &PassCtx<'_>) -> PassExecution {
         let f = FieldPair::new(ctx.orig, ctx.dec);
-        // Slab-tiled dispatch when the plan resolved more than one slab;
-        // the carried accumulators keep every value bit-identical to the
-        // monolithic scan (see cpu_ref's `_tiled` docs).
+        // Slab-tiled dispatch at the plan's slab count; the carried
+        // accumulators keep every value bit-identical at any count (see
+        // cpu_ref's `_tiled` docs).
         let s = ctx.slabs;
         let output = match pass.kind {
             // The scalar pass always runs: every derived metric and both

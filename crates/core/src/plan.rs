@@ -17,7 +17,9 @@
 //! 3. [`PlanRunner`] owns everything else an executor needs:
 //!    ordering, dependency resolution, counter merging, [`PatternRun`] /
 //!    [`PatternProfile`] construction, the modeled stream timeline
-//!    ([`zc_gpusim::stream`]) and the final [`Assessment`] assembly.
+//!    ([`zc_gpusim::stream`]) and the final [`Assessment`] assembly. There
+//!    is one timeline builder, the slab schedule of DESIGN.md §6.8; a
+//!    monolithic run is its one-slab case.
 //!
 //! The scalar pass is **always** scheduled, even when no pattern-1 metric
 //! is selected: its mean error feeds the pattern-2 autocorrelation and its
@@ -329,15 +331,17 @@ pub struct PassExecution {
     pub output: PassOutput,
     /// The launches performed (empty for uncharged passes).
     pub launches: Vec<PassLaunch>,
-    /// Per-slab seconds when the backend dispatched the pass as z-slab
-    /// tiles (summed across the pass's launches; empty = untiled). The
-    /// launches above stay merged-monolithic records — tiles only refine
-    /// the stream timeline, never counters or profiles.
+    /// Per-slab seconds of the pass, one entry per slab (summed across the
+    /// pass's launches; a monolithic run has one). The stream timeline reads
+    /// only this, so a backend with a host link must fill it; CPU backends
+    /// leave it empty. The launches above stay merged whole-grid records —
+    /// tiles only shape the stream timeline, never counters or profiles.
     pub tiles: Vec<f64>,
 }
 
 impl PassExecution {
-    /// An untiled execution (the monolithic path and all CPU backends).
+    /// An execution with no tile record yet (CPU backends keep it so; GPU
+    /// backends add their launches' charges with [`Self::fold_tiles`]).
     pub fn new(output: PassOutput, launches: Vec<PassLaunch>) -> Self {
         PassExecution {
             output,
@@ -519,12 +523,12 @@ pub fn estimate_job_cost(
     let pair_bytes = shape.len() as u64 * 4 * 2;
     let planes = (shape.nz() * shape.nw()).max(1);
     let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, None).unwrap_or(1);
-    let runner = PlanRunner::new(plan);
-    let e2e = if slabs > 1 {
-        runner.timeline_tiled(&host, shape, cfg, &pass_seconds, &[], slabs, false)
-    } else {
-        runner.timeline(&host, shape, cfg, &pass_seconds)
-    };
+    // No backend ran, so each pass's seconds split evenly over the slabs.
+    let pass_tiles: Vec<(PassKind, Vec<f64>)> = pass_seconds
+        .iter()
+        .map(|&(kind, secs)| (kind, vec![secs / slabs as f64; slabs]))
+        .collect();
+    let e2e = timeline(&host, shape, cfg, &pass_tiles, slabs, false);
     CostEstimate {
         pass_seconds,
         bytes: bytes_total,
@@ -791,10 +795,6 @@ impl PatternAcc {
     }
 }
 
-/// How many chunks the input upload (and the pattern-1 scalar sweep) is
-/// split into on the monolithic modeled timeline.
-const H2D_CHUNKS: usize = 8;
-
 /// Modeled result read-back bytes per pass (scalar partial sets are tiny;
 /// histograms are `3 × bins` 8-byte counters).
 fn d2h_bytes(kind: PassKind, cfg: &AssessConfig) -> u64 {
@@ -869,7 +869,6 @@ impl<'a> PlanRunner<'a> {
             Pattern::CompressionMeta => unreachable!("meta pass is not executed"),
         };
         let mut counters = Counters::default();
-        let mut pass_seconds: Vec<(PassKind, f64)> = Vec::new();
         let mut pass_tiles: Vec<(PassKind, Vec<f64>)> = Vec::new();
         let mut hists = None;
         let mut p2 = None;
@@ -894,16 +893,11 @@ impl<'a> PlanRunner<'a> {
                 pass.kind
             );
             let ex = backend.run_pass(pass, &ctx);
-            let mut secs = 0.0;
             for l in &ex.launches {
                 counters.merge(&l.counters);
                 accs[acc_index(pass.pattern)].add(l);
-                secs += l.seconds;
             }
-            pass_seconds.push((pass.kind, secs));
-            if !ex.tiles.is_empty() {
-                pass_tiles.push((pass.kind, ex.tiles));
-            }
+            pass_tiles.push((pass.kind, ex.tiles));
             match ex.output {
                 PassOutput::Scalars(s) => ctx.p1 = Some(s),
                 PassOutput::Histograms(h) => hists = Some(h),
@@ -938,13 +932,6 @@ impl<'a> PlanRunner<'a> {
         if let Some(p) = backend.placement() {
             if p.gpus > 1 {
                 let placed = p.pattern_times(&runs, orig.shape(), cfg);
-                for (kind, secs) in pass_seconds.iter_mut() {
-                    let pattern = kind.pattern();
-                    let (old, new) = (times.of(pattern), placed.of(pattern));
-                    if old > 0.0 {
-                        *secs *= new / old;
-                    }
-                }
                 // Tile durations scale with their pass.
                 for (kind, tiles) in pass_tiles.iter_mut() {
                     let pattern = kind.pattern();
@@ -962,21 +949,7 @@ impl<'a> PlanRunner<'a> {
         let e2e = backend
             .transfer()
             .filter(|_| times.total() > 0.0)
-            .map(|link| {
-                if slabs > 1 {
-                    self.timeline_tiled(
-                        &link,
-                        orig.shape(),
-                        cfg,
-                        &pass_seconds,
-                        &pass_tiles,
-                        slabs,
-                        out_of_core,
-                    )
-                } else {
-                    self.timeline(&link, orig.shape(), cfg, &pass_seconds)
-                }
-            });
+            .map(|link| timeline(&link, orig.shape(), cfg, &pass_tiles, slabs, out_of_core));
 
         let p1 = ctx
             .p1
@@ -995,297 +968,202 @@ impl<'a> PlanRunner<'a> {
             confidence: Confidence::Full,
         })
     }
+}
 
-    /// Build the modeled copy/compute stream timeline for a device-resident
-    /// backend: both fields upload in [`H2D_CHUNKS`] chunks on stream 0,
-    /// then the scalar reduction runs in as many chunks on stream 0; the
-    /// dependent passes (histograms on stream 0, stencil on stream 1,
-    /// SSIM on stream 2) wait for the full upload plus the scalars; each
-    /// pass reads back its (tiny) partials over the D2H engine.
-    ///
-    /// The scalar chunks do **not** overlap the upload: every upload chunk
-    /// is queued on stream 0 before the first scalar chunk, and
-    /// [`Timeline::push`] starts no event before its stream's last end, so
-    /// the first scalar chunk waits for the whole upload. Chunking the
-    /// upload only adds `H2D_CHUNKS - 1` extra link latencies. Overlap of
-    /// upload and compute comes from the slab-tiled timeline instead.
-    fn timeline(
-        &self,
-        link: &HostLink,
-        shape: Shape,
-        cfg: &AssessConfig,
-        pass_seconds: &[(PassKind, f64)],
-    ) -> EndToEnd {
-        let secs = |kind: PassKind| {
-            pass_seconds
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, s)| *s)
-        };
-        let mut tl = Timeline::new();
-        let field_bytes = shape.len() as u64 * 4 * 2; // both fields
-        let chunk = field_bytes / H2D_CHUNKS as u64;
-        let mut h2d_ids = Vec::with_capacity(H2D_CHUNKS);
-        for i in 0..H2D_CHUNKS {
-            let bytes = if i + 1 == H2D_CHUNKS {
-                field_bytes - chunk * (H2D_CHUNKS as u64 - 1)
-            } else {
-                chunk
-            };
-            h2d_ids.push(tl.push(0, Engine::H2D, link.transfer_s(bytes), &[]));
-        }
-        let last_h2d = *h2d_ids.last().expect("at least one upload chunk");
+/// The modeled copy/compute stream timeline of a device-resident run
+/// (DESIGN.md §6.8), built from each pass's per-slab seconds. The field
+/// pair uploads one z-slab at a time; every pass's slab-`k` tile starts as
+/// soon as the slabs it reads have landed, so H2D of slab *k+1* overlaps
+/// compute of slab *k*, partial read-backs overlap both, and downstream
+/// passes begin before upstream passes finish their last slab:
+///
+/// * P1 scalars tile *k* needs only upload slab *k* (stream 0);
+/// * histogram tile *k* needs the *running* scalars (the latest P1 tile so
+///   far) plus slab *k* — re-uploaded per tile when the field is
+///   out-of-core;
+/// * the stencil tile *k* additionally needs its forward halo — the
+///   `max_lag` slices past the slab boundary, i.e. upload slabs up to
+///   *k + span* (stream 1);
+/// * the SSIM FIFO consumes slices in z order, so tile *k* needs the
+///   running value range plus slab *k* (stream 2).
+///
+/// A monolithic run is the one-slab case: one upload leg, the passes one
+/// after another on the compute engine (histograms, stencil and SSIM
+/// behind the scalars), and one read-back leg per pass on its drain stream.
+///
+/// Downstream tiles deliberately consume the **prefix** scalars — the P1
+/// tile covering their own slab, not the final one — modeling the standard
+/// deferred-finalize streaming restructure (raw moments with an
+/// end-of-stream fix-up; see §6.8). Waiting on the *last* P1 tile would
+/// chain every heavy pass behind the complete upload and reduce the
+/// schedule to the one-slab one.
+///
+/// Compute events serialize on the single device's compute engine **in
+/// push order**, so rounds are pushed interleaved by slab (P1[k], hist[k],
+/// stencil[k], SSIM[k], then slab k+1) — pushing one pass's full sweep
+/// first would serialize every later pass behind it. Per-slab D2H events
+/// drain each pass's running partials.
+fn timeline(
+    link: &HostLink,
+    shape: Shape,
+    cfg: &AssessConfig,
+    pass_tiles: &[(PassKind, Vec<f64>)],
+    slabs: usize,
+    out_of_core: bool,
+) -> EndToEnd {
+    let pair_bytes = shape.len() as u64 * 4 * 2;
+    let planes = (shape.nz() * shape.nw()).max(1);
+    // Slab k's upload bytes (even plane split, remainder up front —
+    // matching the contiguous block split in `launch_tiled`).
+    let slab_bytes = |k: usize| {
+        let base = planes / slabs;
+        let extra = usize::from(k < planes % slabs);
+        (base + extra) as u64 * shape.slab_len() as u64 * 4 * 2
+    };
+    debug_assert_eq!((0..slabs).map(slab_bytes).sum::<u64>(), pair_bytes);
+    // The stencil's forward halo, in slabs.
+    let span = cfg.max_lag.div_ceil((planes / slabs).max(1));
 
-        let mut d2h_deps: Vec<(usize, PassKind, zc_gpusim::stream::EventId)> = Vec::new();
-        // Pattern-1 scalars: a reduction, chunked like the upload on stream
-        // 0 — and therefore queued behind all of it (see the doc above).
-        let t_scalars = secs(PassKind::P1Scalars).unwrap_or(0.0);
-        let mut last_scalar = None;
-        if t_scalars > 0.0 {
-            for &h in &h2d_ids {
-                last_scalar =
-                    Some(tl.push(0, Engine::Compute, t_scalars / H2D_CHUNKS as f64, &[h]));
-            }
-            d2h_deps.push((0, PassKind::P1Scalars, last_scalar.expect("chunks > 0")));
-        }
-        let scalar_deps: Vec<zc_gpusim::stream::EventId> = match last_scalar {
-            Some(id) => vec![last_h2d, id],
-            None => vec![last_h2d],
-        };
-        // Histograms re-read the whole field and need the scalar min/max.
-        if let Some(t) = secs(PassKind::P1Hist).filter(|t| *t > 0.0) {
-            let id = tl.push(0, Engine::Compute, t, &scalar_deps);
-            d2h_deps.push((0, PassKind::P1Hist, id));
-        }
-        // Independent patterns on their own streams.
-        if let Some(t) = secs(PassKind::P2Stencil).filter(|t| *t > 0.0) {
-            let id = tl.push(1, Engine::Compute, t, &scalar_deps);
-            d2h_deps.push((1, PassKind::P2Stencil, id));
-        }
-        if let Some(t) = secs(PassKind::P3Ssim).filter(|t| *t > 0.0) {
-            let id = tl.push(2, Engine::Compute, t, &scalar_deps);
-            d2h_deps.push((2, PassKind::P3Ssim, id));
-        }
-        for (stream, kind, dep) in &d2h_deps {
+    // A pass's per-slab durations, if the plan ran it.
+    let tiles_of = |kind: PassKind| -> Option<&[f64]> {
+        pass_tiles
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map(|(_, v)| v.as_slice())
+    };
+    // Tile i of t maps onto upload slab floor-scaled into `slabs`.
+    let slab_of = |i: usize, t: usize| ((i + 1) * slabs).div_ceil(t) - 1;
+
+    // Copies live on their own streams: a compute tile enqueued on the
+    // stream its input upload used would serialize behind the *whole*
+    // upload queue (CUDA stream FIFO) — exactly the non-overlap this
+    // schedule exists to fix. Cross-stream ordering is done with event
+    // dependencies only.
+    const UPLOAD_STREAM: usize = 8;
+    const REUPLOAD_STREAM: usize = 9; // + pass stream
+    const DRAIN_STREAM: usize = 12; // + pass stream
+
+    let mut tl = Timeline::new();
+    let h2d: Vec<_> = (0..slabs)
+        .map(|k| {
             tl.push(
-                *stream,
-                Engine::D2H,
-                link.transfer_s(d2h_bytes(*kind, cfg)),
-                &[*dep],
-            );
-        }
-        EndToEnd {
-            h2d_s: tl.engine_busy_s(Engine::H2D),
-            d2h_s: tl.engine_busy_s(Engine::D2H),
-            compute_s: tl.engine_busy_s(Engine::Compute),
-            serialized_s: tl.serialized_s(),
-            overlapped_s: tl.makespan_s(),
-        }
-    }
-
-    /// The slab-tiled dataflow timeline (DESIGN.md §6.8): the field pair
-    /// uploads one z-slab at a time; every pass's slab-`k` tile starts as
-    /// soon as the slabs it reads have landed, so H2D of slab *k+1*
-    /// overlaps compute of slab *k*, partial read-backs overlap both, and
-    /// downstream passes begin before upstream passes finish their last
-    /// slab:
-    ///
-    /// * P1 scalars tile *k* needs only upload slab *k* (stream 0);
-    /// * histogram tile *k* needs the *running* scalars (the latest P1
-    ///   tile so far) plus slab *k* — re-uploaded per tile when the field
-    ///   is out-of-core;
-    /// * the stencil tile *k* additionally needs its forward halo — the
-    ///   `max_lag` slices past the slab boundary, i.e. upload slabs up to
-    ///   *k + span* (stream 1);
-    /// * the SSIM FIFO consumes slices in z order, so tile *k* needs the
-    ///   running value range plus slab *k* (stream 2).
-    ///
-    /// Downstream tiles deliberately consume the **prefix** scalars — the
-    /// P1 tile covering their own slab, not the final one — modeling the
-    /// standard deferred-finalize streaming restructure (raw moments with
-    /// an end-of-stream fix-up; see §6.8). Waiting on the *last* P1 tile
-    /// would chain every heavy pass behind the complete upload and reduce
-    /// the schedule to the monolithic one.
-    ///
-    /// Compute events serialize on the single device's compute engine **in
-    /// push order**, so rounds are pushed interleaved by slab (P1[k],
-    /// hist[k], stencil[k], SSIM[k], then slab k+1) — pushing one pass's
-    /// full sweep first would serialize every later pass behind it.
-    /// Per-slab D2H events drain each pass's running partials.
-    #[allow(clippy::too_many_arguments)]
-    fn timeline_tiled(
-        &self,
-        link: &HostLink,
-        shape: Shape,
-        cfg: &AssessConfig,
-        pass_seconds: &[(PassKind, f64)],
-        pass_tiles: &[(PassKind, Vec<f64>)],
-        slabs: usize,
-        out_of_core: bool,
-    ) -> EndToEnd {
-        let pair_bytes = shape.len() as u64 * 4 * 2;
-        let planes = (shape.nz() * shape.nw()).max(1);
-        // Slab k's upload bytes (even plane split, remainder up front —
-        // matching the contiguous block split in `launch_tiled`).
-        let slab_bytes = |k: usize| {
-            let base = planes / slabs;
-            let extra = usize::from(k < planes % slabs);
-            (base + extra) as u64 * shape.slab_len() as u64 * 4 * 2
-        };
-        debug_assert_eq!((0..slabs).map(slab_bytes).sum::<u64>(), pair_bytes);
-        // The stencil's forward halo, in slabs.
-        let span = cfg.max_lag.div_ceil((planes / slabs).max(1));
-
-        // A pass's per-slab durations: the backend's tile record, or an
-        // even split of its pass seconds when the backend didn't tile.
-        let tiles_of = |kind: PassKind| -> Option<Vec<f64>> {
-            let total = pass_seconds
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, s)| *s)
-                .filter(|s| *s > 0.0)?;
-            Some(
-                pass_tiles
-                    .iter()
-                    .find(|(k, _)| *k == kind)
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_else(|| vec![total / slabs as f64; slabs]),
+                UPLOAD_STREAM,
+                Engine::H2D,
+                link.transfer_s(slab_bytes(k)),
+                &[],
             )
-        };
-        // Tile i of t maps onto upload slab floor-scaled into `slabs`.
-        let slab_of = |i: usize, t: usize| ((i + 1) * slabs).div_ceil(t) - 1;
-
-        // Copies live on their own streams: a compute tile enqueued on the
-        // stream its input upload used would serialize behind the *whole*
-        // upload queue (CUDA stream FIFO) — exactly the non-overlap this
-        // schedule exists to fix. Cross-stream ordering is done with event
-        // dependencies only.
-        const UPLOAD_STREAM: usize = 8;
-        const REUPLOAD_STREAM: usize = 9; // + pass stream
-        const DRAIN_STREAM: usize = 12; // + pass stream
-
-        let mut tl = Timeline::new();
-        let h2d: Vec<_> = (0..slabs)
-            .map(|k| {
-                tl.push(
-                    UPLOAD_STREAM,
-                    Engine::H2D,
-                    link.transfer_s(slab_bytes(k)),
-                    &[],
-                )
-            })
-            .collect();
-
-        // Per-tile partial read-back on a dedicated drain stream: tiny
-        // running partials leave the device while later tiles still compute.
-        let drain = |tl: &mut Timeline, stream, kind, events: &[zc_gpusim::stream::EventId]| {
-            if events.is_empty() {
-                return;
-            }
-            let bytes = (d2h_bytes(kind, cfg) / events.len() as u64).max(1);
-            for &ev in events {
-                tl.push(
-                    DRAIN_STREAM + stream,
-                    Engine::D2H,
-                    link.transfer_s(bytes),
-                    &[ev],
-                );
-            }
-        };
-
-        // Dependent passes: (kind, stream, forward halo in slabs).
-        struct Sched {
-            kind: PassKind,
-            stream: usize,
-            halo: usize,
-            tiles: Vec<f64>,
-            next: usize,
-            events: Vec<zc_gpusim::stream::EventId>,
-        }
-        let mut dependents: Vec<Sched> = [
-            (PassKind::P1Hist, 0usize, 0usize),
-            (PassKind::P2Stencil, 1, span),
-            (PassKind::P3Ssim, 2, 0),
-        ]
-        .into_iter()
-        .filter_map(|(kind, stream, halo)| {
-            Some(Sched {
-                kind,
-                stream,
-                halo,
-                tiles: tiles_of(kind)?,
-                next: 0,
-                events: Vec::new(),
-            })
         })
         .collect();
 
-        // Round k: the P1 tile for slab k runs as soon as the slab lands,
-        // then every dependent pass's slab-k tile follows, consuming the
-        // running scalars accumulated so far (`last_p1`).
-        let p1 = tiles_of(PassKind::P1Scalars).unwrap_or_default();
-        let mut p1_next = 0usize;
-        let mut p1_events = Vec::new();
-        let mut last_p1 = None;
-        for k in 0..slabs {
-            while p1_next < p1.len() && slab_of(p1_next, p1.len()) <= k {
-                let (i, t) = (p1_next, p1[p1_next]);
-                p1_next += 1;
+    // Per-tile partial read-back on a dedicated drain stream: tiny
+    // running partials leave the device while later tiles still compute.
+    let drain = |tl: &mut Timeline, stream, kind, events: &[zc_gpusim::stream::EventId]| {
+        if events.is_empty() {
+            return;
+        }
+        let bytes = (d2h_bytes(kind, cfg) / events.len() as u64).max(1);
+        for &ev in events {
+            tl.push(
+                DRAIN_STREAM + stream,
+                Engine::D2H,
+                link.transfer_s(bytes),
+                &[ev],
+            );
+        }
+    };
+
+    // Dependent passes: (kind, stream, forward halo in slabs).
+    struct Sched<'a> {
+        kind: PassKind,
+        stream: usize,
+        halo: usize,
+        tiles: &'a [f64],
+        next: usize,
+        events: Vec<zc_gpusim::stream::EventId>,
+    }
+    let mut dependents: Vec<Sched> = [
+        (PassKind::P1Hist, 0usize, 0usize),
+        (PassKind::P2Stencil, 1, span),
+        (PassKind::P3Ssim, 2, 0),
+    ]
+    .into_iter()
+    .filter_map(|(kind, stream, halo)| {
+        Some(Sched {
+            kind,
+            stream,
+            halo,
+            tiles: tiles_of(kind)?,
+            next: 0,
+            events: Vec::new(),
+        })
+    })
+    .collect();
+
+    // Round k: the P1 tile for slab k runs as soon as the slab lands,
+    // then every dependent pass's slab-k tile follows, consuming the
+    // running scalars accumulated so far (`last_p1`).
+    let p1 = tiles_of(PassKind::P1Scalars).unwrap_or_default();
+    let mut p1_next = 0usize;
+    let mut p1_events = Vec::new();
+    let mut last_p1 = None;
+    for k in 0..slabs {
+        while p1_next < p1.len() && slab_of(p1_next, p1.len()) <= k {
+            let (i, t) = (p1_next, p1[p1_next]);
+            p1_next += 1;
+            if t <= 0.0 {
+                continue;
+            }
+            let ev = tl.push(0, Engine::Compute, t, &[h2d[slab_of(i, p1.len())]]);
+            p1_events.push(ev);
+            last_p1 = Some(ev);
+        }
+        for s in dependents.iter_mut() {
+            while s.next < s.tiles.len() && slab_of(s.next, s.tiles.len()) <= k {
+                let (i, t) = (s.next, s.tiles[s.next]);
+                s.next += 1;
                 if t <= 0.0 {
                     continue;
                 }
-                let ev = tl.push(0, Engine::Compute, t, &[h2d[slab_of(i, p1.len())]]);
-                p1_events.push(ev);
-                last_p1 = Some(ev);
-            }
-            for s in dependents.iter_mut() {
-                while s.next < s.tiles.len() && slab_of(s.next, s.tiles.len()) <= k {
-                    let (i, t) = (s.next, s.tiles[s.next]);
-                    s.next += 1;
-                    if t <= 0.0 {
-                        continue;
-                    }
-                    let slab = slab_of(i, s.tiles.len())
-                        .saturating_add(s.halo)
-                        .min(slabs - 1);
-                    let mut deps = Vec::with_capacity(2);
-                    // All three need a P1 output (running min/max, μₑ,
-                    // value range — finalized after the stream drains).
-                    if let Some(p1) = last_p1 {
-                        deps.push(p1);
-                    }
-                    if out_of_core {
-                        // The slab was evicted after the P1 sweep:
-                        // re-upload it (and its halo) on this pass's copy
-                        // stream.
-                        let bytes = (slab_of(i, s.tiles.len())..=slab)
-                            .map(slab_bytes)
-                            .sum::<u64>();
-                        deps.push(tl.push(
-                            REUPLOAD_STREAM + s.stream,
-                            Engine::H2D,
-                            link.transfer_s(bytes),
-                            &[],
-                        ));
-                    } else {
-                        deps.push(h2d[slab]);
-                    }
-                    s.events.push(tl.push(s.stream, Engine::Compute, t, &deps));
+                let slab = slab_of(i, s.tiles.len())
+                    .saturating_add(s.halo)
+                    .min(slabs - 1);
+                let mut deps = Vec::with_capacity(2);
+                // All three need a P1 output (running min/max, μₑ,
+                // value range — finalized after the stream drains).
+                if let Some(p1) = last_p1 {
+                    deps.push(p1);
                 }
+                if out_of_core {
+                    // The slab was evicted after the P1 sweep:
+                    // re-upload it (and its halo) on this pass's copy
+                    // stream.
+                    let bytes = (slab_of(i, s.tiles.len())..=slab)
+                        .map(slab_bytes)
+                        .sum::<u64>();
+                    deps.push(tl.push(
+                        REUPLOAD_STREAM + s.stream,
+                        Engine::H2D,
+                        link.transfer_s(bytes),
+                        &[],
+                    ));
+                } else {
+                    deps.push(h2d[slab]);
+                }
+                s.events.push(tl.push(s.stream, Engine::Compute, t, &deps));
             }
         }
-        drain(&mut tl, 0, PassKind::P1Scalars, &p1_events);
-        for s in &dependents {
-            drain(&mut tl, s.stream, s.kind, &s.events);
-        }
+    }
+    drain(&mut tl, 0, PassKind::P1Scalars, &p1_events);
+    for s in &dependents {
+        drain(&mut tl, s.stream, s.kind, &s.events);
+    }
 
-        EndToEnd {
-            h2d_s: tl.engine_busy_s(Engine::H2D),
-            d2h_s: tl.engine_busy_s(Engine::D2H),
-            compute_s: tl.engine_busy_s(Engine::Compute),
-            serialized_s: tl.serialized_s(),
-            overlapped_s: tl.makespan_s(),
-        }
+    EndToEnd {
+        h2d_s: tl.engine_busy_s(Engine::H2D),
+        d2h_s: tl.engine_busy_s(Engine::D2H),
+        compute_s: tl.engine_busy_s(Engine::Compute),
+        serialized_s: tl.serialized_s(),
+        overlapped_s: tl.makespan_s(),
     }
 }
 
@@ -1293,6 +1171,43 @@ impl<'a> PlanRunner<'a> {
 mod tests {
     use super::*;
     use zc_tensor::Shape;
+
+    /// Each pass's seconds split evenly over `slabs` tiles.
+    fn even(pass_seconds: &[(PassKind, f64)], slabs: usize) -> Vec<(PassKind, Vec<f64>)> {
+        pass_seconds
+            .iter()
+            .map(|&(kind, secs)| (kind, vec![secs / slabs as f64; slabs]))
+            .collect()
+    }
+
+    /// A monolithic run is one slab: one upload leg for the whole pair, one
+    /// read-back leg per pass, every pass's seconds on the compute engine,
+    /// and a makespan between the upload-then-compute chain and the
+    /// serialized sum.
+    #[test]
+    fn one_slab_timeline_pays_one_leg_per_transfer() {
+        let shape = Shape::d3(64, 48, 32);
+        let cfg = AssessConfig::default();
+        let link = HostLink::pcie();
+        let pass_seconds = [
+            (PassKind::P1Scalars, 0.05e-3),
+            (PassKind::P1Hist, 0.04e-3),
+            (PassKind::P2Stencil, 0.6e-3),
+            (PassKind::P3Ssim, 2.5e-3),
+        ];
+        let e2e = timeline(&link, shape, &cfg, &even(&pass_seconds, 1), 1, false);
+        let pair = shape.len() as u64 * 4 * 2;
+        assert_eq!(e2e.h2d_s, link.transfer_s(pair));
+        let d2h: f64 = pass_seconds
+            .iter()
+            .map(|&(kind, _)| link.transfer_s(d2h_bytes(kind, &cfg)))
+            .sum();
+        assert_eq!(e2e.d2h_s, d2h);
+        let compute: f64 = pass_seconds.iter().map(|&(_, s)| s).sum();
+        assert_eq!(e2e.compute_s, compute);
+        assert!(e2e.h2d_s + e2e.compute_s <= e2e.overlapped_s);
+        assert!(e2e.overlapped_s <= e2e.serialized_s);
+    }
 
     /// The scheduling property the slab dataflow exists for: when per-slab
     /// compute dwarfs the per-slab upload, the whole upload except the
@@ -1311,13 +1226,11 @@ mod tests {
             (PassKind::P2Stencil, 5.6e-3),
             (PassKind::P3Ssim, 147.4e-3),
         ];
-        let plan = AssessPlan::lower(&cfg);
-        let e2e = PlanRunner::new(&plan).timeline_tiled(
+        let e2e = timeline(
             &link,
             shape,
             &cfg,
-            &pass_seconds,
-            &[],
+            &even(&pass_seconds, slabs),
             slabs,
             false,
         );
@@ -1350,10 +1263,9 @@ mod tests {
             (PassKind::P2Stencil, 1.0e-3),
             (PassKind::P3Ssim, 4.0e-3),
         ];
-        let plan = AssessPlan::lower(&cfg);
-        let runner = PlanRunner::new(&plan);
-        let resident = runner.timeline_tiled(&link, shape, &cfg, &pass_seconds, &[], 16, false);
-        let ooc = runner.timeline_tiled(&link, shape, &cfg, &pass_seconds, &[], 16, true);
+        let tiles = even(&pass_seconds, 16);
+        let resident = timeline(&link, shape, &cfg, &tiles, 16, false);
+        let ooc = timeline(&link, shape, &cfg, &tiles, 16, true);
         assert!(
             ooc.h2d_s > 3.0 * resident.h2d_s,
             "ooc h2d {:.4} ms vs resident {:.4} ms",

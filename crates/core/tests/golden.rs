@@ -23,7 +23,7 @@
 //! ```
 
 use zc_core::exec::{CuZc, Executor, MoZc, MultiCuZc, OmpZc, SerialZc};
-use zc_core::{AssessConfig, Metric};
+use zc_core::{AssessConfig, Metric, TilingPolicy};
 use zc_data::Rng64;
 use zc_gpusim::Counters;
 use zc_tensor::{Shape, Tensor};
@@ -283,6 +283,111 @@ fn regen_prepass() {
             ex.name(),
             run.modeled_seconds.to_bits()
         );
+    }
+    println!("];");
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end stream-timeline golden pins: every field of `Assessment::e2e`
+// (H2D, D2H, compute, serialized, overlapped seconds, as f64 bits) for the
+// three device-resident executors at three tiling policies. The counters and
+// metric values above cannot see a change to the transfer legs or to how
+// passes overlap them; these pins can (same regen flow: the `regen_e2e`
+// ignored test prints the block).
+
+/// The tiling policies whose timelines are pinned, in row order.
+const E2E_TILINGS: [TilingPolicy; 3] = [
+    TilingPolicy::Slabs(4),
+    TilingPolicy::Slabs(16),
+    TilingPolicy::Monolithic,
+];
+
+/// The device-resident executors whose timelines are pinned, in row order.
+/// The gang has two devices so its per-device transfer split is exercised.
+fn e2e_executors() -> Vec<Box<dyn Executor>> {
+    vec![
+        Box::new(CuZc::default()),
+        Box::new(MoZc::default()),
+        Box::new(MultiCuZc::nvlink(2)),
+    ]
+}
+
+/// (executor name, tiling, [h2d, d2h, compute, serialized, overlapped] bits).
+#[rustfmt::skip]
+const GOLDEN_E2E: &[(&str, TilingPolicy, [u64; 5])] = &[
+    ("cuZC", TilingPolicy::Slabs(4), [0x3f1ab2b980f05b22, 0x3f35024e418a16a2, 0x3f4689c9b79f4240, 0x3f5230a404412c7b, 0x3f4e5545a7a7f76b]),
+    ("cuZC", TilingPolicy::Slabs(16), [0x3f36673686e6a57f, 0x3f52082201fcf9dc, 0x3f4689d246863201, 0x3f61736c637cde18, 0x3f5a10c6c515e695]),
+    ("cuZC", TilingPolicy::Monolithic, [0x3f05f062b48b98dc, 0x3f151f186b7e1fb8, 0x3f4689c9b79f4241, 0x3f4a8cb2f057bfc6, 0x3f4890986c31131d]),
+    ("moZC", TilingPolicy::Slabs(4), [0x3f1ab2b980f05b22, 0x3f35024e418a16a2, 0x3f533475ce361072, 0x3f5a2034f6a79bcd, 0x3f55c54735a40d25]),
+    ("moZC", TilingPolicy::Slabs(16), [0x3f36673686e6a57f, 0x3f52082201fcf9dc, 0x3f533475ce361071, 0x3f656b32b8f659db, 0x3f605860b0a301b4]),
+    ("moZC", TilingPolicy::Monolithic, [0x3f05f062b48b98dc, 0x3f151f186b7e1fb8, 0x3f533475ce361073, 0x3f5535ea6a924f36, 0x3f5437dd287ef8e1]),
+    ("cuZC-multi", TilingPolicy::Slabs(4), [0x3f1ab2b980f05b22, 0x3f35024e418a16a2, 0x3f439cd043e23f2a, 0x3f50ba274a62aaf1, 0x3f4afee1324062df]),
+    ("cuZC-multi", TilingPolicy::Slabs(16), [0x3f36673686e6a57f, 0x3f52082201fcf9dc, 0x3f439ce36b4f8cb3, 0x3f60b830acaf34c3, 0x3f58226889fcedc2]),
+    ("cuZC-multi", TilingPolicy::Monolithic, [0x3f05f062b48b98dc, 0x3f151f186b7e1fb8, 0x3f439cd043e23f29, 0x3f479fb97c9abcad, 0x3f45a39ef8741004]),
+];
+
+/// The five `EndToEnd` fields of one run, as f64 bits.
+fn e2e_bits(
+    e: &dyn Executor,
+    orig: &Tensor<f32>,
+    dec: &Tensor<f32>,
+    tiling: TilingPolicy,
+) -> [u64; 5] {
+    let cfg = AssessConfig {
+        tiling,
+        ..AssessConfig::default()
+    };
+    let t = e
+        .assess(orig, dec, &cfg)
+        .unwrap()
+        .e2e
+        .expect("device executor");
+    [
+        t.h2d_s,
+        t.d2h_s,
+        t.compute_s,
+        t.serialized_s,
+        t.overlapped_s,
+    ]
+    .map(f64::to_bits)
+}
+
+#[test]
+fn e2e_timelines_match_golden_constants_exactly() {
+    let (orig, dec) = golden_pair();
+    let execs = e2e_executors();
+    assert_eq!(GOLDEN_E2E.len(), execs.len() * E2E_TILINGS.len());
+    let mut rows = GOLDEN_E2E.iter();
+    for e in &execs {
+        for tiling in E2E_TILINGS {
+            let &(name, want_tiling, want) = rows.next().unwrap();
+            assert_eq!((e.name(), tiling), (name, want_tiling));
+            let got = e2e_bits(e.as_ref(), &orig, &dec, tiling);
+            assert_eq!(
+                got,
+                want,
+                "{name} {tiling:?} e2e drifted: got {:?}, golden {:?}",
+                got.map(f64::from_bits),
+                want.map(f64::from_bits)
+            );
+        }
+    }
+}
+
+#[test]
+#[ignore = "regenerates the e2e golden block; run with --nocapture"]
+fn regen_e2e() {
+    let (orig, dec) = golden_pair();
+    println!("const GOLDEN_E2E: &[(&str, TilingPolicy, [u64; 5])] = &[");
+    for e in e2e_executors() {
+        for tiling in E2E_TILINGS {
+            let bits = e2e_bits(e.as_ref(), &orig, &dec, tiling);
+            println!(
+                "    ({:?}, TilingPolicy::{tiling:?}, [{}]),",
+                e.name(),
+                bits.map(|b| format!("{b:#x}")).join(", ")
+            );
+        }
     }
     println!("];");
 }

@@ -1,4 +1,7 @@
 //! Kernel launching: parallel functional execution + cost assembly.
+//!
+//! Every launch runs through one block loop, [`GpuSim::launch_tiled`]: a
+//! plain [`GpuSim::launch`] is its one-slab case.
 
 use crate::block::BlockCtx;
 use crate::cost::{gpu_time, GpuCalib, ModeledTime};
@@ -143,7 +146,8 @@ impl GpuSim {
         }
     }
 
-    /// Launch `kernel` over `grid_blocks` thread blocks.
+    /// Launch `kernel` over `grid_blocks` thread blocks: the one-slab case
+    /// of [`GpuSim::launch_tiled`], with the single slab's charge dropped.
     ///
     /// Blocks run in parallel (functionally exact; block interleaving
     /// cannot be observed because cross-block communication happens only at
@@ -161,11 +165,7 @@ impl GpuSim {
         kernel: &K,
         grid_blocks: usize,
     ) -> LaunchResult<K::Output> {
-        let (result, report) = self.launch_impl(kernel, grid_blocks, sanitizer::enabled());
-        if let Some(report) = report {
-            sanitizer::publish(&report);
-        }
-        result
+        self.launch_tiled(kernel, grid_blocks, 1).0
     }
 
     /// Launch `kernel` in checked (sanitized) mode regardless of the global
@@ -176,11 +176,8 @@ impl GpuSim {
         kernel: &K,
         grid_blocks: usize,
     ) -> (LaunchResult<K::Output>, SanitizeReport) {
-        let (result, report) = self.launch_impl(kernel, grid_blocks, true);
-        (
-            result,
-            report.expect("sanitized launch always yields a report"),
-        )
+        let (result, _, report) = self.launch_tiled_checked(kernel, grid_blocks, 1);
+        (result, report)
     }
 
     /// Launch `kernel` as `slabs` contiguous block ranges that stream
@@ -255,9 +252,8 @@ impl GpuSim {
         });
         let mut partials = Vec::with_capacity(grid_blocks);
         let mut tiles: Vec<TileCharge> = Vec::with_capacity(slabs);
-        // Independent accumulation of the monolithic charge (same merge
-        // order as `launch_impl`), cross-checked against the per-slab
-        // charges below.
+        // Independent accumulation of the whole-grid charge, cross-checked
+        // against the per-slab charges below.
         let mut audit = Counters {
             launches: 1,
             ..Default::default()
@@ -277,6 +273,8 @@ impl GpuSim {
                     BlockCtx::new()
                 };
                 let partial = kernel.run_block(b, &mut ctx);
+                // Under the sanitizer the footprint check is a structured
+                // SmemOverflow diagnostic emitted at shared_alloc time.
                 if !sanitize {
                     debug_assert!(
                         ctx.shared_bytes() <= smem as usize,
@@ -390,95 +388,6 @@ impl GpuSim {
                 modeled,
             },
             tiles,
-            report,
-        )
-    }
-
-    fn launch_impl<K: BlockKernel>(
-        &self,
-        kernel: &K,
-        grid_blocks: usize,
-        sanitize: bool,
-    ) -> (LaunchResult<K::Output>, Option<SanitizeReport>) {
-        assert!(grid_blocks > 0, "empty grid");
-        let smem = kernel.resources().smem_per_block;
-        // Per-block sanitizer verdict: collected diagnostics + suppressed count.
-        type Verdict = Option<(Vec<sanitizer::Diag>, u64)>;
-        let mut results: Vec<(Counters, K::Partial, Verdict)> = zc_par::par_map(grid_blocks, |b| {
-            let mut ctx = if sanitize {
-                BlockCtx::sanitized(Some(b), smem)
-            } else {
-                BlockCtx::new()
-            };
-            let partial = kernel.run_block(b, &mut ctx);
-            // Under the sanitizer the footprint check is a structured
-            // SmemOverflow diagnostic emitted at shared_alloc time.
-            if !sanitize {
-                debug_assert!(
-                    ctx.shared_bytes() <= smem as usize,
-                    "block used {} shared bytes but declared {smem}",
-                    ctx.shared_bytes(),
-                );
-            }
-            let verdict = ctx.finish_sanitize();
-            (ctx.counters, partial, verdict)
-        });
-
-        let mut counters = Counters {
-            launches: 1,
-            ..Default::default()
-        };
-        let mut partials = Vec::with_capacity(grid_blocks);
-        let mut report = sanitize.then(|| SanitizeReport {
-            kernel: kernel.name().to_string(),
-            grid_blocks,
-            ..Default::default()
-        });
-        for (c, p, verdict) in results.drain(..) {
-            counters.merge(&c);
-            partials.push(p);
-            if let (Some(r), Some((diags, suppressed))) = (report.as_mut(), verdict) {
-                r.diags.extend(diags);
-                r.suppressed += suppressed;
-            }
-        }
-
-        // Grid-level fold phase (audited as its own "block" when checked).
-        let mut fctx = if sanitize {
-            BlockCtx::sanitized(None, smem)
-        } else {
-            BlockCtx::new()
-        };
-        let output = kernel.finalize(&mut fctx, partials);
-        let fverdict = fctx.finish_sanitize();
-        counters.merge(&fctx.counters);
-        if let (Some(r), Some((diags, suppressed))) = (report.as_mut(), fverdict) {
-            r.diags.extend(diags);
-            r.suppressed += suppressed;
-        }
-        if kernel.cooperative() {
-            counters.grid_syncs += 1;
-        } else {
-            counters.launches += 1;
-        }
-
-        let occ = occupancy(&self.dev, &kernel.resources());
-        let modeled = gpu_time(
-            &self.dev,
-            &self.calib,
-            &counters,
-            &occ,
-            grid_blocks,
-            kernel.class(),
-        );
-        (
-            LaunchResult {
-                output,
-                counters,
-                occupancy: occ,
-                grid_blocks,
-                modeled,
-            },
             report,
         )
     }
