@@ -1,14 +1,16 @@
-//! §VI future work — multi-GPU scaling model: the assessment time of a
-//! full-metric cuZC run split over K devices with z decomposition, halo
-//! exchange for pattern 2/3 and a final all-reduce of scalar partials.
+//! §VI future work — multi-GPU scaling: the assessment time of a
+//! full-metric cuZC run over K devices, priced by the same
+//! `DevicePlacement` that ganged `MultiCuZc` runs use: each device re-runs
+//! its share of the full-shape grid, pattern 2/3 exchange halo slabs with
+//! their neighbours, and every pattern ends in a ring all-reduce.
 
-use zc_bench::fullscale::remodel_full;
+use zc_bench::fullscale::full_run;
 use zc_bench::HarnessOpts;
 use zc_compress::{Compressor, ErrorBound, SzCompressor};
-use zc_core::exec::Executor;
+use zc_core::exec::{Executor, PatternRun};
+use zc_core::plan::DevicePlacement;
 use zc_core::CuZc;
 use zc_data::{AppDataset, GenOptions};
-use zc_gpusim::cost::{Bound, CpuModel, ModeledTime};
 use zc_gpusim::{GpuSim, MultiGpuModel};
 
 fn main() {
@@ -20,7 +22,6 @@ fn main() {
         }
     };
     let sim = GpuSim::v100();
-    let cpu = CpuModel::xeon_6148();
     println!("Multi-GPU scaling model (paper SVI future work)\n");
     println!(
         "{:<12} {:>6} {:>12} {:>12} {:>12} {:>10}",
@@ -34,37 +35,29 @@ fn main() {
         let a = CuZc::default()
             .assess(&field.data, &dec, &opts.cfg)
             .unwrap();
-        let scaled = ds.shape(&gen);
-        let full = ds.full_shape();
-        let single_total: f64 = a
+        let (scaled, full) = (ds.shape(&gen), ds.full_shape());
+        let runs: Vec<PatternRun> = a
             .runs
             .iter()
-            .map(|r| remodel_full(r, scaled, full, &opts.cfg, &sim, &cpu))
-            .sum();
-        let single = ModeledTime {
-            mem_s: single_total,
-            compute_s: 0.0,
-            smem_s: 0.0,
-            overhead_s: 50.0e-6,
-            total_s: single_total,
-            bound: Bound::Compute,
-            utilization: 1.0,
+            .map(|r| full_run(r, scaled, full, &opts.cfg))
+            .collect();
+        let time = |link: MultiGpuModel| {
+            DevicePlacement { link, sim: &sim }
+                .pattern_times(&runs, full, &opts.cfg)
+                .total()
         };
-        // Halo: one slab of both fields per neighbour (pattern-2/3 ghost
-        // exchange); all-reduce payload: the pattern-1 partial set.
-        let halo_bytes = (full.slab_len() * 2 * 4) as u64;
-        let partial_bytes = 19 * 8;
+        let single = time(MultiGpuModel::nvlink(1));
         for gpus in [1u32, 2, 4, 8] {
-            let nv = MultiGpuModel::nvlink(gpus).scale(&single, halo_bytes, partial_bytes);
-            let pcie = MultiGpuModel::pcie(gpus).scale(&single, halo_bytes, partial_bytes);
+            let nv = time(MultiGpuModel::nvlink(gpus));
+            let pcie = time(MultiGpuModel::pcie(gpus));
             println!(
                 "{:<12} {:>6} {:>12.4} {:>12.4} {:>12.4} {:>9.1}%",
                 if gpus == 1 { ds.name() } else { "" },
                 gpus,
-                nv.total_s,
-                pcie.total_s,
-                single_total / gpus as f64,
-                nv.efficiency * 100.0
+                nv,
+                pcie,
+                single / gpus as f64,
+                single / (gpus as f64 * nv) * 100.0
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Calibration probe: per-pattern roofline breakdown of each system at
 //! full paper shapes (not a paper figure; a developer tool).
 
-use zc_bench::fullscale::{full_grid_blocks, scale_counters};
+use zc_bench::fullscale::full_run;
 use zc_bench::HarnessOpts;
 use zc_compress::{Compressor, ErrorBound, SzCompressor};
 use zc_core::exec::Executor;
@@ -21,7 +21,6 @@ fn main() {
         let (dec, _) = sz.roundtrip(&field.data).unwrap();
         let full = ds.full_shape();
         let scaled = ds.shape(&gen);
-        let ratio = full.len() as f64 / scaled.len() as f64;
         println!(
             "=== {} (full {}, bytes/field {:.0} MB) ===",
             ds.name(),
@@ -35,25 +34,31 @@ fn main() {
         ] {
             let a = ex.assess(&field.data, &dec, &opts.cfg).unwrap();
             for r in &a.runs {
-                let c = scale_counters(&r.counters, ratio);
+                let r = full_run(r, scaled, full, &opts.cfg);
                 match r.resources {
                     Some(res) => {
                         let occ = occupancy(&sim.dev, &res);
-                        let grid = full_grid_blocks(r.pattern, full, &opts.cfg);
-                        let t = gpu_time(&sim.dev, &sim.calib, &c, &occ, grid, r.class);
+                        let t = gpu_time(
+                            &sim.dev,
+                            &sim.calib,
+                            &r.counters,
+                            &occ,
+                            r.grid_blocks,
+                            r.class,
+                        );
                         print!(
                             "{}",
                             zc_gpusim::launch_summary(
                                 &format!("{} {:?}", ex.name(), r.pattern),
-                                grid,
-                                &c,
+                                r.grid_blocks,
+                                &r.counters,
                                 &occ,
                                 &t
                             )
                         );
                     }
                     None => {
-                        let t = cpu.time(&c);
+                        let t = cpu.time(&r.counters);
                         println!(
                             "{:7} {:?}: total={:9.3e} mem={:9.3e} cmp={:9.3e} {:?}",
                             ex.name(),

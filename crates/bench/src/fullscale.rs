@@ -46,12 +46,27 @@ pub fn full_grid_blocks(pattern: Pattern, shape: Shape, cfg: &AssessConfig) -> u
     }
 }
 
-/// Re-model one pattern run at the full shape.
-///
-/// * GPU runs: counters scale by element-count ratio; occupancy comes from
-///   the kernel's (scale-invariant) resource declaration; the grid is the
-///   full shape's.
-/// * CPU runs: counters scale; the Xeon model prices them directly.
+/// One pattern run as it would be at the full shape: counters scale by
+/// the element-count ratio and a GPU run takes the full shape's grid, while
+/// the kernel's (scale-invariant) resource declaration carries over.
+pub fn full_run(
+    run: &PatternRun,
+    scaled_shape: Shape,
+    full_shape: Shape,
+    cfg: &AssessConfig,
+) -> PatternRun {
+    let ratio = full_shape.len() as f64 / scaled_shape.len() as f64;
+    PatternRun {
+        counters: scale_counters(&run.counters, ratio),
+        grid_blocks: run
+            .resources
+            .map_or(0, |_| full_grid_blocks(run.pattern, full_shape, cfg)),
+        ..run.clone()
+    }
+}
+
+/// Re-model one pattern run at the full shape ([`full_run`]): a GPU run
+/// is priced on its occupancy and full grid, a CPU run on the Xeon model.
 pub fn remodel_full(
     run: &PatternRun,
     scaled_shape: Shape,
@@ -60,15 +75,21 @@ pub fn remodel_full(
     sim: &GpuSim,
     cpu: &CpuModel,
 ) -> f64 {
-    let ratio = full_shape.len() as f64 / scaled_shape.len() as f64;
-    let c = scale_counters(&run.counters, ratio);
+    let run = full_run(run, scaled_shape, full_shape, cfg);
     match run.resources {
         Some(res) => {
             let occ = occupancy(&sim.dev, &res);
-            let grid = full_grid_blocks(run.pattern, full_shape, cfg);
-            gpu_time(&sim.dev, &sim.calib, &c, &occ, grid, run.class).total_s
+            gpu_time(
+                &sim.dev,
+                &sim.calib,
+                &run.counters,
+                &occ,
+                run.grid_blocks,
+                run.class,
+            )
+            .total_s
         }
-        None => cpu.time(&c).total_s,
+        None => cpu.time(&run.counters).total_s,
     }
 }
 
@@ -104,8 +125,10 @@ pub fn full_iters_per_thread(pattern: Pattern, shape: Shape, cfg: &AssessConfig)
 mod tests {
     use super::*;
     use zc_core::exec::Executor;
+    use zc_core::plan::DevicePlacement;
     use zc_core::CuZc;
     use zc_data::{AppDataset, GenOptions};
+    use zc_gpusim::MultiGpuModel;
     use zc_tensor::Tensor;
 
     #[test]
@@ -179,6 +202,67 @@ mod tests {
         let nyx_p3 = full_iters_per_thread(Pattern::SlidingWindow, nyx, &cfg);
         for d in others {
             assert!(nyx_p3 > full_iters_per_thread(Pattern::SlidingWindow, d.full_shape(), &cfg));
+        }
+    }
+
+    /// cuZC's runs of one dataset's first field at the `gen` shape.
+    fn scaled_runs(ds: AppDataset, gen: &GenOptions, cfg: &AssessConfig) -> Vec<PatternRun> {
+        let field = ds.generate_field(0, gen);
+        let dec = field.data.map(|v| v + 1e-4);
+        CuZc::default().assess(&field.data, &dec, cfg).unwrap().runs
+    }
+
+    #[test]
+    fn one_device_placement_is_the_full_shape_remodel() {
+        let gen = GenOptions::scaled_xy(8);
+        let cfg = AssessConfig::default();
+        let sim = GpuSim::v100();
+        let cpu = CpuModel::xeon_6148();
+        for ds in AppDataset::ALL {
+            let (scaled, full) = (ds.shape(&gen), ds.full_shape());
+            let runs = scaled_runs(ds, &gen, &cfg);
+            let remodeled: f64 = runs
+                .iter()
+                .map(|r| remodel_full(r, scaled, full, &cfg, &sim, &cpu))
+                .sum();
+            let full_runs: Vec<PatternRun> = runs
+                .iter()
+                .map(|r| full_run(r, scaled, full, &cfg))
+                .collect();
+            for link in [MultiGpuModel::nvlink(1), MultiGpuModel::pcie(1)] {
+                let placed = DevicePlacement { link, sim: &sim }
+                    .pattern_times(&full_runs, full, &cfg)
+                    .total();
+                assert_eq!(placed.to_bits(), remodeled.to_bits(), "{}", ds.name());
+            }
+        }
+    }
+
+    #[test]
+    fn full_nyx_scales_sublinearly_and_pcie_never_beats_nvlink() {
+        let gen = GenOptions::scaled_xy(8);
+        let cfg = AssessConfig::default();
+        let sim = GpuSim::v100();
+        let (scaled, full) = (AppDataset::Nyx.shape(&gen), AppDataset::Nyx.full_shape());
+        let runs: Vec<PatternRun> = scaled_runs(AppDataset::Nyx, &gen, &cfg)
+            .iter()
+            .map(|r| full_run(r, scaled, full, &cfg))
+            .collect();
+        let time = |link: MultiGpuModel| {
+            DevicePlacement { link, sim: &sim }
+                .pattern_times(&runs, full, &cfg)
+                .total()
+        };
+        let single = time(MultiGpuModel::nvlink(1));
+        let mut prev = single;
+        for g in [2u32, 4, 8] {
+            let nv = time(MultiGpuModel::nvlink(g));
+            let pcie = time(MultiGpuModel::pcie(g));
+            assert!(nv < prev, "{g} GPUs {nv} !< {prev}");
+            let efficiency = single / (g as f64 * nv);
+            assert!(efficiency <= 1.0, "{g} GPUs: efficiency {efficiency}");
+            assert!(pcie >= nv, "{g} GPUs: PCIe {pcie} < NVLink {nv}");
+            prev = nv;
         }
     }
 

@@ -11,7 +11,8 @@
 //! * `fig12` — per-pattern speedups,
 //! * `table2` — the runtime profile (Regs/TB, SMem/TB, Iters/thread, TB/SM),
 //! * `ablation` — design-choice ablations (FIFO, fusion, cube size, window),
-//! * `multigpu` — the §VI future-work multi-GPU scaling model.
+//! * `multigpu` — the §VI future-work multi-GPU scaling, priced by the
+//!   device placement ganged `MultiCuZc` runs use.
 //!
 //! Beyond the paper, `campaign` and `chaos` write `BENCH_campaign.json`
 //! and `BENCH_chaos.json` (modeled fleet throughput, fault recovery).
@@ -38,5 +39,5 @@ pub mod fullscale;
 pub mod paper;
 pub mod runner;
 
-pub use fullscale::{full_grid_blocks, remodel_full, scale_counters};
+pub use fullscale::{full_grid_blocks, full_run, remodel_full, scale_counters};
 pub use runner::{assess_dataset, DatasetResult, HarnessOpts, SystemTimes};

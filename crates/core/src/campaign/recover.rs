@@ -36,7 +36,7 @@
 //!    while the device time its attempts burned stays on the clocks.
 
 use super::job::{JobOutcome, JobRecord};
-use super::report::{result_bytes, CampaignReport};
+use super::report::{gather_s, CampaignReport};
 use super::shard::{FleetSpec, ShardPlan};
 use super::CampaignError;
 use crate::config::AssessConfig;
@@ -144,8 +144,7 @@ pub(crate) fn aggregate_with_faults(
     let base = CampaignReport::aggregate(records, fleet, cfg, plan);
     let horizon = base.fleet.makespan_s;
     let groups = fleet.groups() as usize;
-    let link = fleet.link.model(fleet.gpus);
-    let gather_s = link.link_latency_s + result_bytes(cfg) as f64 / (link.link_bw_gbs * 1e9);
+    let gather_s = gather_s(fleet, cfg);
     let watchdog_s = fleet.executor().inner.sim.dev.watchdog_timeout_s;
     let death_at: Vec<Option<f64>> = (0..groups as u32)
         .map(|g| faults.death_frac(g).map(|f| f * horizon))

@@ -147,10 +147,12 @@ pub struct CampaignReport {
     pub recovery: Option<super::recover::RecoveryReport>,
 }
 
-/// Bytes of result payload gathered from a device group per completed job:
-/// the scalar set, the autocorrelation series, and the three histograms.
-pub(crate) fn result_bytes(cfg: &AssessConfig) -> u64 {
-    (19 + cfg.max_lag as u64 + 3 * cfg.bins as u64) * 8
+/// Modeled seconds to gather one completed job's results from its device
+/// group over the fleet's link: the scalar set, the autocorrelation series
+/// and the three histograms.
+pub(crate) fn gather_s(fleet: &FleetSpec, cfg: &AssessConfig) -> f64 {
+    let bytes = (19 + cfg.max_lag as u64 + 3 * cfg.bins as u64) * 8;
+    fleet.link.model(fleet.gpus).link.transfer_s(bytes)
 }
 
 impl CampaignReport {
@@ -168,8 +170,7 @@ impl CampaignReport {
         plan: &ShardPlan,
     ) -> CampaignReport {
         let groups = fleet.groups() as usize;
-        let link = fleet.link.model(fleet.gpus);
-        let gather_s = link.link_latency_s + result_bytes(cfg) as f64 / (link.link_bw_gbs * 1e9);
+        let gather_s = gather_s(fleet, cfg);
         let mut busy_s = vec![0.0f64; groups];
         for r in &jobs {
             if let Some(m) = r.metrics() {

@@ -22,9 +22,9 @@ use zc_gpusim::{FaultPlan, MultiGpuModel};
 /// Interconnect family of the simulated fleet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkKind {
-    /// NVLink-class links (≈25 GB/s, 10 µs).
+    /// NVLink-class links ([`zc_gpusim::HostLink::nvlink`]).
     NvLink,
-    /// PCIe-class links (≈12 GB/s, 20 µs).
+    /// PCIe-class links ([`zc_gpusim::HostLink::pcie`]).
     Pcie,
 }
 
@@ -123,7 +123,6 @@ impl FleetSpec {
     /// (degenerates to plain [`CuZc`] modeling at 1).
     pub fn executor(&self) -> MultiCuZc {
         MultiCuZc {
-            gpus: self.gpus_per_job,
             link: self.link.model(self.gpus_per_job),
             inner: CuZc::default(),
         }
@@ -410,7 +409,6 @@ mod tests {
     #[test]
     fn ganged_executor_uses_group_size() {
         let ex = FleetSpec::pcie(8).ganged(4).executor();
-        assert_eq!(ex.gpus, 4);
         assert_eq!(ex.link.gpus, 4);
     }
 }

@@ -1,8 +1,8 @@
 //! Multi-GPU cuZC — the paper's §VI future-work extension, made runnable.
 //!
-//! The field's thread-block grid is partitioned across `gpus` devices along
-//! the launch dimension (z planes for patterns 1–2, y-window groups for
-//! pattern 3). Because the single-GPU kernels already communicate only at
+//! The field's thread-block grid is partitioned across `link.gpus` devices
+//! along the launch dimension (z planes for patterns 1–2, y-window groups
+//! for pattern 3). Because the single-GPU kernels already communicate only at
 //! the cooperative fold, the functional result is *identical* to the
 //! single-GPU executor by construction; what changes is the performance
 //! model: per-device launch times (smaller grids → utilization effects),
@@ -19,9 +19,7 @@ use zc_gpusim::{Counters, MultiGpuModel};
 /// The multi-device pattern-oriented executor.
 #[derive(Clone, Debug)]
 pub struct MultiCuZc {
-    /// Number of devices (1 = identical to [`CuZc`]).
-    pub gpus: u32,
-    /// Interconnect model.
+    /// Device count (1 = identical to [`CuZc`]) and interconnect.
     pub link: MultiGpuModel,
     /// The per-device executor.
     pub inner: CuZc,
@@ -31,7 +29,6 @@ impl MultiCuZc {
     /// NVLink-connected V100s.
     pub fn nvlink(gpus: u32) -> Self {
         MultiCuZc {
-            gpus,
             link: MultiGpuModel::nvlink(gpus),
             inner: CuZc::default(),
         }
@@ -40,7 +37,6 @@ impl MultiCuZc {
     /// PCIe-connected V100s.
     pub fn pcie(gpus: u32) -> Self {
         MultiCuZc {
-            gpus,
             link: MultiGpuModel::pcie(gpus),
             inner: CuZc::default(),
         }
@@ -69,7 +65,6 @@ impl Executor for MultiCuZc {
 
     fn placement(&self) -> Option<DevicePlacement<'_>> {
         Some(DevicePlacement {
-            gpus: self.gpus,
             link: self.link,
             sim: &self.inner.sim,
         })
@@ -79,9 +74,9 @@ impl Executor for MultiCuZc {
     /// (compute divides, the tiny partial all-reduce rides the link).
     fn prepass_charge(&self, sampled: u64, stride: usize) -> (Counters, f64) {
         let (counters, mut secs) = self.inner.prepass_charge(sampled, stride);
-        let g = self.gpus.max(1);
+        let g = self.link.gpus;
         if g > 1 {
-            secs = secs / g as f64 + 2.0 * (g - 1) as f64 * self.link.link_latency_s;
+            secs = secs / g as f64 + self.link.allreduce_s();
         }
         (counters, secs)
     }
@@ -115,6 +110,30 @@ mod tests {
             Metric::Mse,
         ] {
             assert_eq!(single.report.scalar(m), multi.report.scalar(m), "{m}");
+        }
+    }
+
+    #[test]
+    fn placement_over_single_gpu_runs_is_the_ganged_executor() {
+        let (orig, dec) = fields();
+        let cfg = AssessConfig::default();
+        let single = CuZc::default().assess(&orig, &dec, &cfg).unwrap();
+        for g in [2u32, 4, 8] {
+            for ex in [MultiCuZc::nvlink(g), MultiCuZc::pcie(g)] {
+                let placed = DevicePlacement {
+                    link: ex.link,
+                    sim: &ex.inner.sim,
+                }
+                .pattern_times(&single.runs, orig.shape(), &cfg);
+                let multi = ex.assess(&orig, &dec, &cfg).unwrap();
+                for (a, b) in [
+                    (placed.p1, multi.pattern_times.p1),
+                    (placed.p2, multi.pattern_times.p2),
+                    (placed.p3, multi.pattern_times.p3),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{g} GPUs over {:?}", ex.link.link);
+                }
+            }
         }
     }
 

@@ -489,7 +489,8 @@ pub struct CostEstimate {
 /// the field shape and the configuration) are priced on an
 /// effective-rate roofline and overlapped through the stream-timeline
 /// model. `gpus > 1` models the ganged placement — compute divides across
-/// the group and the partial all-reduce rides `link`.
+/// the group and the partial all-reduce rides `link` (a model over the same
+/// `gpus` devices).
 pub fn estimate_job_cost(
     plan: &AssessPlan,
     shape: Shape,
@@ -505,12 +506,9 @@ pub fn estimate_job_cost(
         let Some(t) = pass.kind.traffic(n, cfg) else {
             continue;
         };
-        let mut secs = (t.bytes / g / EST_BW_BYTES_PER_S).max(t.flops / g / EST_FLOPS_PER_S)
-            + t.launches * EST_LAUNCH_S;
-        if gpus > 1 {
-            // Ring all-reduce of the group's partials.
-            secs += 2.0 * (g - 1.0) * link.link_latency_s;
-        }
+        let secs = (t.bytes / g / EST_BW_BYTES_PER_S).max(t.flops / g / EST_FLOPS_PER_S)
+            + t.launches * EST_LAUNCH_S
+            + link.allreduce_s();
         bytes_total += t.bytes as u64;
         flops_total += t.flops as u64;
         pass_seconds.push((pass.kind, secs));
@@ -643,14 +641,14 @@ pub(crate) fn gpu_prepass_charge(sampled: u64, stride: usize) -> (Counters, f64)
 }
 
 /// A device-placement policy: grid-partition every pattern's launches over
-/// `gpus` devices connected by `link`, re-pricing compute on the per-device
-/// grid share and charging halo-exchange plus all-reduce communication
-/// (the paper's §VI multi-GPU extension).
+/// the `link.gpus` devices `link` connects, re-pricing compute on the
+/// per-device grid share and charging halo-exchange plus all-reduce
+/// communication (the paper's §VI multi-GPU extension). This is the one
+/// multi-GPU cost model: ganged executors and the `multigpu` figure both
+/// price through [`DevicePlacement::pattern_times`].
 #[derive(Clone, Copy, Debug)]
 pub struct DevicePlacement<'a> {
-    /// Number of devices (1 = no-op).
-    pub gpus: u32,
-    /// Inter-device interconnect model.
+    /// Device count and inter-device interconnect.
     pub link: MultiGpuModel,
     /// The per-device simulator (cost calibration + device spec).
     pub sim: &'a GpuSim,
@@ -672,14 +670,16 @@ impl DevicePlacement<'_> {
         }
     }
 
-    /// Re-price the merged per-pattern runs on this placement.
-    fn pattern_times(
+    /// Re-price the merged per-pattern runs on this placement. On one
+    /// device nothing is exchanged, so each run costs its own launch model
+    /// on its own grid.
+    pub fn pattern_times(
         &self,
         runs: &[PatternRun],
         shape: zc_tensor::Shape,
         cfg: &AssessConfig,
     ) -> PatternTimes {
-        let g = self.gpus as u64;
+        let g = self.link.gpus as u64;
         let sim = self.sim;
         let mut times = PatternTimes::default();
         for run in runs {
@@ -693,11 +693,11 @@ impl DevicePlacement<'_> {
             // Communication: halo exchange with up to two neighbours plus
             // the ring all-reduce of scalar partials.
             let halo = self.halo_bytes(run.pattern, shape, cfg);
-            let comm_s = if halo > 0 {
-                2.0 * (self.link.link_latency_s + halo as f64 / (self.link.link_bw_gbs * 1e9))
+            let comm_s = if g > 1 && halo > 0 {
+                2.0 * self.link.link.transfer_s(halo)
             } else {
                 0.0
-            } + 2.0 * (g - 1) as f64 * self.link.link_latency_s;
+            } + self.link.allreduce_s();
             let total = t.total_s + comm_s;
             match run.pattern {
                 Pattern::GlobalReduction => times.p1 += total,
@@ -930,7 +930,7 @@ impl<'a> PlanRunner<'a> {
         // share + halo/all-reduce communication). Counters, runs, profiles
         // and metric values are placement-invariant by construction.
         if let Some(p) = backend.placement() {
-            if p.gpus > 1 {
+            if p.link.gpus > 1 {
                 let placed = p.pattern_times(&runs, orig.shape(), cfg);
                 // Tile durations scale with their pass.
                 for (kind, tiles) in pass_tiles.iter_mut() {

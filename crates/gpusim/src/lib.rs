@@ -58,7 +58,7 @@ pub use counters::Counters;
 pub use fault::{FaultDraw, FaultPlan};
 pub use lanes::{Lanes, WARP};
 pub use launch::{BlockKernel, GpuSim, KernelClass, LaunchResult, TileCharge};
-pub use multi::{MultiGpuModel, MultiGpuTime};
+pub use multi::MultiGpuModel;
 pub use occupancy::{occupancy, KernelResources, Limiter, Occupancy};
 pub use sanitizer::{Diag, Hazard, SanitizeReport};
 pub use spec::{CpuSpec, DeviceSpec};

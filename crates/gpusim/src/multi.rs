@@ -1,24 +1,24 @@
-//! Multi-GPU scaling model — the paper's §VI future-work extension.
+//! Multi-GPU interconnect description — the paper's §VI future-work
+//! extension.
 //!
 //! The paper plans a multi-node multi-GPU cuZ-Checker built on the
 //! single-GPU kernels, noting that inter-GPU synchronization and
-//! communication dominate the design. This module models that extension:
-//! a field is split along the z axis over `gpus` devices; pattern-1
-//! metrics need only a tiny all-reduce of partials, while pattern-2/3
-//! additionally exchange halo slabs with their neighbours.
+//! communication dominate the design. A [`MultiGpuModel`] states the two
+//! inputs of that extension once: how many devices a field is split over,
+//! and the [`HostLink`] that connects them. `zc_core::plan::DevicePlacement`
+//! prices a run on it: each device re-runs its share of the grid, pattern
+//! 2/3 exchange halo slabs with their neighbours over the link, and every
+//! pattern ends in the ring all-reduce of [`MultiGpuModel::allreduce_s`].
 
-use crate::cost::ModeledTime;
+use crate::stream::HostLink;
 
-/// Interconnect + decomposition description for a multi-GPU run.
+/// Device count and interconnect of a multi-GPU run.
 #[derive(Clone, Copy, Debug)]
 pub struct MultiGpuModel {
     /// Number of devices.
     pub gpus: u32,
-    /// Per-link interconnect bandwidth in GB/s (NVLink2 ≈ 25 GB/s per
-    /// direction per link; PCIe3 x16 ≈ 12 GB/s).
-    pub link_bw_gbs: f64,
-    /// Per-message latency in seconds.
-    pub link_latency_s: f64,
+    /// The link between devices.
+    pub link: HostLink,
 }
 
 impl MultiGpuModel {
@@ -27,8 +27,7 @@ impl MultiGpuModel {
         assert!(gpus >= 1);
         MultiGpuModel {
             gpus,
-            link_bw_gbs: 25.0,
-            link_latency_s: 10.0e-6,
+            link: HostLink::nvlink(),
         }
     }
 
@@ -37,110 +36,29 @@ impl MultiGpuModel {
         assert!(gpus >= 1);
         MultiGpuModel {
             gpus,
-            link_bw_gbs: 12.0,
-            link_latency_s: 20.0e-6,
+            link: HostLink::pcie(),
         }
     }
-}
 
-/// Multi-GPU time estimate derived from a single-GPU launch model.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MultiGpuTime {
-    /// Per-device compute time (single-GPU work / gpus).
-    pub compute_s: f64,
-    /// Halo-exchange time.
-    pub halo_s: f64,
-    /// Final all-reduce of scalar partials.
-    pub allreduce_s: f64,
-    /// Total.
-    pub total_s: f64,
-    /// Parallel efficiency versus a perfect split.
-    pub efficiency: f64,
-}
-
-impl MultiGpuModel {
-    /// Scale a single-GPU modeled time to this configuration.
-    ///
-    /// * `single` — the single-GPU launch model for the whole field;
-    /// * `halo_bytes` — bytes of halo slab each device must exchange per
-    ///   neighbour (0 for pattern 1);
-    /// * `partial_bytes` — size of the per-device scalar partial set that
-    ///   the final all-reduce combines.
-    pub fn scale(&self, single: &ModeledTime, halo_bytes: u64, partial_bytes: u64) -> MultiGpuTime {
-        let g = self.gpus as f64;
-        // Work splits evenly along z; overheads do not.
-        let compute_s = (single.total_s - single.overhead_s) / g + single.overhead_s;
-        let halo_s = if self.gpus > 1 && halo_bytes > 0 {
-            // Two neighbours exchange concurrently: one slab each way.
-            2.0 * (self.link_latency_s + halo_bytes as f64 / (self.link_bw_gbs * 1e9))
-        } else {
-            0.0
-        };
-        let allreduce_s = if self.gpus > 1 {
-            // Ring all-reduce: 2(g-1) steps of partials/g each.
-            let steps = 2.0 * (g - 1.0);
-            steps * (self.link_latency_s + partial_bytes as f64 / g / (self.link_bw_gbs * 1e9))
-        } else {
-            0.0
-        };
-        let total_s = compute_s + halo_s + allreduce_s;
-        MultiGpuTime {
-            compute_s,
-            halo_s,
-            allreduce_s,
-            total_s,
-            efficiency: single.total_s / (g * total_s),
-        }
+    /// Modeled seconds of the ring all-reduce of the devices' scalar
+    /// partials: `2(g−1)` latency-bound steps, 0 on one device.
+    pub fn allreduce_s(&self) -> f64 {
+        2.0 * self.gpus.saturating_sub(1) as f64 * self.link.latency_s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Bound;
 
-    fn single(total_ms: f64) -> ModeledTime {
-        ModeledTime {
-            mem_s: total_ms * 1e-3,
-            compute_s: 0.0,
-            smem_s: 0.0,
-            overhead_s: 5e-6,
-            total_s: total_ms * 1e-3,
-            bound: Bound::Memory,
-            utilization: 1.0,
+    #[test]
+    fn allreduce_is_free_on_one_device_and_a_latency_ring_otherwise() {
+        assert_eq!(MultiGpuModel::nvlink(1).allreduce_s(), 0.0);
+        assert_eq!(MultiGpuModel::pcie(1).allreduce_s(), 0.0);
+        for g in [2u32, 4, 8] {
+            for m in [MultiGpuModel::nvlink(g), MultiGpuModel::pcie(g)] {
+                assert_eq!(m.allreduce_s(), 2.0 * (g - 1) as f64 * m.link.latency_s);
+            }
         }
-    }
-
-    #[test]
-    fn one_gpu_is_identity_like() {
-        let m = MultiGpuModel::nvlink(1);
-        let t = m.scale(&single(10.0), 1 << 20, 4096);
-        assert!((t.total_s - 10.0e-3).abs() < 1e-9);
-        assert!((t.efficiency - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scaling_reduces_time_but_not_linearly() {
-        let m = MultiGpuModel::nvlink(4);
-        let t = m.scale(&single(100.0), 64 << 20, 4096);
-        assert!(t.total_s < 100.0e-3 / 2.0, "should beat 2 GPUs' ideal");
-        assert!(t.total_s > 100.0e-3 / 4.0, "cannot beat ideal 4-way split");
-        assert!(t.efficiency < 1.0 && t.efficiency > 0.5);
-    }
-
-    #[test]
-    fn halo_free_patterns_scale_better() {
-        let m = MultiGpuModel::nvlink(8);
-        let with_halo = m.scale(&single(50.0), 256 << 20, 4096);
-        let without = m.scale(&single(50.0), 0, 4096);
-        assert!(without.total_s < with_halo.total_s);
-        assert_eq!(without.halo_s, 0.0);
-    }
-
-    #[test]
-    fn slower_links_hurt() {
-        let t_nv = MultiGpuModel::nvlink(4).scale(&single(20.0), 128 << 20, 4096);
-        let t_pci = MultiGpuModel::pcie(4).scale(&single(20.0), 128 << 20, 4096);
-        assert!(t_pci.total_s > t_nv.total_s);
     }
 }

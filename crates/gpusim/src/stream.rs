@@ -5,8 +5,9 @@
 //! overlapped with compute — the standard stream-pipelining trick (cuSZ
 //! does the same for compression). This module models that dimension:
 //!
-//! * a [`HostLink`] prices an H2D/D2H leg (latency + bytes / bandwidth),
-//!   using the same PCIe/NVLink constants as [`crate::MultiGpuModel`];
+//! * a [`HostLink`] prices an H2D/D2H leg (latency + bytes / bandwidth);
+//!   [`crate::MultiGpuModel`] prices its inter-device legs on the same
+//!   links;
 //! * a [`Timeline`] schedules *events* onto streams and engines. A V100 has
 //!   one compute engine and two DMA copy engines (one per direction), so
 //!   events on the same [`Engine`] serialize, events in the same stream
@@ -40,7 +41,7 @@ pub struct HostLink {
 }
 
 impl HostLink {
-    /// PCIe3 x16-class link (same constants as [`crate::MultiGpuModel::pcie`]).
+    /// PCIe3 x16-class link.
     pub fn pcie() -> Self {
         HostLink {
             bw_gbs: 12.0,
@@ -48,7 +49,7 @@ impl HostLink {
         }
     }
 
-    /// NVLink2-class link (same constants as [`crate::MultiGpuModel::nvlink`]).
+    /// NVLink2-class link.
     pub fn nvlink() -> Self {
         HostLink {
             bw_gbs: 25.0,
@@ -59,17 +60,6 @@ impl HostLink {
     /// Modeled seconds to move `bytes` over this link in one leg.
     pub fn transfer_s(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / (self.bw_gbs * 1e9)
-    }
-
-    /// The same link while its PHY is flapping: bandwidth divided by
-    /// `factor` (legs cost `factor`× as long; latency is unchanged — flap
-    /// retraining throttles the data rate, it does not add per-message
-    /// setup). Used by the fault layer to re-price transfer legs.
-    pub fn degraded(self, factor: f64) -> HostLink {
-        HostLink {
-            bw_gbs: self.bw_gbs / factor.max(1.0),
-            latency_s: self.latency_s,
-        }
     }
 }
 
@@ -201,11 +191,10 @@ impl EndToEnd {
     }
 
     /// This timeline re-priced as if every transfer leg ran over a link
-    /// flapping by `factor` (see [`HostLink::degraded`]): the H2D/D2H legs
-    /// cost `factor`× their healthy time, and the *extra* transfer seconds
-    /// are charged serially onto the makespan — a flapping link retrains
-    /// unpredictably, so the scheduler cannot plan overlap around the
-    /// slowdown. Compute time is untouched. `factor <= 1` is the identity.
+    /// flapping by `factor`: the H2D/D2H legs cost `factor`× their healthy
+    /// time, and the *extra* transfer seconds are charged serially onto the
+    /// makespan — a flapping link retrains unpredictably, so the scheduler
+    /// cannot plan overlap around the slowdown. Compute time is untouched. `factor <= 1` is the identity.
     pub fn repriced_transfers(&self, factor: f64) -> EndToEnd {
         let f = factor.max(1.0);
         let extra = (f - 1.0) * (self.h2d_s + self.d2h_s);
@@ -222,18 +211,6 @@ impl EndToEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn link_constants_match_the_multi_gpu_model() {
-        let m = crate::MultiGpuModel::pcie(2);
-        let l = HostLink::pcie();
-        assert_eq!(l.bw_gbs, m.link_bw_gbs);
-        assert_eq!(l.latency_s, m.link_latency_s);
-        let m = crate::MultiGpuModel::nvlink(2);
-        let l = HostLink::nvlink();
-        assert_eq!(l.bw_gbs, m.link_bw_gbs);
-        assert_eq!(l.latency_s, m.link_latency_s);
-    }
 
     #[test]
     fn transfer_time_is_latency_plus_bandwidth() {
@@ -274,16 +251,6 @@ mod tests {
         // Strictly better than the serialized sum 8.5.
         assert!(tl.makespan_s() < tl.serialized_s());
         assert_eq!(tl.engine_busy_s(Engine::Compute), 6.0);
-    }
-
-    #[test]
-    fn degraded_link_scales_bandwidth_only() {
-        let l = HostLink::nvlink();
-        let d = l.degraded(2.0);
-        assert_eq!(d.latency_s, l.latency_s);
-        assert_eq!(d.bw_gbs, l.bw_gbs / 2.0);
-        // factor <= 1 never *improves* the link.
-        assert_eq!(l.degraded(0.5).bw_gbs, l.bw_gbs);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use zc_core::campaign::{FieldRef, FleetSpec, JobOutcome, Scheduler};
 use zc_core::engine::{AssessRequest, CacheOutcome, CacheStats, Engine, EngineError, JobTicket};
 use zc_core::metrics::{Metric, MetricSelection};
 use zc_core::AssessConfig;
-use zc_data::{AppDataset, GenOptions};
+use zc_data::{AppDataset, GenOptions, SplitMix64};
 
 /// Service configuration.
 #[derive(Clone, Debug)]
@@ -139,18 +139,9 @@ pub struct RequestTrace {
     pub requests: Vec<ServeRequest>,
 }
 
-/// SplitMix64 — the repo's stock deterministic generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Uniform in `[0, 1)` from one SplitMix64 draw.
-fn u01(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
+fn u01(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 impl RequestTrace {
@@ -191,10 +182,10 @@ impl RequestTrace {
 
     /// Draw an index in `[0, n)` with geometric-ish skew: index 0 is
     /// roughly twice as likely as index 1, and so on.
-    fn skewed_index(state: &mut u64, n: usize) -> usize {
+    fn skewed_index(rng: &mut SplitMix64, n: usize) -> usize {
         // Geometric: P(0)=1/2, P(1)=1/4, … — index 0 is the hot one.
         let mut i = 0;
-        while i + 1 < n && u01(state) < 0.5 {
+        while i + 1 < n && u01(rng) < 0.5 {
             i += 1;
         }
         i
@@ -207,17 +198,17 @@ impl RequestTrace {
         let fields = Self::field_pool();
         let codecs = Self::codec_pool();
         let metrics = Self::metric_pool();
-        let mut state = seed ^ 0x5eed_cafe_f00d_d00d;
+        let mut rng = SplitMix64::new(seed ^ 0x5eed_cafe_f00d_d00d);
         let mut now = 0.0f64;
         let mut requests = Vec::with_capacity(count);
         for _ in 0..count {
-            let field = fields[Self::skewed_index(&mut state, fields.len())].clone();
-            let compressor = codecs[Self::skewed_index(&mut state, codecs.len())];
-            let selection = metrics[Self::skewed_index(&mut state, metrics.len())].clone();
-            let tenant = Self::skewed_index(&mut state, 4) as u32;
+            let field = fields[Self::skewed_index(&mut rng, fields.len())].clone();
+            let compressor = codecs[Self::skewed_index(&mut rng, codecs.len())];
+            let selection = metrics[Self::skewed_index(&mut rng, metrics.len())].clone();
+            let tenant = Self::skewed_index(&mut rng, 4) as u32;
             // Inter-arrival: -ln(U) * mean, clamped away from 0 to keep
             // arrival order strict.
-            let gap = (-(1.0 - u01(&mut state)).ln()).max(1e-6) * 2e-3;
+            let gap = (-(1.0 - u01(&mut rng)).ln()).max(1e-6) * 2e-3;
             now += gap;
             requests.push(ServeRequest {
                 tenant,
@@ -548,6 +539,40 @@ mod tests {
         ServeConfig {
             batch: 4,
             ..ServeConfig::new(FleetSpec::nvlink(2))
+        }
+    }
+
+    #[test]
+    fn seed_42_trace_is_pinned() {
+        // (field, codec, tenant, arrival bits) of `synthetic(42, 16)`: a
+        // change of generator or draw order shows up here first.
+        let pinned: [(&str, &str, u32, u64); 16] = [
+            ("MIRANDA/velocityx", "sz(rel=1e-3)", 2, 0x3f4e29b7ba2b22bb),
+            ("NYX/temperature", "sz(rel=1e-3)", 0, 0x3f69a12f997a0df4),
+            ("MIRANDA/density", "zfp(rate=12)", 0, 0x3f773026802752b0),
+            ("MIRANDA/density", "zfp(rate=12)", 2, 0x3f7ec761f68d39c6),
+            ("NYX/temperature", "sz(rel=1e-3)", 0, 0x3f7fa2dde0d1f59f),
+            ("NYX/temperature", "sz(rel=1e-3)", 0, 0x3f80745830939e09),
+            ("NYX/baryon_density", "sz(rel=1e-3)", 3, 0x3f85a27f0f566e0c),
+            ("MIRANDA/density", "sz(rel=1e-3)", 1, 0x3f8c71536b3dd8d2),
+            ("MIRANDA/density", "sz(abs=1e-2)", 3, 0x3f9073d1aad679b5),
+            ("MIRANDA/density", "sz(rel=1e-3)", 1, 0x3f90fac6dcadb10d),
+            ("MIRANDA/density", "zfp(rate=12)", 0, 0x3f94a7838c503cbf),
+            ("MIRANDA/density", "sz(abs=1e-2)", 0, 0x3f94f44ae50d1040),
+            ("MIRANDA/density", "zfp(rate=12)", 0, 0x3f953a648fb08985),
+            ("MIRANDA/density", "sz(rel=1e-3)", 2, 0x3f974b65dfe47846),
+            ("Hurricane/QVAPOR", "sz(rel=1e-3)", 0, 0x3f9803c74023029a),
+            ("NYX/temperature", "sz(rel=1e-3)", 0, 0x3f98c116846fe24d),
+        ];
+        let trace = RequestTrace::synthetic(42, 16);
+        assert_eq!(trace.requests.len(), pinned.len());
+        for (i, (r, &(field, codec, tenant, bits))) in
+            trace.requests.iter().zip(&pinned).enumerate()
+        {
+            assert_eq!(r.request.field.qualified_name(), field, "request {i}");
+            assert_eq!(r.request.compressor.label(), codec, "request {i}");
+            assert_eq!(r.tenant, tenant, "request {i}");
+            assert_eq!(r.arrival_s.to_bits(), bits, "request {i}");
         }
     }
 
