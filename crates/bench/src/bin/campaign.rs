@@ -22,10 +22,9 @@
 //! scale defaults to 4 (axes divided by 4), fields to 2 per dataset.
 
 use zc_bench::HarnessOpts;
-use zc_compress::{Compressor, CompressorSpec, ErrorBound, SzCompressor, ZfpLikeCompressor};
+use zc_compress::{CompressorSpec, ErrorBound};
 use zc_core::campaign::{CampaignSpec, FieldRef, FleetSpec, LinkKind, RecoveryPolicy, Scheduler};
-use zc_core::exec::CuZc;
-use zc_core::recommend::{recommend, recommend_progressive, ProgressivePolicy, QualityCriteria};
+use zc_core::recommend::{recommend, QualityCriteria};
 use zc_core::{AssessConfig, TilingPolicy};
 use zc_data::{catalog_fields, AppDataset, GenOptions};
 
@@ -289,38 +288,29 @@ fn run_mixed_section(scale: usize, cfg: &AssessConfig, gpu_counts: &[u32]) -> Ve
 }
 
 fn run_progressive_section(scale: usize, cfg: &AssessConfig) -> String {
-    let field = AppDataset::Nyx
-        .generate_field(2, &GenOptions::scaled(scale * 2))
-        .data;
-    let c1 = SzCompressor::new(ErrorBound::Rel(1e-2));
-    let c2 = SzCompressor::new(ErrorBound::Rel(1e-3));
-    let c3 = SzCompressor::new(ErrorBound::Rel(1e-4));
-    let c4 = SzCompressor::new(ErrorBound::Rel(1e-5));
-    let c5 = ZfpLikeCompressor::new(4.0);
-    let c6 = ZfpLikeCompressor::new(16.0);
-    let candidates: Vec<(&str, &dyn Compressor)> = vec![
-        ("sz rel=1e-2", &c1),
-        ("sz rel=1e-3", &c2),
-        ("sz rel=1e-4", &c3),
-        ("sz rel=1e-5", &c4),
-        ("zfp rate=4", &c5),
-        ("zfp rate=16", &c6),
+    let field = FieldRef::new(AppDataset::Nyx, 2, GenOptions::scaled(scale * 2));
+    let candidates = [
+        CompressorSpec::Sz(ErrorBound::Rel(1e-2)),
+        CompressorSpec::Sz(ErrorBound::Rel(1e-3)),
+        CompressorSpec::Sz(ErrorBound::Rel(1e-4)),
+        CompressorSpec::Sz(ErrorBound::Rel(1e-5)),
+        CompressorSpec::Zfp(4.0),
+        CompressorSpec::Zfp(16.0),
     ];
     let criteria = QualityCriteria {
         min_psnr_db: Some(60.0),
         ..Default::default()
     };
-    let executor = CuZc::default();
-    let full = recommend(&field, &candidates, &criteria, cfg, &executor).expect("full sweep");
-    let policy = ProgressivePolicy::new(criteria);
-    let (prog, stats) = recommend_progressive(&field, &candidates, &policy, cfg, &executor)
-        .expect("progressive sweep");
-    let full_bytes = candidates.len() as u64 * field.shape().len() as u64 * 8;
+    let (full, full_stats) =
+        recommend(&field, &candidates, &criteria, cfg, false).expect("full sweep");
+    let (prog, stats) =
+        recommend(&field, &candidates, &criteria, cfg, true).expect("progressive sweep");
+    let full_bytes = full_stats.assessed_bytes;
     println!(
         "\nprogressive sweep: {}/{} candidates pruned by the prepass, {} -> {} bytes assessed",
         stats.pruned, stats.candidates, full_bytes, stats.assessed_bytes
     );
-    // The tentpole's soundness claim, asserted: pruning must not flip any
+    // The soundness claim, asserted: pruning must not flip any
     // accept/reject verdict, and it must actually save work.
     for v in &full {
         let p = prog

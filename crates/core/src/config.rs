@@ -15,13 +15,13 @@
 //! step   = 1
 //!
 //! [compressor]
-//! kind      = sz           # sz | zfp
+//! kind      = sz           # sz | zfp | bitgroom | lossless
 //! abs_bound = 1e-3
 //! ```
 
 use crate::metrics::{Metric, MetricSelection, Pattern};
 use std::fmt;
-use zc_compress::ErrorBound;
+use zc_compress::{CompressorSpec, ErrorBound};
 
 /// SSIM settings (paper defaults: window 8, step 1, Wang constants).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -141,19 +141,6 @@ impl ExecutorKind {
     }
 }
 
-/// Compressor selection from the `[compressor]` section.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CompressorChoice {
-    /// SZ-like, absolute or relative bound.
-    Sz(ErrorBound),
-    /// ZFP-like fixed rate (bits per value).
-    Zfp(f64),
-    /// Bit grooming: keep N mantissa bits.
-    BitGroom(u32),
-    /// Lossless byte-plane Huffman.
-    Lossless,
-}
-
 /// A fully parsed run configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
@@ -162,7 +149,7 @@ pub struct RunConfig {
     /// Executor to run.
     pub executor: ExecutorKind,
     /// Optional compressor to produce the decompressed field.
-    pub compressor: Option<CompressorChoice>,
+    pub compressor: Option<CompressorSpec>,
 }
 
 /// Configuration errors.
@@ -304,14 +291,14 @@ pub fn parse(text: &str) -> Result<RunConfig, ConfigError> {
                 }
                 _ => {}
             }
-            Some(CompressorChoice::Sz(bound))
+            Some(CompressorSpec::Sz(bound))
         }
         Some("zfp") => {
             let r = rate.ok_or_else(|| ConfigError::Invalid("zfp needs rate".into()))?;
             if !(r > 0.0 && r <= 30.0) {
                 return Err(ConfigError::Invalid("zfp rate must be in (0, 30]".into()));
             }
-            Some(CompressorChoice::Zfp(r))
+            Some(CompressorSpec::Zfp(r))
         }
         Some("bitgroom") => {
             let k =
@@ -319,9 +306,9 @@ pub fn parse(text: &str) -> Result<RunConfig, ConfigError> {
             if !(1..=23).contains(&k) {
                 return Err(ConfigError::Invalid("keep_bits must be in 1..=23".into()));
             }
-            Some(CompressorChoice::BitGroom(k as u32))
+            Some(CompressorSpec::BitGroom(k as u32))
         }
-        Some(_) => Some(CompressorChoice::Lossless),
+        Some(_) => Some(CompressorSpec::Lossless),
     };
 
     cfg.assess.validate()?;
@@ -384,8 +371,8 @@ mod tests {
         assert_eq!(c.assess.bins, 512);
         assert_eq!(c.assess.ssim.window, 16);
         assert_eq!(
-            c.compressor,
-            Some(CompressorChoice::Sz(ErrorBound::Abs(1e-3)))
+            c.compressor.map(|s| s.label()).as_deref(),
+            Some("sz(abs=1e-3)")
         );
     }
 
@@ -400,15 +387,26 @@ mod tests {
     #[test]
     fn zfp_rate_parses() {
         let c = parse("[compressor]\nkind = zfp\nrate = 8\n").unwrap();
-        assert_eq!(c.compressor, Some(CompressorChoice::Zfp(8.0)));
+        assert_eq!(
+            c.compressor.map(|s| s.label()).as_deref(),
+            Some("zfp(rate=8)")
+        );
     }
 
     #[test]
     fn bitgroom_and_lossless_parse() {
         let c = parse("[compressor]\nkind = bitgroom\nkeep_bits = 10\n").unwrap();
-        assert_eq!(c.compressor, Some(CompressorChoice::BitGroom(10)));
+        assert_eq!(
+            c.compressor.map(|s| s.label()).as_deref(),
+            Some("bitgroom(bits=10)")
+        );
         let c = parse("[compressor]\nkind = lossless\n").unwrap();
-        assert_eq!(c.compressor, Some(CompressorChoice::Lossless));
+        assert_eq!(c.compressor.map(|s| s.label()).as_deref(), Some("lossless"));
+        // The fault-injection codec is a test fixture, not a config kind.
+        assert!(matches!(
+            parse("[compressor]\nkind = fail-decode\n"),
+            Err(ConfigError::Unknown(_))
+        ));
         assert!(matches!(
             parse("[compressor]\nkind = bitgroom\n"),
             Err(ConfigError::Invalid(_))

@@ -1,5 +1,5 @@
-//! The assessment engine — the one batch executor behind campaigns and
-//! the `zc-serve` service.
+//! The assessment engine — the one batch executor behind campaigns,
+//! recommendation sweeps and the `zc-serve` service.
 //!
 //! [`crate::campaign`] describes *what* to assess; this module owns *how*.
 //! A caller holds an [`Engine`] session on a fleet and [`Engine::submit`]s
@@ -209,7 +209,7 @@ pub(crate) struct Resolved {
     field_index: usize,
     cache: CacheOutcome,
     pub(crate) outcome: JobOutcome,
-    report: Option<AnalysisReport>,
+    pub(crate) report: Option<AnalysisReport>,
     /// The plan the job occupied the device with (`None` for a full hit,
     /// which is not a fleet record).
     plan: Option<AssessPlan>,

@@ -19,6 +19,12 @@
 //! * [`campaign`] — sharded multi-field batch assessment over the
 //!   simulated multi-GPU fleet (catalog × compressor sweep → aggregate
 //!   [`campaign::CampaignReport`]);
+//! * [`engine`] — the one batch executor behind campaigns, the service and
+//!   recommendation: admission, host-parallel execution, the result cache
+//!   and fleet placement;
+//! * [`recommend`] — best-fit compressor selection: quality criteria
+//!   checked over one engine batch of candidates, with optional
+//!   prepass pruning;
 //! * [`io`] / [`output`] — the input and output engines (raw binary
 //!   fields, PGM visualization slices, CSV series);
 //! * [`viz`] — the visualization engine: standalone HTML dashboards with
@@ -51,7 +57,6 @@ pub mod exec;
 pub mod io;
 pub mod metrics;
 pub mod output;
-pub mod pipeline;
 pub mod plan;
 pub mod recommend;
 pub mod report;
@@ -65,6 +70,5 @@ pub use engine::{
 };
 pub use exec::{Assessment, CuZc, Executor, MoZc, MultiCuZc, OmpZc, PatternProfile, SerialZc};
 pub use metrics::{Metric, MetricSelection, Pattern};
-pub use pipeline::assess_compression;
 pub use plan::{AssessPlan, PassKind, PlanRunner};
 pub use report::AnalysisReport;

@@ -17,6 +17,7 @@ use zc_compress::{CompressorSpec, ErrorBound};
 use zc_core::campaign::{
     CampaignReport, CampaignSpec, FieldRef, FleetSpec, RecoveryPolicy, Scheduler,
 };
+use zc_core::recommend::{recommend, QualityCriteria, SweepStats, Verdict};
 use zc_core::AssessConfig;
 use zc_data::{AppDataset, GenOptions};
 
@@ -156,6 +157,39 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, ctx: &str) {
     assert_eq!(a.recovery, b.recovery, "{ctx}: recovery report");
 }
 
+/// A recommend sweep with and without pruning, reduced to comparable bits:
+/// every verdict field (floats by bit pattern) plus the work accounting.
+type SweepBits = Vec<(Vec<(String, bool, [u64; 5], Vec<String>)>, SweepStats)>;
+
+fn recommend_sweeps() -> SweepBits {
+    let field = FieldRef::new(AppDataset::Nyx, 0, GenOptions::scaled(32));
+    let mut candidates = CompressorSpec::standard_sweep();
+    candidates.push(CompressorSpec::BitGroom(8));
+    let cfg = AssessConfig {
+        max_lag: 3,
+        bins: 32,
+        ..Default::default()
+    };
+    let bits = |v: &Verdict| {
+        let floats = [v.ratio, v.bit_rate, v.psnr_db, v.ssim, v.autocorr1].map(f64::to_bits);
+        (v.name.clone(), v.passes, floats, v.failures.clone())
+    };
+    [false, true]
+        .into_iter()
+        .map(|prune| {
+            let (verdicts, stats) = recommend(
+                &field,
+                &candidates,
+                &QualityCriteria::visualization(),
+                &cfg,
+                prune,
+            )
+            .unwrap();
+            (verdicts.iter().map(bits).collect(), stats)
+        })
+        .collect()
+}
+
 #[test]
 fn campaign_is_bit_identical_across_worker_counts() {
     let mut rng = Rng(0xCA3B_A161 ^ 0xDE7E_2417);
@@ -178,5 +212,14 @@ fn campaign_is_bit_identical_across_worker_counts() {
         assert_reports_identical(&one, &two, &format!("{ctx}, 1 vs 2 workers"));
         assert_reports_identical(&one, &max, &format!("{ctx}, 1 vs max workers"));
     }
+    // A recommend sweep is one engine batch: its verdicts are as
+    // worker-count independent as a campaign's records.
+    std::env::set_var("ZC_PAR_THREADS", "1");
+    let one = recommend_sweeps();
+    std::env::set_var("ZC_PAR_THREADS", "2");
+    let two = recommend_sweeps();
     std::env::remove_var("ZC_PAR_THREADS");
+    let max = recommend_sweeps();
+    assert_eq!(one, two, "recommend, 1 vs 2 workers");
+    assert_eq!(one, max, "recommend, 1 vs max workers");
 }

@@ -184,7 +184,7 @@ fn pruned_verdict_agrees_with_full_assessment_on_both_sides() {
         assert_eq!(full_pass, expect_pass, "test premise at {min_psnr} dB");
         match decision {
             PrepassDecision::Accept => assert!(expect_pass, "accepted a failing candidate"),
-            PrepassDecision::Reject(_) => assert!(!expect_pass, "rejected a passing candidate"),
+            PrepassDecision::Reject => assert!(!expect_pass, "rejected a passing candidate"),
             PrepassDecision::Frontier => {
                 panic!(
                     "estimate {:.2} dB should be decidable at a {min_psnr} dB bar",

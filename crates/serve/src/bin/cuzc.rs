@@ -17,11 +17,9 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use zc_compress::{
-    BitGroomCompressor, Compressor, LosslessCompressor, SzCompressor, ZfpLikeCompressor,
-};
+use zc_compress::{CompressorSpec, ErrorBound};
 use zc_core::campaign::{CampaignSpec, FieldRef, FleetSpec, RecoveryPolicy, Scheduler};
-use zc_core::config::{parse, CompressorChoice, RunConfig, TilingPolicy};
+use zc_core::config::{parse, RunConfig, TilingPolicy};
 use zc_core::exec::make_executor_with_device_mem;
 use zc_core::io::{read_raw, write_pgm_slice, Endianness};
 use zc_core::metrics::{Metric, MetricSelection};
@@ -261,7 +259,7 @@ fn load_config(args: &Args) -> Result<RunConfig, String> {
         None => Ok(RunConfig {
             assess: zc_core::AssessConfig::default(),
             executor: zc_core::ExecutorKind::CuZc,
-            compressor: Some(CompressorChoice::Sz(zc_compress::ErrorBound::Rel(1e-3))),
+            compressor: Some(CompressorSpec::Sz(ErrorBound::Rel(1e-3))),
         }),
     }
 }
@@ -343,26 +341,16 @@ fn run() -> Result<ExitCode, String> {
             (t, None)
         }
         None => {
-            let choice = run.compressor.ok_or_else(|| {
+            let spec = run.compressor.ok_or_else(|| {
                 "no --decompressed file and no [compressor] in config".to_string()
             })?;
-            let (t, stats) = match choice {
-                CompressorChoice::Sz(bound) => SzCompressor::new(bound)
-                    .roundtrip(&orig)
-                    .map_err(|e| format!("sz: {e}"))?,
-                CompressorChoice::Zfp(rate) => ZfpLikeCompressor::new(rate)
-                    .roundtrip(&orig)
-                    .map_err(|e| format!("zfp: {e}"))?,
-                CompressorChoice::BitGroom(keep) => BitGroomCompressor::new(keep)
-                    .roundtrip(&orig)
-                    .map_err(|e| format!("bitgroom: {e}"))?,
-                CompressorChoice::Lossless => LosslessCompressor::new()
-                    .roundtrip(&orig)
-                    .map_err(|e| format!("lossless: {e}"))?,
-            };
+            let (t, stats) = spec
+                .build()
+                .roundtrip(&orig)
+                .map_err(|e| format!("{}: {e}", spec.label()))?;
             eprintln!(
                 "compressed with {:?}: ratio {:.2}x ({:.3} bits/value)",
-                choice,
+                spec,
                 stats.ratio(),
                 stats.bit_rate(4)
             );
@@ -594,7 +582,6 @@ fn sanitizer_verdict() -> Result<ExitCode, String> {
 /// catalog — a multi-step time series next to snapshots a fraction of its
 /// size — sharded by the selected scheduler over a simulated NVLink fleet.
 fn run_demo_campaign(gpus: u32, args: &Args, run: &RunConfig) -> Result<ExitCode, String> {
-    use zc_compress::{CompressorSpec, ErrorBound};
     use zc_data::{AppDataset, GenOptions};
     let scheduler = args.scheduler.unwrap_or_default();
     let mut fleet = FleetSpec::nvlink(gpus);

@@ -1,8 +1,8 @@
-//! Error types for shape and view construction.
+//! Error types for shape and tensor construction.
 
 use std::fmt;
 
-/// Errors raised when constructing shapes, tensors or views.
+/// Errors raised when constructing shapes or tensors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShapeError {
     /// An extent of zero was supplied.
@@ -20,8 +20,6 @@ pub enum ShapeError {
     },
     /// Two tensors that must be congruent have different shapes.
     ShapeMismatch,
-    /// A requested sub-region does not fit inside the tensor.
-    OutOfBounds,
 }
 
 impl fmt::Display for ShapeError {
@@ -41,7 +39,6 @@ impl fmt::Display for ShapeError {
                 )
             }
             ShapeError::ShapeMismatch => write!(f, "tensor shapes do not match"),
-            ShapeError::OutOfBounds => write!(f, "requested region exceeds tensor bounds"),
         }
     }
 }

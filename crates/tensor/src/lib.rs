@@ -8,7 +8,8 @@
 //! patterns the three computational patterns of the paper need:
 //!
 //! * flat element access for *global reduction* metrics (pattern 1),
-//! * z-slab and halo-aware cube views for *stencil-like* metrics (pattern 2),
+//! * multi-index access (`at`, `at3`, `Shape::linear`) for *stencil-like*
+//!   metrics (pattern 2),
 //! * overlapping sliding-window iteration for *SSIM* (pattern 3).
 //!
 //! ## Memory layout
@@ -43,12 +44,10 @@ mod element;
 mod error;
 mod shape;
 mod tensor;
-mod view;
 mod windows;
 
 pub use element::Element;
 pub use error::ShapeError;
 pub use shape::{Axis, Shape, MAX_NDIM};
 pub use tensor::Tensor;
-pub use view::{CubeView, SlabView};
-pub use windows::{CubeBlocks, WindowSpec, Windows};
+pub use windows::{WindowSpec, Windows};

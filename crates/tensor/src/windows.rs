@@ -1,13 +1,10 @@
-//! Sliding-window and cube-block iteration.
+//! Sliding-window iteration.
 //!
 //! [`Windows`] enumerates the overlapping SSIM scan positions of pattern 3
 //! (Fig. 5 of the paper): a `wsize`-sided window stepped by `step` along
-//! every declared axis. [`CubeBlocks`] enumerates the overlapping
-//! shared-memory cubes of pattern 2 (Fig. 7): blocks of side `ssize` whose
-//! interiors tile the stencil-valid region, adjacent blocks overlapping by
-//! `stride` (the halo).
+//! every declared axis.
 
-use crate::{CubeView, Element, Shape, ShapeError, Tensor};
+use crate::Shape;
 
 /// Parameters of a sliding-window scan (SSIM).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,98 +121,9 @@ impl Iterator for Windows {
     }
 }
 
-/// Iterator over the overlapping pattern-2 cube blocks of a 3D tensor.
-///
-/// Each yielded [`CubeView`] has side ≤ `ssize`; consecutive blocks along an
-/// axis overlap by `stride` so that every interior point (those at least
-/// `stride/2` from a face, for centred stencils) appears in the interior of
-/// exactly one block — mirroring Algorithm 2's `ssize' = ssize - stride`
-/// advance.
-pub struct CubeBlocks<'a, T> {
-    t: &'a Tensor<T>,
-    ssize: usize,
-    w: usize,
-    origins: Vec<[usize; 3]>,
-    pos: usize,
-}
-
-impl<'a, T: Element> CubeBlocks<'a, T> {
-    /// Blocks of side `ssize` with halo `stride` over `t` (hyper-index `w`).
-    ///
-    /// Fails when `stride >= ssize` (no interior would remain) or when the
-    /// tensor is smaller than one stencil neighbourhood.
-    pub fn over(
-        t: &'a Tensor<T>,
-        ssize: usize,
-        stride: usize,
-        w: usize,
-    ) -> Result<Self, ShapeError> {
-        if ssize == 0 || stride >= ssize {
-            return Err(ShapeError::OutOfBounds);
-        }
-        let s = t.shape();
-        let interior = ssize - stride;
-        let starts = |n: usize| -> Vec<usize> {
-            if n == 0 {
-                return vec![];
-            }
-            let mut v = Vec::new();
-            let mut i = 0usize;
-            loop {
-                v.push(i.min(n.saturating_sub(1)));
-                if i + ssize >= n + stride {
-                    break;
-                }
-                i += interior;
-            }
-            v
-        };
-        let xs = starts(s.nx());
-        let ys = starts(s.ny());
-        let zs = starts(s.nz());
-        let mut origins = Vec::with_capacity(xs.len() * ys.len() * zs.len());
-        for &z in &zs {
-            for &y in &ys {
-                for &x in &xs {
-                    origins.push([x, y, z]);
-                }
-            }
-        }
-        Ok(CubeBlocks {
-            t,
-            ssize,
-            w,
-            origins,
-            pos: 0,
-        })
-    }
-
-    /// Total number of blocks.
-    pub fn count_total(&self) -> usize {
-        self.origins.len()
-    }
-}
-
-impl<'a, T: Element> Iterator for CubeBlocks<'a, T> {
-    type Item = CubeView<'a, T>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let s = self.t.shape();
-        let origin = *self.origins.get(self.pos)?;
-        self.pos += 1;
-        let size = [
-            self.ssize.min(s.nx() - origin[0]),
-            self.ssize.min(s.ny() - origin[1]),
-            self.ssize.min(s.nz() - origin[2]),
-        ];
-        Some(CubeView::of(self.t, origin, size, self.w).expect("origins are in-bounds"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Shape;
 
     #[test]
     fn window_positions_arithmetic() {
@@ -252,49 +160,5 @@ mod tests {
         let mut w = Windows::over(shape, WindowSpec::new(8, 1));
         assert_eq!(w.next(), None);
         assert_eq!(w.count_total(), 0);
-    }
-
-    #[test]
-    fn cube_blocks_cover_interior_once() {
-        // Every point at distance >= stride/2... simpler check: union of
-        // block interiors (excluding the `stride`-wide trailing border of
-        // each block) covers the stencil-valid region exactly once.
-        let t = Tensor::from_fn(Shape::d3(20, 20, 20), |[x, ..]| x as f32);
-        let stride = 2usize;
-        let ssize = 8usize;
-        let mut seen = vec![0u32; t.len()];
-        for cube in CubeBlocks::over(&t, ssize, stride, 0).unwrap() {
-            let [sx, sy, sz] = cube.size();
-            let o = cube.origin();
-            // Interior points of this block: locals in [0, s-stride) per axis,
-            // clamped to blocks that actually have that many points.
-            for z in 0..sz.saturating_sub(stride) {
-                for y in 0..sy.saturating_sub(stride) {
-                    for x in 0..sx.saturating_sub(stride) {
-                        let idx = t.shape().linear([o[0] + x, o[1] + y, o[2] + z, 0]);
-                        seen[idx] += 1;
-                    }
-                }
-            }
-        }
-        // Points with coordinate < n - stride on every axis must be covered
-        // exactly once.
-        let s = t.shape();
-        for z in 0..s.nz() - stride {
-            for y in 0..s.ny() - stride {
-                for x in 0..s.nx() - stride {
-                    let c = seen[s.linear([x, y, z, 0])];
-                    assert_eq!(c, 1, "point ({x},{y},{z}) covered {c} times");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cube_blocks_reject_bad_params() {
-        let t = Tensor::<f32>::zeros(Shape::d3(8, 8, 8));
-        assert!(CubeBlocks::over(&t, 4, 4, 0).is_err());
-        assert!(CubeBlocks::over(&t, 0, 0, 0).is_err());
-        assert!(CubeBlocks::over(&t, 4, 1, 0).is_ok());
     }
 }

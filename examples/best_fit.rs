@@ -6,29 +6,23 @@
 //! cargo run --release --example best_fit
 //! ```
 
-use cuz_checker::compress::{Compressor, ErrorBound, SzCompressor, ZfpLikeCompressor};
+use cuz_checker::compress::{CompressorSpec, ErrorBound};
 use cuz_checker::core::config::AssessConfig;
 use cuz_checker::core::recommend::{recommend, render_ranking, QualityCriteria};
-use cuz_checker::core::CuZc;
+use cuz_checker::core::FieldRef;
 use cuz_checker::data::{AppDataset, GenOptions};
 
 fn main() {
-    let field = AppDataset::Hurricane.generate_field(9, &GenOptions::scaled(8)); // TC
-    println!("field: Hurricane {} at 1/8 scale\n", field.name);
+    let field = FieldRef::new(AppDataset::Hurricane, 9, GenOptions::scaled(8)); // TC
+    println!("field: Hurricane {} at 1/8 scale\n", field.name());
 
-    let sz2 = SzCompressor::new(ErrorBound::Rel(1e-2));
-    let sz3 = SzCompressor::new(ErrorBound::Rel(1e-3));
-    let sz4 = SzCompressor::new(ErrorBound::Rel(1e-4));
-    let zfp8 = ZfpLikeCompressor::new(8.0);
-    let zfp12 = ZfpLikeCompressor::new(12.0);
-    let zfp16 = ZfpLikeCompressor::new(16.0);
-    let candidates: Vec<(&str, &dyn Compressor)> = vec![
-        ("sz-like rel=1e-2", &sz2),
-        ("sz-like rel=1e-3", &sz3),
-        ("sz-like rel=1e-4", &sz4),
-        ("zfp-like rate=8", &zfp8),
-        ("zfp-like rate=12", &zfp12),
-        ("zfp-like rate=16", &zfp16),
+    let candidates = [
+        CompressorSpec::Sz(ErrorBound::Rel(1e-2)),
+        CompressorSpec::Sz(ErrorBound::Rel(1e-3)),
+        CompressorSpec::Sz(ErrorBound::Rel(1e-4)),
+        CompressorSpec::Zfp(8.0),
+        CompressorSpec::Zfp(12.0),
+        CompressorSpec::Zfp(16.0),
     ];
 
     for (label, criteria) in [
@@ -42,14 +36,14 @@ fn main() {
         ),
     ] {
         println!("criteria: {label}");
-        let ranking = recommend(
-            &field.data,
+        let (ranking, _) = recommend(
+            &field,
             &candidates,
             &criteria,
             &AssessConfig::default(),
-            &CuZc::default(),
+            false,
         )
-        .expect("recommendation pipeline");
+        .expect("recommendation sweep");
         print!("{}", render_ranking(&ranking));
         match ranking.iter().find(|v| v.passes) {
             Some(best) => println!("→ best fit: {} at {:.1}x\n", best.name, best.ratio),

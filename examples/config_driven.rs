@@ -6,10 +6,7 @@
 //! cargo run --release --example config_driven
 //! ```
 
-use cuz_checker::compress::{
-    BitGroomCompressor, Compressor, LosslessCompressor, SzCompressor, ZfpLikeCompressor,
-};
-use cuz_checker::core::config::{parse, CompressorChoice};
+use cuz_checker::core::config::parse;
 use cuz_checker::core::exec::make_executor;
 use cuz_checker::core::io::{read_raw, write_raw, Endianness};
 use cuz_checker::data::{AppDataset, GenOptions};
@@ -49,20 +46,8 @@ fn main() {
     println!("loaded {} from {}", orig.shape(), path.display());
 
     // Run the configured compressor.
-    let (dec, stats) = match run.compressor.expect("config names a compressor") {
-        CompressorChoice::Sz(bound) => SzCompressor::new(bound)
-            .roundtrip(&orig)
-            .expect("sz roundtrip"),
-        CompressorChoice::Zfp(rate) => ZfpLikeCompressor::new(rate)
-            .roundtrip(&orig)
-            .expect("zfp roundtrip"),
-        CompressorChoice::BitGroom(keep) => BitGroomCompressor::new(keep)
-            .roundtrip(&orig)
-            .expect("bitgroom roundtrip"),
-        CompressorChoice::Lossless => LosslessCompressor::new()
-            .roundtrip(&orig)
-            .expect("lossless roundtrip"),
-    };
+    let spec = run.compressor.expect("config names a compressor");
+    let (dec, stats) = spec.build().roundtrip(&orig).expect("codec roundtrip");
     println!("compression ratio: {:.1}x", stats.ratio());
 
     // Run the configured executor and render the configured metrics.
