@@ -189,9 +189,9 @@ impl CampaignSpec {
                 ));
             }
         }
-        // One cache-off engine batch, calibrated on the campaign's config:
-        // the functional work runs once, then is placed per fleet.
-        let mut engine = Engine::open(self.fleet, self.scheduler, &self.cfg, 0);
+        // One cache-off engine batch: the functional work runs once, then
+        // is placed per fleet.
+        let mut engine = Engine::open(self.fleet, self.scheduler, 0);
         let plan = AssessPlan::lower(&self.cfg);
         // Admission: one verdict per field (jobs sharing a field share a
         // plan and a shape). A refused job skips the drain but still
@@ -228,7 +228,7 @@ impl CampaignSpec {
                         .outcome
                 }
             };
-            let price = engine.price(&plan, job.field.shape(), &self.cfg);
+            let price = job_cost(&plan, job.field.shape(), &self.cfg, &self.fleet);
             priced.push(job, outcome, price);
         }
         fleets

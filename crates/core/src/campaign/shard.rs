@@ -9,12 +9,12 @@
 //!
 //! * [`Scheduler::RoundRobin`] — the original cost-blind assignment,
 //!   `group = id % groups`. Balance degrades when job costs vary.
-//! * [`Scheduler::List`] — cost-model-driven LPT list scheduling: jobs are
-//!   placed longest-predicted-first onto the least-loaded group, and a job
-//!   predicted longer than the balanced per-group share is *split* across
-//!   groups along its slab tiling (each group assesses a share of the
-//!   slabs). The result is never predicted-worse than round-robin: the
-//!   scheduler prices both plans and keeps the better one.
+//! * [`Scheduler::List`] — cost-model-driven LPT list scheduling: a job
+//!   predicted longer than the balanced per-group share is first *split*
+//!   along its slab tiling (each group assesses a share of the slabs), then
+//!   the split parts and whole jobs are placed longest-predicted-first onto
+//!   the least-loaded group. The result is never predicted-worse than
+//!   round-robin: the scheduler prices both plans and keeps the better one.
 
 use crate::exec::{CuZc, MultiCuZc};
 use zc_gpusim::{FaultPlan, MultiGpuModel};
@@ -220,28 +220,19 @@ impl ShardPlan {
         }
     }
 
-    /// Longest-predicted-first list scheduling: jobs sorted by descending
-    /// cost (ties by ascending id) are placed on the least-loaded group. A
-    /// job whose cost exceeds the balanced per-group share — which would
-    /// bound the makespan all by itself — splits into up to
-    /// `min(splittable[i], 4 × groups)` even slab parts, each
-    /// list-scheduled independently.
-    fn lpt(costs: &[f64], splittable: &[usize], groups: u32) -> ShardPlan {
-        assert!(groups >= 1, "shard plan needs at least one group");
+    /// Cut the jobs into the pieces the list scheduler places: a job whose
+    /// cost exceeds the balanced per-group share — which would bound the
+    /// makespan all by itself — splits into up to
+    /// `min(splittable[i], 4 × groups)` even slab parts; every other job is
+    /// one whole piece. Returns `(job, share, predicted seconds)` per
+    /// piece, in job-then-part order.
+    fn pieces(costs: &[f64], splittable: &[usize], groups: u32) -> Vec<(usize, f64, f64)> {
         let g = groups as usize;
         let total: f64 = costs.iter().map(|c| c.max(0.0)).sum();
         let ideal = total / g as f64;
-        let mut order: Vec<usize> = (0..costs.len()).collect();
-        order.sort_by(|&a, &b| {
-            costs[b]
-                .partial_cmp(&costs[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut load = vec![0.0f64; g];
-        let mut assignments: Vec<Vec<(u32, f64)>> = vec![Vec::new(); costs.len()];
-        for i in order {
-            let c = costs[i].max(0.0);
+        let mut pieces = Vec::new();
+        for (i, &c) in costs.iter().enumerate() {
+            let c = c.max(0.0);
             // A job may span more groups than exist — parts landing on the
             // same group merge — so the cap is the slab count, loosely
             // bounded at 4·groups to keep part bookkeeping small.
@@ -249,7 +240,7 @@ impl ShardPlan {
             let parts = if c > ideal && ideal > 0.0 && max_parts > 1 {
                 // Aim for parts no bigger than an eighth of the balanced
                 // per-group share: the greedy placement's final imbalance
-                // is bounded by one part, so part size directly caps the
+                // is bounded by one piece, so part size directly caps the
                 // utilization loss the splittable hogs can cause.
                 ((8.0 * c / ideal).ceil() as usize).min(max_parts)
             } else {
@@ -262,22 +253,40 @@ impl ShardPlan {
                 } else {
                     1.0 / parts as f64
                 };
-                let least = (0..g)
-                    .min_by(|&a, &b| {
-                        load[a]
-                            .partial_cmp(&load[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("at least one group");
-                load[least] += c * share;
-                // Merge parts landing on the same group.
-                match assignments[i]
-                    .iter_mut()
-                    .find(|(grp, _)| *grp == least as u32)
-                {
-                    Some((_, s)) => *s += share,
-                    None => assignments[i].push((least as u32, share)),
-                }
+                pieces.push((i, share, c * share));
+            }
+        }
+        pieces
+    }
+
+    /// Longest-predicted-first list scheduling over [`ShardPlan::pieces`]:
+    /// split parts and whole jobs together, longest first (ties by job id,
+    /// then part), each onto the least-loaded group — so the small parts
+    /// fill in around the mid-size jobs instead of the mid-size jobs
+    /// stacking on top of the parts.
+    fn lpt(costs: &[f64], splittable: &[usize], groups: u32) -> ShardPlan {
+        assert!(groups >= 1, "shard plan needs at least one group");
+        let mut pieces = ShardPlan::pieces(costs, splittable, groups);
+        // Stable: equal pieces keep job-then-part order.
+        pieces.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal));
+        let mut load = vec![0.0f64; groups as usize];
+        let mut assignments: Vec<Vec<(u32, f64)>> = vec![Vec::new(); costs.len()];
+        for (i, share, seconds) in pieces {
+            let least = (0..load.len())
+                .min_by(|&a, &b| {
+                    load[a]
+                        .partial_cmp(&load[b])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .expect("at least one group");
+            load[least] += seconds;
+            // Merge parts landing on the same group.
+            match assignments[i]
+                .iter_mut()
+                .find(|(grp, _)| *grp == least as u32)
+            {
+                Some((_, s)) => *s += share,
+                None => assignments[i].push((least as u32, share)),
             }
         }
         ShardPlan {
@@ -386,6 +395,86 @@ mod tests {
         let rr = Scheduler::RoundRobin.plan(&costs, &ones, 2);
         let list = Scheduler::List.plan(&costs, &ones, 2);
         assert!(list.predicted_makespan() <= rr.predicted_makespan());
+    }
+
+    #[test]
+    fn list_makespan_is_within_one_piece_of_the_balanced_share() {
+        // Graham's bound for greedy list scheduling, over the pieces the
+        // scheduler actually places (split parts and whole jobs).
+        let mut rng = zc_data::SplitMix64::new(0x6_7A4A_B0D0);
+        for case in 0..256 {
+            let groups = 1 + (rng.next_u64() % 8) as u32;
+            let n = 1 + (rng.next_u64() % 24) as usize;
+            let costs: Vec<f64> = (0..n)
+                .map(|_| {
+                    // Mostly small jobs with the odd hog several shares big.
+                    let base = (1 + rng.next_u64() % 1000) as f64 / 100.0;
+                    if rng.next_u64().is_multiple_of(5) {
+                        base * 20.0
+                    } else {
+                        base
+                    }
+                })
+                .collect();
+            let splittable: Vec<usize> =
+                (0..n).map(|_| 1 + (rng.next_u64() % 64) as usize).collect();
+            let plan = Scheduler::List.plan(&costs, &splittable, groups);
+            let total: f64 = costs.iter().sum();
+            let largest = ShardPlan::pieces(&costs, &splittable, groups)
+                .iter()
+                .map(|p| p.2)
+                .fold(0.0, f64::max);
+            assert!(
+                plan.predicted_makespan() <= total / groups as f64 + largest + 1e-9,
+                "case {case}: makespan {} over share {} + piece {largest}",
+                plan.predicted_makespan(),
+                total / groups as f64
+            );
+        }
+    }
+
+    #[test]
+    fn split_parts_fill_in_around_mid_size_jobs_on_the_ci_mix() {
+        // The CI campaign smoke's mixed section: two 8-step time-series
+        // hogs (one per codec) beside eight mid-size snapshots, slab-tiled,
+        // on 8 groups, priced by the job pricer. Placing the hogs' parts
+        // before every whole job (the earlier order) stacks the mid-size
+        // jobs on top of them and leaves the fleet ~80% busy.
+        use crate::campaign::{CampaignSpec, FieldRef, RecoveryPolicy};
+        use crate::config::{AssessConfig, TilingPolicy};
+        use zc_compress::{CompressorSpec, ErrorBound};
+        use zc_data::{AppDataset, GenOptions};
+        let snapshot = |dataset, index| FieldRef::new(dataset, index, GenOptions::scaled(16));
+        let spec = CampaignSpec {
+            fields: vec![
+                FieldRef::timeseries(AppDataset::Hurricane, 9, GenOptions::scaled_xy(8), 8),
+                snapshot(AppDataset::ScaleLetkf, 0),
+                snapshot(AppDataset::Nyx, 3),
+                snapshot(AppDataset::Miranda, 0),
+                snapshot(AppDataset::Hurricane, 5),
+            ],
+            compressors: vec![
+                CompressorSpec::Sz(ErrorBound::Rel(1e-3)),
+                CompressorSpec::Zfp(12.0),
+            ],
+            cfg: AssessConfig {
+                max_lag: 4,
+                tiling: TilingPolicy::Slabs(32),
+                ..Default::default()
+            },
+            fleet: FleetSpec::nvlink(8),
+            scheduler: Scheduler::List,
+            progressive: None,
+            recovery: RecoveryPolicy::default(),
+        };
+        let (costs, splittable) = spec.job_costs();
+        let plan = Scheduler::List.plan(&costs, &splittable, 8);
+        let busy: f64 = plan.predicted_busy().iter().sum();
+        let utilization = busy / (8.0 * plan.predicted_makespan());
+        assert!(
+            utilization >= 0.95,
+            "predicted utilization {utilization:.3}"
+        );
     }
 
     #[test]

@@ -37,11 +37,13 @@
 //! refused at admission skips execution but keeps its failed, priced
 //! record.
 //!
-//! The session adds two things a one-shot run cannot have:
+//! Jobs are priced by [`estimate_job_cost`]: each pass's declared launches
+//! through the simulator's own cost function and the stream timeline, so
+//! a prediction is charged exactly as its run will be and needs no
+//! correction.
 //!
-//! * **Calibration** ([`CostCalibration`]): one probe job at startup fits
-//!   the closed-form cost estimator to the fleet's modeled executor, so
-//!   scheduler predictions track measured makespans.
+//! The session adds what a one-shot run cannot have:
+//!
 //! * **Memory** ([`ResultCache`]): results are content-addressed by
 //!   (field digest, codec label, value-affecting config). A repeated
 //!   request is answered from cache without touching the executor; a
@@ -185,10 +187,10 @@ pub struct BatchReport {
     pub cache: CacheStats,
 }
 
-/// Predicted seconds (uncalibrated) and split limit (resolved slab count)
+/// Predicted seconds and split limit (resolved slab count)
 /// of running `plan` on a field of `shape` on one device group of `fleet`
-/// — the one pricing rule behind [`Engine::price`] (shard plans and
-/// service estimates) and [`crate::campaign::CampaignSpec::job_costs`].
+/// — the one pricing rule behind shard plans, [`Engine::estimate_seconds`]
+/// and [`crate::campaign::CampaignSpec::job_costs`].
 pub(crate) fn job_cost(
     plan: &AssessPlan,
     shape: Shape,
@@ -216,7 +218,7 @@ pub(crate) struct Resolved {
 }
 
 /// Jobs that occupied the device, priced for placement: one record per
-/// job, in ticket order, with its calibrated cost and split limit.
+/// job, in ticket order, with its predicted cost and split limit.
 #[derive(Default)]
 pub(crate) struct Priced {
     records: Vec<JobRecord>,
@@ -225,7 +227,7 @@ pub(crate) struct Priced {
 }
 
 impl Priced {
-    /// Append a job with its [`Engine::price`]; placement assigns its group.
+    /// Append a job with its [`job_cost`]; placement assigns its group.
     pub(crate) fn push(&mut self, spec: JobSpec, outcome: JobOutcome, price: (f64, usize)) {
         self.records.push(JobRecord {
             spec,
@@ -289,8 +291,8 @@ impl DigestMemo {
     }
 }
 
-/// A resident assessment session: a fleet, its calibrated cost model, and
-/// a content-addressed result cache, fed by [`Engine::submit`] and driven
+/// A resident assessment session: a fleet, its scheduler, and a
+/// content-addressed result cache, fed by [`Engine::submit`] and driven
 /// by [`Engine::drain`].
 #[derive(Clone, Debug)]
 pub struct Engine {
@@ -298,7 +300,6 @@ pub struct Engine {
     scheduler: Scheduler,
     executor: MultiCuZc,
     caps: BackendCaps,
-    calibration: CostCalibration,
     cache: ResultCache,
     memo: DigestMemo,
     fields_generated: u64,
@@ -307,27 +308,19 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Open a session on a fleet: validate it, build its executor, and
-    /// run the calibration probe (one small deterministic assessment).
+    /// Open a session on a fleet: validate it and build its executor.
     pub fn new(fleet: FleetSpec) -> Result<Engine, EngineError> {
         fleet.validate().map_err(EngineError::BadFleet)?;
         Ok(Engine::open(
             fleet,
             Scheduler::default(),
-            &AssessConfig::default(),
             DEFAULT_CACHE_ENTRIES,
         ))
     }
 
-    /// A session on an already-validated fleet, calibrated on `cfg`.
-    pub(crate) fn open(
-        fleet: FleetSpec,
-        scheduler: Scheduler,
-        cfg: &AssessConfig,
-        cache_entries: usize,
-    ) -> Engine {
+    /// A session on an already-validated fleet.
+    pub(crate) fn open(fleet: FleetSpec, scheduler: Scheduler, cache_entries: usize) -> Engine {
         Engine {
-            calibration: CostCalibration::probe(&fleet, cfg),
             executor: fleet.executor(),
             scheduler,
             caps: BackendCaps::v100(),
@@ -355,11 +348,6 @@ impl Engine {
         self
     }
 
-    /// The fitted cost calibration.
-    pub fn calibration(&self) -> CostCalibration {
-        self.calibration
-    }
-
     /// Cumulative cache counters, with the session's field generation.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
@@ -380,24 +368,11 @@ impl Engine {
         self.pending.len()
     }
 
-    /// Calibrated predicted seconds for a request — what `zc-serve` prices
-    /// admission and backpressure with.
+    /// Predicted seconds for a request — what `zc-serve` prices admission
+    /// and backpressure with.
     pub fn estimate_seconds(&self, req: &AssessRequest) -> f64 {
         let plan = AssessPlan::lower(&req.cfg);
-        self.price(&plan, req.field.shape(), &req.cfg).0
-    }
-
-    /// Calibrated predicted seconds and split limit of running `plan` on a
-    /// field of `shape` — step 6's price, shared by service estimates and
-    /// campaign placement.
-    pub(crate) fn price(
-        &self,
-        plan: &AssessPlan,
-        shape: Shape,
-        cfg: &AssessConfig,
-    ) -> (f64, usize) {
-        let (seconds, slabs) = job_cost(plan, shape, cfg, &self.fleet);
-        (self.calibration.apply(seconds), slabs)
+        job_cost(&plan, req.field.shape(), &req.cfg, &self.fleet).0
     }
 
     /// Verify a lowered plan against the device envelope: the first
@@ -453,7 +428,7 @@ impl Engine {
                     field: req.field.clone(),
                     compressor: req.compressor,
                 };
-                let price = self.price(plan, req.field.shape(), &req.cfg);
+                let price = job_cost(plan, req.field.shape(), &req.cfg, &self.fleet);
                 priced.push(spec, r.outcome.clone(), price);
                 cfg.get_or_insert(req.cfg);
             }
@@ -781,11 +756,12 @@ mod tests {
     }
 
     #[test]
-    fn estimate_is_calibrated_and_positive() {
+    fn estimate_is_positive_and_needs_no_correction() {
         let engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
         let req = request(MetricSelection::all());
         assert!(engine.estimate_seconds(&req) > 0.0);
-        assert!(engine.calibration().scale > 1.0);
+        let probe = CostCalibration::probe(&FleetSpec::nvlink(2), &req.cfg);
+        assert!((probe.scale - 1.0).abs() <= 0.01, "scale {}", probe.scale);
     }
 
     #[test]
@@ -802,10 +778,7 @@ mod tests {
             recovery: Default::default(),
         };
         let (costs, _) = spec.job_costs();
-        assert_eq!(
-            engine.estimate_seconds(&req).to_bits(),
-            engine.calibration().apply(costs[0]).to_bits()
-        );
+        assert_eq!(engine.estimate_seconds(&req).to_bits(), costs[0].to_bits());
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl Executor for CuZc {
     /// The prepass on the pattern-oriented coordinator: the same fused P1
     /// reduction, launched over the subsample as a strided gather.
     fn prepass_charge(&self, sampled: u64, stride: usize) -> (Counters, f64) {
-        gpu_prepass_charge(sampled, stride)
+        gpu_prepass_charge(&self.sim, sampled, stride)
     }
 }
 

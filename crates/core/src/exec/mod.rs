@@ -231,6 +231,9 @@ pub enum AssessError {
         /// when the error predates lowering, e.g. a bare slab resolution).
         pass: Option<crate::plan::PassKind>,
     },
+    /// No element of the pair has both values finite: every metric would
+    /// be NaN or infinite, so there is nothing to assess.
+    NoFiniteElement,
 }
 
 impl AssessError {
@@ -270,6 +273,9 @@ impl fmt::Display for AssessError {
                     write!(f, " (largest field pass: {kind:?})")?;
                 }
                 write!(f, " — enable slab tiling or reduce the field")
+            }
+            AssessError::NoFiniteElement => {
+                write!(f, "field pair has no element where both values are finite")
             }
         }
     }
@@ -433,5 +439,15 @@ pub(crate) fn validate(
         .map_err(|e| AssessError::BadConfig(e.to_string()))?;
     let nf = orig.iter().filter(|v| !v.is_finite()).count()
         + dec.iter().filter(|v| !v.is_finite()).count();
+    // Only a pair with non-finite values can lack a finite element, so the
+    // common all-finite pair pays no second scan.
+    if nf > 0
+        && !orig
+            .iter()
+            .zip(dec.iter())
+            .any(|(a, b)| a.is_finite() && b.is_finite())
+    {
+        return Err(AssessError::NoFiniteElement);
+    }
     Ok(nf as u64)
 }

@@ -171,7 +171,7 @@ impl Executor for MoZc {
     /// reduction launch, charged at the device's sector-wasteful strided
     /// bandwidth.
     fn prepass_charge(&self, sampled: u64, stride: usize) -> (Counters, f64) {
-        gpu_prepass_charge(sampled, stride)
+        gpu_prepass_charge(&self.sim, sampled, stride)
     }
 }
 

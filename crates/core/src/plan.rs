@@ -52,7 +52,7 @@ use zc_gpusim::cost::gpu_time;
 use zc_gpusim::stream::{EndToEnd, Engine, HostLink, Timeline};
 use zc_gpusim::{occupancy, Counters, GpuSim, KernelClass, KernelResources, MultiGpuModel};
 use zc_kernels::p3::SsimAcc;
-use zc_kernels::traffic::{self, Traffic};
+use zc_kernels::traffic::{self, Launch};
 use zc_kernels::{P1Histograms, P1Scalars, P2Stats};
 use zc_tensor::{Shape, Tensor};
 
@@ -117,19 +117,26 @@ impl PassKind {
         }
     }
 
-    /// The pass's closed-form device traffic over an `n`-element field
-    /// pair under a configuration — the kernels' own declarations
-    /// ([`zc_kernels::traffic`]) — or `None` for the meta pass, which
-    /// launches nothing. The cost estimator, the footprint table and the
+    /// The pass's cuZC launches on a field of `shape` under a
+    /// configuration, as the kernels declare them ([`zc_kernels::traffic`]:
+    /// exact counters, grid, resources, class) — empty for the meta pass,
+    /// which launches nothing. The job pricer, the footprint table and the
     /// capacity attribution all read this one mapping.
-    pub fn traffic(self, n: f64, cfg: &AssessConfig) -> Option<Traffic> {
+    pub fn launches(self, shape: Shape, cfg: &AssessConfig) -> Vec<Launch> {
         match self {
-            PassKind::P1Scalars => Some(traffic::p1_scalars(n)),
-            PassKind::P1Hist => Some(traffic::p1_hist(n)),
-            PassKind::P2Stencil => Some(traffic::p2_stencil(n, cfg.max_lag as f64)),
-            PassKind::P3Ssim => Some(traffic::p3_ssim(n, cfg.ssim.window as f64)),
-            PassKind::CompressionMeta => None,
+            PassKind::P1Scalars => vec![traffic::p1_scalars(shape)],
+            PassKind::P1Hist => vec![traffic::p1_hist(shape, cfg.bins)],
+            PassKind::P2Stencil => (1..=cfg.max_lag)
+                .map(|stride| traffic::p2_stencil(shape, stride, cfg.max_lag))
+                .collect(),
+            PassKind::P3Ssim => vec![traffic::p3_ssim(shape, cfg.ssim.window, cfg.ssim.step)],
+            PassKind::CompressionMeta => Vec::new(),
         }
+    }
+
+    /// The pass's declared launches merged into one counter set.
+    pub fn declared(self, shape: Shape, cfg: &AssessConfig) -> Counters {
+        Counters::merged(self.launches(shape, cfg).iter().map(|l| &l.counters))
     }
 }
 
@@ -297,6 +304,23 @@ impl PassLaunch {
         }
     }
 
+    /// Price a declared launch exactly as [`GpuSim::launch`] prices the
+    /// real one: the simulator's [`gpu_time`] over its counters, occupancy
+    /// and grid.
+    pub fn declared(sim: &GpuSim, l: &Launch) -> PassLaunch {
+        let occ = occupancy(&sim.dev, &l.resources);
+        let t = gpu_time(&sim.dev, &sim.calib, &l.counters, &occ, l.grid, l.class);
+        PassLaunch {
+            counters: l.counters,
+            seconds: t.total_s,
+            grid_blocks: l.grid,
+            resources: Some(l.resources),
+            blocks_per_sm: occ.blocks_per_sm,
+            tbs_per_sm: l.grid.div_ceil(sim.dev.sms as usize) as u32,
+            class: l.class,
+        }
+    }
+
     /// Build a launch record from a modeled CPU pass.
     pub fn from_cpu(counters: Counters, seconds: f64, class: KernelClass) -> PassLaunch {
         PassLaunch {
@@ -354,17 +378,26 @@ impl PassExecution {
     /// vector of `slabs` entries. Launches whose grid held fewer tiles
     /// than `slabs` spread their charge over the vector proportionally.
     pub fn fold_tiles(&mut self, slabs: usize, tiles: &[zc_gpusim::TileCharge]) {
-        if tiles.is_empty() {
-            return;
-        }
-        if self.tiles.len() < slabs {
-            self.tiles.resize(slabs, 0.0);
-        }
-        let l = tiles.len();
-        let s = self.tiles.len();
-        for (i, t) in tiles.iter().enumerate() {
-            self.tiles[i * s / l] += t.seconds;
-        }
+        fold_slab_seconds(&mut self.tiles, slabs, tiles.iter().map(|t| t.seconds));
+    }
+}
+
+/// [`PassExecution::fold_tiles`] over bare per-tile seconds.
+fn fold_slab_seconds(
+    into: &mut Vec<f64>,
+    slabs: usize,
+    seconds: impl ExactSizeIterator<Item = f64>,
+) {
+    let l = seconds.len();
+    if l == 0 {
+        return;
+    }
+    if into.len() < slabs {
+        into.resize(slabs, 0.0);
+    }
+    let s = into.len();
+    for (i, t) in seconds.enumerate() {
+        into[i * s / l] += t;
     }
 }
 
@@ -455,42 +488,29 @@ pub fn resolve_slabs(
     Ok(slabs)
 }
 
-/// Effective device rates the analytic job cost estimator prices counters
-/// at. Deliberately the *sustained* V100-class rates (post-occupancy, post
-/// launch ramp), not the peaks: the estimator prices whole passes, so
-/// sustained rates predict the calibrated kernel model far better.
-const EST_BW_BYTES_PER_S: f64 = 720e9;
-/// Sustained f64-lane arithmetic throughput for the estimator roofline.
-const EST_FLOPS_PER_S: f64 = 3.2e12;
-/// Fixed per-launch overhead the estimator charges.
-const EST_LAUNCH_S: f64 = 6.0e-6;
-
 /// A job-level cost prediction derived from a lowered [`AssessPlan`] and
 /// the field shape alone — no field data, no execution. The campaign list
 /// scheduler ranks and balances jobs on [`CostEstimate::seconds`].
 #[derive(Clone, Debug)]
 pub struct CostEstimate {
-    /// Estimated per-pass compute seconds, in plan order.
+    /// Predicted per-pass compute seconds, in plan order (after any
+    /// multi-device re-pricing).
     pub pass_seconds: Vec<(PassKind, f64)>,
-    /// Estimated bytes the passes read on-device.
-    pub bytes: u64,
-    /// Estimated lane flops across the passes.
-    pub flops: u64,
-    /// Sum of the estimated pass compute seconds.
-    pub compute_s: f64,
-    /// Predicted overlapped end-to-end makespan: the estimated pass
-    /// seconds pushed through the same stream-timeline model the executors
-    /// report `e2e` from, over the PCIe staging link they stage on.
+    /// Predicted overlapped end-to-end makespan: the pass seconds pushed
+    /// through the same stream-timeline model the executors report `e2e`
+    /// from, over the PCIe staging link they stage on.
     pub seconds: f64,
 }
 
-/// Predict one job's assessment cost from its pass DAG: per-pass counter
-/// estimates (the kernels' declared traffic, [`PassKind::traffic`], from
-/// the field shape and the configuration) are priced on an
-/// effective-rate roofline and overlapped through the stream-timeline
-/// model. `gpus > 1` models the ganged placement — compute divides across
-/// the group and the partial all-reduce rides `link` (a model over the same
-/// `gpus` devices).
+/// Predict one job's assessment cost from its pass DAG with the one cost
+/// model its run is charged by: every pass's declared launches
+/// ([`PassKind::launches`] — exact counters and grids from the field shape
+/// and the configuration) are priced by the simulator's [`gpu_time`],
+/// re-priced per pattern by [`DevicePlacement::pattern_times`] when
+/// `gpus > 1` (grid share, halo exchange and all-reduce over `link`,
+/// taken at `gpus` devices), and overlapped through the stream timeline —
+/// the same fold, placement and timeline code [`PlanRunner::run`] applies
+/// to executed launches.
 pub fn estimate_job_cost(
     plan: &AssessPlan,
     shape: Shape,
@@ -498,41 +518,56 @@ pub fn estimate_job_cost(
     gpus: u32,
     link: &MultiGpuModel,
 ) -> CostEstimate {
-    let n = shape.len() as f64;
-    let g = gpus.max(1) as f64;
-    let mut pass_seconds = Vec::new();
-    let (mut bytes_total, mut flops_total) = (0u64, 0u64);
-    for pass in plan.passes() {
-        let Some(t) = pass.kind.traffic(n, cfg) else {
-            continue;
-        };
-        let secs = (t.bytes / g / EST_BW_BYTES_PER_S).max(t.flops / g / EST_FLOPS_PER_S)
-            + t.launches * EST_LAUNCH_S
-            + link.allreduce_s();
-        bytes_total += t.bytes as u64;
-        flops_total += t.flops as u64;
-        pass_seconds.push((pass.kind, secs));
-    }
-    let compute_s = pass_seconds.iter().map(|(_, s)| s).sum();
-    // The staging link is PCIe regardless of the intra-group interconnect
-    // — matching `CuZc::transfer`, so predictions share a basis with the
-    // per-job `e2e` the report aggregates.
-    let host = HostLink::pcie();
+    let sim = GpuSim::v100();
     let pair_bytes = shape.len() as u64 * 4 * 2;
     let planes = (shape.nz() * shape.nw()).max(1);
     let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, None).unwrap_or(1);
-    // No backend ran, so each pass's seconds split evenly over the slabs.
-    let pass_tiles: Vec<(PassKind, Vec<f64>)> = pass_seconds
-        .iter()
-        .map(|&(kind, secs)| (kind, vec![secs / slabs as f64; slabs]))
-        .collect();
-    let e2e = timeline(&host, shape, cfg, &pass_tiles, slabs, false);
+    let mut charges = Charges::new();
+    for pass in plan.passes() {
+        let launches: Vec<PassLaunch> = pass
+            .kind
+            .launches(shape, cfg)
+            .iter()
+            .map(|l| PassLaunch::declared(&sim, l))
+            .collect();
+        if launches.is_empty() {
+            continue;
+        }
+        // Each launch tiles as the simulator tiles it — `slabs` contiguous
+        // block ranges, at most one per block — with its seconds split
+        // evenly over its tiles.
+        let mut tiles = Vec::new();
+        for l in &launches {
+            let n = slabs.clamp(1, l.grid_blocks);
+            fold_slab_seconds(&mut tiles, slabs, (0..n).map(|_| l.seconds / n as f64));
+        }
+        charges.add(pass.kind, &launches, tiles);
+    }
+    let placement = DevicePlacement {
+        link: MultiGpuModel {
+            gpus: gpus.max(1),
+            ..*link
+        },
+        sim: &sim,
+    };
+    // The staging link is PCIe regardless of the intra-group interconnect
+    // — matching `CuZc::transfer`, so predictions share a basis with the
+    // per-job `e2e` the report aggregates.
+    let (times, _, _, e2e) = charges.settle(
+        Some(placement),
+        Some(HostLink::pcie()),
+        shape,
+        cfg,
+        slabs,
+        false,
+    );
     CostEstimate {
-        pass_seconds,
-        bytes: bytes_total,
-        flops: flops_total,
-        compute_s,
-        seconds: e2e.overlapped_s,
+        pass_seconds: charges
+            .pass_tiles
+            .iter()
+            .map(|(kind, tiles)| (*kind, tiles.iter().sum()))
+            .collect(),
+        seconds: e2e.map_or(times.total(), |e| e.overlapped_s),
     }
 }
 
@@ -624,9 +659,11 @@ pub fn subsample_scan(orig: &Tensor<f32>, dec: &Tensor<f32>, stride: usize) -> P
 
 /// The modeled GPU charge for a strided-gather prepass over `sampled`
 /// elements: a strided read pulls whole 32-byte sectors, so the wasted
-/// bandwidth grows with the stride up to the 8-element sector width.
-/// Shared by the moZC and cuZC `prepass_charge` hooks.
-pub(crate) fn gpu_prepass_charge(sampled: u64, stride: usize) -> (Counters, f64) {
+/// bandwidth grows with the stride up to the 8-element sector width. The
+/// gather runs the fused pattern-1 kernel one sampled element per thread,
+/// priced by the simulator's [`gpu_time`] like every other launch. Shared
+/// by the moZC and cuZC `prepass_charge` hooks.
+pub(crate) fn gpu_prepass_charge(sim: &GpuSim, sampled: u64, stride: usize) -> (Counters, f64) {
     let waste = stride.clamp(1, 8) as u64;
     let c = Counters {
         global_read_bytes: 8 * sampled * waste,
@@ -634,10 +671,16 @@ pub(crate) fn gpu_prepass_charge(sampled: u64, stride: usize) -> (Counters, f64)
         launches: 1,
         ..Default::default()
     };
-    let secs = (c.global_read_bytes as f64 / EST_BW_BYTES_PER_S)
-        .max(c.lane_flops as f64 / EST_FLOPS_PER_S)
-        + EST_LAUNCH_S;
-    (c, secs)
+    let resources = zc_kernels::p1::scalar_resources();
+    let launch = Launch {
+        counters: c,
+        grid: (sampled as usize)
+            .div_ceil(resources.threads_per_block as usize)
+            .max(1),
+        resources,
+        class: KernelClass::GlobalReduction,
+    };
+    (c, PassLaunch::declared(sim, &launch).seconds)
 }
 
 /// A device-placement policy: grid-partition every pattern's launches over
@@ -857,19 +900,7 @@ impl<'a> PlanRunner<'a> {
             p1: self.seed,
             slabs,
         };
-        let mut accs = [
-            PatternAcc::new(Pattern::GlobalReduction),
-            PatternAcc::new(Pattern::Stencil),
-            PatternAcc::new(Pattern::SlidingWindow),
-        ];
-        let acc_index = |p: Pattern| match p {
-            Pattern::GlobalReduction => 0usize,
-            Pattern::Stencil => 1,
-            Pattern::SlidingWindow => 2,
-            Pattern::CompressionMeta => unreachable!("meta pass is not executed"),
-        };
-        let mut counters = Counters::default();
-        let mut pass_tiles: Vec<(PassKind, Vec<f64>)> = Vec::new();
+        let mut charges = Charges::new();
         let mut hists = None;
         let mut p2 = None;
         let mut ssim = None;
@@ -893,11 +924,7 @@ impl<'a> PlanRunner<'a> {
                 pass.kind
             );
             let ex = backend.run_pass(pass, &ctx);
-            for l in &ex.launches {
-                counters.merge(&l.counters);
-                accs[acc_index(pass.pattern)].add(l);
-            }
-            pass_tiles.push((pass.kind, ex.tiles));
+            charges.add(pass.kind, &ex.launches, ex.tiles);
             match ex.output {
                 PassOutput::Scalars(s) => ctx.p1 = Some(s),
                 PassOutput::Histograms(h) => hists = Some(h),
@@ -906,14 +933,95 @@ impl<'a> PlanRunner<'a> {
             }
             done.push(pass.kind);
         }
+        let (times, profiles, runs, e2e) = charges.settle(
+            backend.placement(),
+            backend.transfer(),
+            orig.shape(),
+            cfg,
+            slabs,
+            out_of_core,
+        );
 
+        let p1 = ctx
+            .p1
+            .expect("P1Scalars is always scheduled (or seeded) and always runs");
+        let report =
+            AnalysisReport::assemble(orig.shape(), non_finite, p1, hists, p2.as_ref(), ssim, cfg);
+        Ok(Assessment {
+            report,
+            counters: charges.counters,
+            modeled_seconds: times.total(),
+            pattern_times: times,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+            profiles,
+            runs,
+            e2e,
+            confidence: Confidence::Full,
+        })
+    }
+}
+
+/// Per-pass launch records folded per pattern — the one place a run is
+/// priced, whether its launches were executed ([`PlanRunner::run`]) or
+/// declared ([`estimate_job_cost`]), so a prediction goes through exactly
+/// the code its run will.
+struct Charges {
+    accs: [PatternAcc; 3],
+    counters: Counters,
+    pass_tiles: Vec<(PassKind, Vec<f64>)>,
+}
+
+impl Charges {
+    fn new() -> Self {
+        Charges {
+            accs: [
+                PatternAcc::new(Pattern::GlobalReduction),
+                PatternAcc::new(Pattern::Stencil),
+                PatternAcc::new(Pattern::SlidingWindow),
+            ],
+            counters: Counters::default(),
+            pass_tiles: Vec::new(),
+        }
+    }
+
+    /// Record one pass's launches and per-slab seconds.
+    fn add(&mut self, kind: PassKind, launches: &[PassLaunch], tiles: Vec<f64>) {
+        let acc = match kind.pattern() {
+            Pattern::GlobalReduction => &mut self.accs[0],
+            Pattern::Stencil => &mut self.accs[1],
+            Pattern::SlidingWindow => &mut self.accs[2],
+            Pattern::CompressionMeta => unreachable!("meta pass is not executed"),
+        };
+        for l in launches {
+            self.counters.merge(&l.counters);
+            acc.add(l);
+        }
+        self.pass_tiles.push((kind, tiles));
+    }
+
+    /// Per-pattern times, profiles and runs; re-priced under a multi-device
+    /// `placement` (compute share + halo/all-reduce communication, scaling
+    /// each pass's slab seconds in place — counters, runs and profiles are
+    /// placement-invariant by construction); then the stream timeline over
+    /// the backend's host `link`, if it has one.
+    fn settle(
+        &mut self,
+        placement: Option<DevicePlacement<'_>>,
+        link: Option<HostLink>,
+        shape: Shape,
+        cfg: &AssessConfig,
+        slabs: usize,
+        out_of_core: bool,
+    ) -> (
+        PatternTimes,
+        Vec<PatternProfile>,
+        Vec<PatternRun>,
+        Option<EndToEnd>,
+    ) {
         let mut times = PatternTimes::default();
         let mut profiles = Vec::new();
         let mut runs = Vec::new();
-        for acc in &accs {
-            if acc.launches_seen == 0 {
-                continue;
-            }
+        for acc in self.accs.iter().filter(|a| a.launches_seen > 0) {
             match acc.pattern {
                 Pattern::GlobalReduction => times.p1 = acc.seconds,
                 Pattern::Stencil => times.p2 = acc.seconds,
@@ -926,47 +1034,25 @@ impl<'a> PlanRunner<'a> {
             runs.push(acc.run());
         }
 
-        // Device placement re-prices the merged per-pattern runs (compute
-        // share + halo/all-reduce communication). Counters, runs, profiles
-        // and metric values are placement-invariant by construction.
-        if let Some(p) = backend.placement() {
-            if p.link.gpus > 1 {
-                let placed = p.pattern_times(&runs, orig.shape(), cfg);
-                // Tile durations scale with their pass.
-                for (kind, tiles) in pass_tiles.iter_mut() {
-                    let pattern = kind.pattern();
-                    let (old, new) = (times.of(pattern), placed.of(pattern));
-                    if old > 0.0 {
-                        for t in tiles.iter_mut() {
-                            *t *= new / old;
-                        }
+        if let Some(p) = placement.filter(|p| p.link.gpus > 1) {
+            let placed = p.pattern_times(&runs, shape, cfg);
+            // Tile durations scale with their pass.
+            for (kind, tiles) in self.pass_tiles.iter_mut() {
+                let pattern = kind.pattern();
+                let (old, new) = (times.of(pattern), placed.of(pattern));
+                if old > 0.0 {
+                    for t in tiles.iter_mut() {
+                        *t *= new / old;
                     }
                 }
-                times = placed;
             }
+            times = placed;
         }
 
-        let e2e = backend
-            .transfer()
+        let e2e = link
             .filter(|_| times.total() > 0.0)
-            .map(|link| timeline(&link, orig.shape(), cfg, &pass_tiles, slabs, out_of_core));
-
-        let p1 = ctx
-            .p1
-            .expect("P1Scalars is always scheduled (or seeded) and always runs");
-        let report =
-            AnalysisReport::assemble(orig.shape(), non_finite, p1, hists, p2.as_ref(), ssim, cfg);
-        Ok(Assessment {
-            report,
-            counters,
-            modeled_seconds: times.total(),
-            pattern_times: times,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            profiles,
-            runs,
-            e2e,
-            confidence: Confidence::Full,
-        })
+            .map(|link| timeline(&link, shape, cfg, &self.pass_tiles, slabs, out_of_core));
+        (times, profiles, runs, e2e)
     }
 }
 

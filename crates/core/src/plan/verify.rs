@@ -36,7 +36,7 @@
 use super::{resolve_slabs, AssessPlan, Pass, PassKind, RESIDENT_SLABS};
 use crate::config::{AssessConfig, ExecutorKind};
 use crate::exec::AssessError;
-use zc_gpusim::{DeviceSpec, KernelResources};
+use zc_gpusim::{Counters, DeviceSpec, KernelResources};
 use zc_lint::{Diagnostic, Location, Severity};
 use zc_tensor::Shape;
 
@@ -100,8 +100,8 @@ impl BackendCaps {
 }
 
 /// One pass's static footprint: the kernel resource declaration of its
-/// worst launch plus its declared closed-form traffic ([`PassKind::traffic`],
-/// the figures the cost estimator prices).
+/// worst launch plus its declared launch counters ([`PassKind::launches`],
+/// the figures the job pricer charges).
 #[derive(Clone, Debug)]
 pub struct PassFootprint {
     /// Which pass.
@@ -112,12 +112,9 @@ pub struct PassFootprint {
     pub auxiliary: bool,
     /// Worst-launch kernel resources (`None` for launch-free passes).
     pub resources: Option<KernelResources>,
-    /// Estimated device bytes across the pass's launches.
-    pub est_bytes: f64,
-    /// Estimated lane flops.
-    pub est_flops: f64,
-    /// Estimated launch count.
-    pub est_launches: f64,
+    /// Declared counters merged across the pass's launches (zero for
+    /// launch-free passes).
+    pub declared: Counters,
 }
 
 /// The whole plan's static footprint — what `cuzc --explain-plan` prints
@@ -162,27 +159,20 @@ pub fn footprint(
     cfg: &AssessConfig,
     caps: &BackendCaps,
 ) -> PlanFootprint {
-    let n = shape.len() as f64;
     let passes = plan
         .passes()
         .iter()
-        .map(|p| {
-            let t = p.kind.traffic(n, cfg);
-            PassFootprint {
-                kind: p.kind,
-                deps: p.deps.clone(),
-                auxiliary: p.is_auxiliary(),
-                resources: pass_resources(p.kind, cfg),
-                est_bytes: t.map_or(0.0, |t| t.bytes),
-                est_flops: t.map_or(0.0, |t| t.flops),
-                est_launches: t.map_or(0.0, |t| t.launches),
-            }
+        .map(|p| PassFootprint {
+            kind: p.kind,
+            deps: p.deps.clone(),
+            auxiliary: p.is_auxiliary(),
+            resources: pass_resources(p.kind, cfg),
+            declared: p.kind.declared(shape, cfg),
         })
         .collect();
     let pair_bytes = shape.len() as u64 * 4 * 2;
     let planes = (shape.nz() * shape.nw()).max(1);
-    let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, caps.device_mem_bytes)
-        .map_err(|e| e.with_pass(heaviest_field_pass(plan, shape, cfg)));
+    let slabs = plan_slabs(plan, shape, cfg, caps);
     let resident_bytes = match (&slabs, caps.device_mem_bytes) {
         (Ok(s), Some(cap)) => {
             let window = pair_bytes.div_ceil(*s as u64) * RESIDENT_SLABS;
@@ -204,20 +194,33 @@ pub fn footprint(
     }
 }
 
-/// The field-reading pass with the largest estimated device traffic — the
+/// The plan's slab count under the configured tiling policy and the
+/// backend capacity, or the capacity error the runtime would hit,
+/// attributed to its heaviest field pass.
+fn plan_slabs(
+    plan: &AssessPlan,
+    shape: Shape,
+    cfg: &AssessConfig,
+    caps: &BackendCaps,
+) -> Result<usize, AssessError> {
+    let pair_bytes = shape.len() as u64 * 4 * 2;
+    let planes = (shape.nz() * shape.nw()).max(1);
+    resolve_slabs(cfg.tiling, pair_bytes, planes, caps.device_mem_bytes)
+        .map_err(|e| e.with_pass(heaviest_field_pass(plan, shape, cfg)))
+}
+
+/// The field-reading pass with the largest declared device traffic — the
 /// pass a capacity error is attributed to.
 pub fn heaviest_field_pass(
     plan: &AssessPlan,
     shape: Shape,
     cfg: &AssessConfig,
 ) -> Option<PassKind> {
-    let n = shape.len() as f64;
     plan.passes()
         .iter()
         .filter(|p| p.reads_fields)
-        .filter_map(|p| p.kind.traffic(n, cfg).map(|t| (p.kind, t.bytes)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(k, _)| k)
+        .max_by_key(|p| p.kind.declared(shape, cfg).global_bytes())
+        .map(|p| p.kind)
 }
 
 fn diag(lint_id: &'static str, at: String, message: String) -> Diagnostic {
@@ -416,9 +419,9 @@ pub fn verify(
 
     // -- device capacity ---------------------------------------------------
     let reads_fields = passes.iter().any(|p| p.reads_fields);
-    let fp = footprint(plan, shape, cfg, caps);
+    let slabs = plan_slabs(plan, shape, cfg, caps);
     if reads_fields && caps.device_mem_bytes.is_some() {
-        if let Err(e) = &fp.slabs {
+        if let Err(e) = &slabs {
             let at = match e {
                 AssessError::Capacity {
                     pass: Some(kind), ..
@@ -430,7 +433,7 @@ pub fn verify(
     }
 
     // -- deferred finalize -------------------------------------------------
-    if let Ok(slabs) = fp.slabs {
+    if let Ok(slabs) = slabs {
         for p in passes {
             if p.deps.contains(&PassKind::P1Scalars) {
                 // The production schedule tiles producer and consumer at

@@ -273,7 +273,7 @@ pub fn recommend(
 ) -> Result<(Vec<Verdict>, SweepStats), RecommendError> {
     cfg.validate()
         .map_err(|e| RecommendError::Refused(EngineError::BadConfig(e.to_string())))?;
-    let mut engine = Engine::open(FleetSpec::nvlink(1), Scheduler::default(), cfg, 0);
+    let mut engine = Engine::open(FleetSpec::nvlink(1), Scheduler::default(), 0);
     engine
         .admit_plan(&AssessPlan::lower(cfg), field.shape(), cfg)
         .map_err(RecommendError::Refused)?;

@@ -216,9 +216,9 @@ type Charge = (u64, u64, u64, u64);
 const GOLDEN_PREPASS_CHARGES: &[(&str, Charge, u64)] = &[
     ("serial", (0, 0, 0, 0), 0x0),
     ("ompZC", (32768, 32768, 8192, 1), 0x3f028de50e888635),
-    ("moZC", (262144, 122880, 0, 1), 0x3edab1636ef235fb),
-    ("cuZC", (262144, 122880, 0, 1), 0x3edab1636ef235fb),
-    ("cuZC-multi", (262144, 122880, 0, 1), 0x3f10254db466578d),
+    ("moZC", (262144, 122880, 0, 1), 0x3ed431214adde070),
+    ("cuZC", (262144, 122880, 0, 1), 0x3ed431214adde070),
+    ("cuZC-multi", (262144, 122880, 0, 1), 0x3f100b4cabd60637),
 ];
 
 /// The full counter set a pinned charge tuple stands for.

@@ -92,8 +92,7 @@ pub struct MoP1Kernel<'a> {
 impl MoP1Kernel<'_> {
     /// Grid size: z-slab decomposition like the fused kernel.
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        s.nz() * s.nw()
+        crate::traffic::plane_grid(self.fields.shape)
     }
 }
 
@@ -210,8 +209,7 @@ pub struct MoHistKernel<'a> {
 impl MoHistKernel<'_> {
     /// Grid size: z-slab decomposition.
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        s.nz() * s.nw()
+        crate::traffic::plane_grid(self.fields.shape)
     }
 
     fn make(&self) -> Histogram {
@@ -368,8 +366,7 @@ pub struct MoDerivKernel<'a> {
 impl MoDerivKernel<'_> {
     /// Grid size: z planes.
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        s.nz() * s.nw()
+        crate::traffic::plane_grid(self.fields.shape)
     }
 }
 
@@ -489,8 +486,7 @@ pub struct MoAutocorrKernel<'a> {
 impl MoAutocorrKernel<'_> {
     /// Grid size: z planes.
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        s.nz() * s.nw()
+        crate::traffic::plane_grid(self.fields.shape)
     }
 }
 

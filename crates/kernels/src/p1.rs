@@ -20,7 +20,7 @@ pub const P1_WARPS: usize = 8;
 /// Per-element ALU lane-ops of the fused absorb (mirrors
 /// [`P1Scalars::absorb`]: subtraction, five products, ten min/max/add
 /// updates, guards).
-const ABSORB_FLOPS: u64 = 25;
+pub(crate) const ABSORB_FLOPS: u64 = 25;
 
 /// The fused pattern-1 scalar kernel (cuZC style).
 pub struct P1FusedKernel<'a> {
@@ -31,8 +31,7 @@ pub struct P1FusedKernel<'a> {
 impl P1FusedKernel<'_> {
     /// Grid size: one block per z-slab (times any 4th dimension).
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        s.nz() * s.nw()
+        crate::traffic::plane_grid(self.fields.shape)
     }
 }
 
@@ -264,8 +263,7 @@ pub struct P1HistKernel<'a> {
 impl P1HistKernel<'_> {
     /// Grid size: one block per z-slab.
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        s.nz() * s.nw()
+        crate::traffic::plane_grid(self.fields.shape)
     }
 
     fn make_histograms(&self) -> P1Histograms {

@@ -27,6 +27,13 @@ pub const TILE: usize = 16;
 /// row `ly` belongs to warp `(ly / 2) % P2_WARPS` for race attribution.
 const P2_WARPS: usize = TILE * TILE / WARP;
 
+/// Lane flops per derivative point: two fields × (6 first- + 9
+/// second-order terms) plus the gradient/divergence/Laplacian combine.
+pub(crate) const DERIV_FLOPS: u64 = 2 * (6 + 9) + 24;
+
+/// Lane flops per autocorrelation point.
+pub(crate) const AC_FLOPS: u64 = 12;
+
 /// The fused pattern-2 kernel for one stride.
 pub struct P2FusedKernel<'a> {
     /// The field pair under assessment.
@@ -49,8 +56,7 @@ pub struct P2FusedKernel<'a> {
 impl P2FusedKernel<'_> {
     /// Grid size: one block per z plane (× the 4th dimension).
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        s.nz() * s.nw()
+        crate::traffic::plane_grid(self.fields.shape)
     }
 
     /// Slices of each field staged per tile: z−1, z, z+1 for derivatives
@@ -322,10 +328,10 @@ impl BlockKernel for P2FusedKernel<'_> {
                 // 2·(1 + axes) shared gets and 12 flops — exactly what the
                 // reference charges one access at a time.
                 ctx.charge_shared(n_deriv * 2 * (4 * axes + 1));
-                ctx.flops(n_deriv * (2 * (6 + 9) + 24));
+                ctx.flops(n_deriv * DERIV_FLOPS);
                 ctx.special(n_deriv * 2);
                 ctx.charge_shared(n_ac * 2 * (1 + axes));
-                ctx.flops(n_ac * 12);
+                ctx.flops(n_ac * AC_FLOPS);
                 ctx.sync_threads();
             }
         }
@@ -472,7 +478,7 @@ impl HasReferencePath for P2FusedKernel<'_> {
                                 d[f] = deriv1_nd(&mut sl, ndim);
                                 d2v[f] = deriv2_nd(&mut sl, ndim);
                             }
-                            ctx.flops(2 * (6 + 9) + 24);
+                            ctx.flops(DERIV_FLOPS);
                             ctx.special(2); // the two gradient magnitudes
                             stats.absorb_deriv(d[0], d[1], d2v[0], d2v[1]);
                         }
@@ -510,7 +516,7 @@ impl HasReferencePath for P2FusedKernel<'_> {
                                 nb[k] = err_at(0, 0, t) - self.mean_e;
                                 k += 1;
                             }
-                            ctx.flops(12);
+                            ctx.flops(AC_FLOPS);
                             stats.absorb_ac_nd(tau, e0, &nb[..k]);
                         }
                     }

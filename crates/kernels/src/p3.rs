@@ -21,6 +21,9 @@ use zc_gpusim::{BlockCtx, BlockKernel, KernelClass, KernelResources, SharedBuf, 
 /// Window rows per thread block along y.
 pub const Y_NUM: usize = 4;
 
+/// Lane flops to score one completed window from its folded moments.
+pub(crate) const SCORE_FLOPS: u64 = 30;
+
 /// SSIM configuration (paper evaluation defaults: window 8, step 1).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SsimParams {
@@ -113,10 +116,7 @@ pub struct SsimFusedKernel<'a> {
 impl SsimFusedKernel<'_> {
     /// Grid size: one block per `Y_NUM` window rows (× the 4th dimension).
     pub fn grid(&self) -> usize {
-        let s = self.fields.shape;
-        let wy_side = self.params.sides(s.ndim())[1];
-        let wy = self.params.positions_with(s.ny(), wy_side);
-        wy.div_ceil(Y_NUM).max(1) * s.nw()
+        crate::traffic::ssim_grid(self.fields.shape, self.params.wsize, self.params.step)
     }
 
     fn fifo_entries(&self) -> usize {
@@ -413,7 +413,7 @@ impl SsimFusedKernel<'_> {
                     } else {
                         ctx.g_scatter(fold * 4);
                     }
-                    ctx.flops(fold + (y_wins.len() * wins_valid) as u64 * 30);
+                    ctx.flops(fold + (y_wins.len() * wins_valid) as u64 * SCORE_FLOPS);
                     ctx.special(2 * (y_wins.len() * wins_valid) as u64);
                     for t in 0..y_wins.len() {
                         // Fold the FIFO slots per (quantity, window) in

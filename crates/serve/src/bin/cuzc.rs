@@ -483,12 +483,16 @@ fn run() -> Result<ExitCode, String> {
 /// lints (verify), and exit without assessing. Error-severity diagnostics
 /// exit 4 — distinct from usage errors (2) and sanitizer hazards (3).
 fn run_static_analysis(args: &Args, run: &RunConfig, shape: Shape) -> Result<ExitCode, String> {
-    use zc_core::plan::{footprint, verify, BackendCaps};
+    use zc_core::plan::{estimate_job_cost, footprint, verify, BackendCaps};
+    use zc_gpusim::MultiGpuModel;
     let plan = AssessPlan::lower(&run.assess);
     let caps = BackendCaps::for_kind(run.executor, args.device_mem);
 
     if args.explain_plan {
         let fp = footprint(&plan, shape, &run.assess, &caps);
+        // Predicted seconds come from the job pricer, not the verifier:
+        // each pass's declared launches priced on one cuZC device.
+        let est = estimate_job_cost(&plan, shape, &run.assess, 1, &MultiGpuModel::nvlink(1));
         println!("assessment plan for {shape} ({:?} executor)", run.executor);
         for p in &fp.passes {
             let deps = if p.deps.is_empty() {
@@ -508,17 +512,25 @@ fn run_static_analysis(args: &Args, run: &RunConfig, shape: Shape) -> Result<Exi
                 ),
                 None => ("-".into(), "-".into(), "-".into()),
             };
+            let pred = match est.pass_seconds.iter().find(|(k, _)| *k == p.kind) {
+                Some((_, secs)) => format!("{secs:.3e} s"),
+                None => "-".into(),
+            };
             println!(
                 "  {:15} deps={:10} {}smem/TB={smem}B regs/TB={regs} threads/TB={threads} \
-                 est {:.2e} B / {:.2e} flops / {} launch(es)",
+                 declared {:.2e} B / {:.2e} flops / {} launch(es) | predicted {pred}",
                 format!("{:?}", p.kind),
                 deps,
                 if p.auxiliary { "auxiliary " } else { "" },
-                p.est_bytes,
-                p.est_flops,
-                p.est_launches
+                p.declared.global_bytes() as f64,
+                p.declared.lane_flops as f64,
+                p.declared.launches
             );
         }
+        println!(
+            "  predicted job time: {:.3e} s overlapped on one cuZC device",
+            est.seconds
+        );
         match &fp.slabs {
             Ok(slabs) => {
                 print!(

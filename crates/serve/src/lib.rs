@@ -349,8 +349,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Open the service: validates the fleet and runs the engine's
-    /// calibration probe.
+    /// Open the service: validates the fleet and opens an engine session
+    /// on it.
     pub fn new(cfg: ServeConfig) -> Result<Server, ServeError> {
         let engine = Engine::new(cfg.fleet)
             .map_err(|e| ServeError::BadRequest(e.to_string()))?
@@ -367,7 +367,7 @@ impl Server {
     }
 
     /// The modeled backlog at time `now_s`: seconds still owed on drained
-    /// batches plus the calibrated estimate of the queue.
+    /// batches plus the predicted seconds of the queue.
     pub fn backlog_s(&self, now_s: f64) -> f64 {
         (self.free_at_s - now_s).max(0.0) + self.queued_est_s
     }

@@ -147,6 +147,37 @@ fn bad_arguments_fail_cleanly() {
 }
 
 #[test]
+fn an_all_nan_pair_is_refused_with_one_line() {
+    let dir = tmpdir("all_nan");
+    let path = dir.join("nan.f32");
+    let bytes: Vec<u8> = (0..4 * 4 * 4)
+        .flat_map(|_| f32::NAN.to_le_bytes())
+        .collect();
+    std::fs::write(&path, bytes).unwrap();
+    let out = cuzc()
+        .arg("--input")
+        .arg(&path)
+        .args(["--shape", "4x4x4", "--decompressed"])
+        .arg(&path)
+        .output()
+        .expect("spawn cuzc");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    // The slab-schedule echo precedes the run; the refusal is one line.
+    let last = err.trim_end().lines().last().unwrap_or_default();
+    assert_eq!(
+        last, "assessment failed: field pair has no element where both values are finite",
+        "{err}"
+    );
+    assert_eq!(err.matches("assessment failed").count(), 1, "{err}");
+    assert!(
+        out.stdout.is_empty(),
+        "printed a report for an all-NaN pair"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn metrics_flag_restricts_the_report() {
     let out = cuzc()
         .args(["--demo", "--metrics", "psnr,ssim"])

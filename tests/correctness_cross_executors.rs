@@ -231,3 +231,41 @@ fn one_dimensional_fields_agree_across_executors() {
         }
     }
 }
+
+#[test]
+fn a_pair_without_one_finite_element_is_refused_by_every_executor() {
+    use cuz_checker::core::exec::AssessError;
+    use cuz_checker::tensor::{Shape, Tensor};
+    let shape = Shape::d3(4, 4, 4);
+    let nan = Tensor::from_fn(shape, |_| f32::NAN);
+    // Finite originals do not help when every decompressed value is not.
+    let mixed = Tensor::from_fn(
+        shape,
+        |[x, ..]| if x % 2 == 0 { 1.0 } else { f32::INFINITY },
+    );
+    let executors: Vec<(&str, Box<dyn Executor>)> = vec![
+        ("serial", Box::new(SerialZc)),
+        ("ompZC", Box::new(OmpZc::default())),
+        ("moZC", Box::new(MoZc::default())),
+        ("cuZC", Box::new(CuZc::default())),
+        ("cuZC-multi", Box::new(MultiCuZc::nvlink(2))),
+    ];
+    let cfg = AssessConfig::default();
+    for (name, ex) in &executors {
+        for (orig, dec) in [(&nan, &nan), (&mixed, &nan)] {
+            assert_eq!(
+                ex.assess(orig, dec, &cfg).unwrap_err(),
+                AssessError::NoFiniteElement,
+                "{name}"
+            );
+        }
+        // One finite element is enough to assess (with a warning).
+        let mut one = nan.clone();
+        one.set([1, 2, 3, 0], 0.5);
+        assert_eq!(
+            ex.assess(&one, &one, &cfg).unwrap().report.non_finite,
+            126,
+            "{name}"
+        );
+    }
+}
