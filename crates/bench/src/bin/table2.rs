@@ -1,17 +1,16 @@
 //! Table II — cuZC runtime profiling: Regs/TB, SMem/TB, Iters/thread and
 //! TB(concurrent)/SM per pattern per dataset, at the full paper shapes.
 //!
-//! Regs/TB and SMem/TB come from the kernels' resource declarations (they
-//! are shape-independent, as in the paper); Iters/thread uses the analytic
-//! full-shape formulas that the test suite validates against measured
-//! counters; TB/SM columns come from the occupancy calculator and grid
-//! geometry.
+//! Every column is read from the job pricer's profile of the declared
+//! full-shape launches (`zc_kernels::traffic`, folded per pattern exactly
+//! as a run's profiles are): no field is generated and no executor runs.
+//! TB/SM is the grid spread over the SMs; the concurrent count is the
+//! occupancy limit, capped by that assignment.
 
-use zc_bench::fullscale::{full_grid_blocks, full_iters_per_thread};
+use zc_bench::fullscale::full_profiles;
 use zc_bench::HarnessOpts;
-use zc_core::{AssessConfig, CuZc, Executor, Pattern};
-use zc_data::{AppDataset, GenOptions};
-use zc_gpusim::GpuSim;
+use zc_core::Pattern;
+use zc_data::AppDataset;
 
 fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
@@ -21,44 +20,34 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let cfg: AssessConfig = opts.cfg.clone();
-    let sim = GpuSim::v100();
+    let rows: Vec<_> = AppDataset::ALL
+        .iter()
+        .map(|&ds| (ds, full_profiles(ds.full_shape(), &opts.cfg)))
+        .collect();
     println!("Table II — cuZC runtime profiling (full paper shapes)\n");
-    for (title, pattern, idx) in [
-        ("Pattern-1", Pattern::GlobalReduction, 0usize),
-        ("Pattern-2", Pattern::Stencil, 1),
-        ("Pattern-3", Pattern::SlidingWindow, 2),
+    for (title, pattern) in [
+        ("Pattern-1", Pattern::GlobalReduction),
+        ("Pattern-2", Pattern::Stencil),
+        ("Pattern-3", Pattern::SlidingWindow),
     ] {
         println!("{title}");
         println!(
             "{:<12} {:>9} {:>9} {:>13} {:>14}",
             "", "Regs/TB", "SMem/TB", "Iters/thread", "TB(cncr.)/SM"
         );
-        for ds in AppDataset::ALL {
-            // One tiny functional run yields the per-pattern resource
-            // declarations (identical at any scale).
-            let gen = GenOptions::scaled_xy(16);
-            let field = ds.generate_field(0, &gen);
-            let dec = field.data.map(|v| v + 1e-4);
-            let a = CuZc::default()
-                .assess(&field.data, &dec, &cfg)
-                .expect("assess");
-            let p = &a.profiles[idx];
-            assert_eq!(p.pattern, pattern);
-            let full = ds.full_shape();
-            let iters = full_iters_per_thread(pattern, full, &cfg);
-            let grid = full_grid_blocks(pattern, full, &cfg);
-            // Concurrent TBs per SM: occupancy limit, capped by assignment.
-            let assigned = grid.div_ceil(sim.dev.sms as usize) as u32;
-            let cncr = p.blocks_per_sm.min(assigned.max(1));
+        for (ds, profiles) in &rows {
+            let p = profiles
+                .iter()
+                .find(|p| p.pattern == pattern)
+                .expect("a full-metric plan profiles every pattern");
             println!(
                 "{:<12} {:>8.1}k {:>8.1}KB {:>13} {:>8}({})",
                 ds.name(),
                 p.regs_per_tb as f64 / 1000.0,
                 p.smem_per_tb as f64 / 1024.0,
-                iters,
-                assigned,
-                cncr
+                p.iters_per_thread,
+                p.tbs_per_sm,
+                p.blocks_per_sm.min(p.tbs_per_sm.max(1))
             );
         }
         println!();

@@ -1,10 +1,20 @@
-//! Volume extrapolation of measured counters to the full paper shapes.
+//! Full-shape modeling: the paper's tables and figures read the kernels'
+//! own declarations at the full dataset shapes.
+//!
+//! Table II's profile comes straight from the job pricer's fold over the
+//! declared launches ([`full_profiles`]). The figures' scaled functional
+//! runs are re-modeled at the full shape ([`full_run`]): the measured
+//! volume-linear counters are extrapolated, the grid is the one the kernels
+//! declare for the full shape ([`traffic::plane_grid`],
+//! [`traffic::ssim_grid`]), and a GPU run is priced by the one placement
+//! cost model, [`DevicePlacement`], at one device.
 
-use zc_core::exec::PatternRun;
-use zc_core::{AssessConfig, Pattern};
-use zc_gpusim::cost::{gpu_time, CpuModel};
-use zc_gpusim::{occupancy, Counters, GpuSim};
-use zc_kernels::p3::{SsimParams, Y_NUM};
+use zc_core::exec::{PatternProfile, PatternRun};
+use zc_core::plan::{estimate_job_cost, DevicePlacement};
+use zc_core::{AssessConfig, AssessPlan, Pattern};
+use zc_gpusim::cost::CpuModel;
+use zc_gpusim::{Counters, GpuSim, MultiGpuModel};
+use zc_kernels::traffic;
 use zc_tensor::Shape;
 
 /// Multiply the volume-linear counters by `ratio`, keeping the launch
@@ -27,28 +37,19 @@ pub fn scale_counters(c: &Counters, ratio: f64) -> Counters {
     }
 }
 
-/// Grid size the pattern's dominant kernel would use at `shape`.
-pub fn full_grid_blocks(pattern: Pattern, shape: Shape, cfg: &AssessConfig) -> usize {
-    match pattern {
-        // Patterns 1 and 2 decompose along z (one block per slab/plane).
-        Pattern::GlobalReduction | Pattern::Stencil => shape.nz() * shape.nw(),
-        Pattern::SlidingWindow => {
-            let p = SsimParams {
-                wsize: cfg.ssim.window,
-                step: cfg.ssim.step,
-                k1: cfg.ssim.k1,
-                k2: cfg.ssim.k2,
-                range: 1.0,
-            };
-            p.positions(shape.ny()).div_ceil(Y_NUM).max(1) * shape.nw()
-        }
-        Pattern::CompressionMeta => 1,
-    }
+/// The Table-II profile of a full-metric cuZC run on a field of `shape`:
+/// the job pricer's per-pattern fold over the declared launches, the same
+/// fold a run's profiles come from. No field is generated and no executor
+/// runs.
+pub fn full_profiles(shape: Shape, cfg: &AssessConfig) -> Vec<PatternProfile> {
+    let plan = AssessPlan::lower(cfg);
+    estimate_job_cost(&plan, shape, cfg, 1, &MultiGpuModel::nvlink(1)).profiles
 }
 
 /// One pattern run as it would be at the full shape: counters scale by
-/// the element-count ratio and a GPU run takes the full shape's grid, while
-/// the kernel's (scale-invariant) resource declaration carries over.
+/// the element-count ratio and a GPU run takes the grid its kernels declare
+/// for the full shape, while the kernel's (scale-invariant) resource
+/// declaration carries over.
 pub fn full_run(
     run: &PatternRun,
     scaled_shape: Shape,
@@ -56,17 +57,21 @@ pub fn full_run(
     cfg: &AssessConfig,
 ) -> PatternRun {
     let ratio = full_shape.len() as f64 / scaled_shape.len() as f64;
+    let grid = match run.pattern {
+        Pattern::GlobalReduction | Pattern::Stencil => traffic::plane_grid(full_shape),
+        Pattern::SlidingWindow => traffic::ssim_grid(full_shape, cfg.ssim.window, cfg.ssim.step),
+        Pattern::CompressionMeta => 0,
+    };
     PatternRun {
         counters: scale_counters(&run.counters, ratio),
-        grid_blocks: run
-            .resources
-            .map_or(0, |_| full_grid_blocks(run.pattern, full_shape, cfg)),
+        grid_blocks: run.resources.map_or(0, |_| grid),
         ..run.clone()
     }
 }
 
 /// Re-model one pattern run at the full shape ([`full_run`]): a GPU run
-/// is priced on its occupancy and full grid, a CPU run on the Xeon model.
+/// is priced by [`DevicePlacement`] on one device, a CPU run on the Xeon
+/// model.
 pub fn remodel_full(
     run: &PatternRun,
     scaled_shape: Shape,
@@ -76,59 +81,25 @@ pub fn remodel_full(
     cpu: &CpuModel,
 ) -> f64 {
     let run = full_run(run, scaled_shape, full_shape, cfg);
-    match run.resources {
-        Some(res) => {
-            let occ = occupancy(&sim.dev, &res);
-            gpu_time(
-                &sim.dev,
-                &sim.calib,
-                &run.counters,
-                &occ,
-                run.grid_blocks,
-                run.class,
-            )
-            .total_s
-        }
-        None => cpu.time(&run.counters).total_s,
+    if run.resources.is_none() {
+        return cpu.time(&run.counters).total_s;
     }
-}
-
-/// Analytic Iters/thread of the full shape, mirroring the kernels'
-/// `note_iters` bookkeeping (validated against measured counters in tests).
-pub fn full_iters_per_thread(pattern: Pattern, shape: Shape, cfg: &AssessConfig) -> u64 {
-    let (nx, ny, nz) = (shape.nx(), shape.ny(), shape.nz());
-    match pattern {
-        Pattern::GlobalReduction => (nx.div_ceil(32) * ny.div_ceil(8)) as u64,
-        Pattern::Stencil => {
-            // max over strides of tiles × (slices + 1); the deepest launch
-            // is stride 1, which stages 3 slices (z−1, z, z+1) for the
-            // fused derivatives.
-            let tiles = nx.div_ceil(16) * ny.div_ceil(16);
-            (tiles * (3 + 1)) as u64
-        }
-        Pattern::SlidingWindow => {
-            let w = cfg.ssim.window;
-            let step = cfg.ssim.step;
-            if nx < w || nz == 0 {
-                return 0;
-            }
-            let wins_per_iter = (32 - w) / step + 1;
-            let adv = wins_per_iter * step;
-            let x_iters = (nx - w) / adv + 1;
-            (x_iters * nz) as u64
-        }
-        Pattern::CompressionMeta => 0,
+    DevicePlacement {
+        link: MultiGpuModel::nvlink(1),
+        sim,
     }
+    .pattern_times(&[run], full_shape, cfg)
+    .total()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use zc_core::exec::Executor;
-    use zc_core::plan::DevicePlacement;
-    use zc_core::CuZc;
+    use zc_core::{CuZc, PassKind};
     use zc_data::{AppDataset, GenOptions};
-    use zc_gpusim::MultiGpuModel;
+    use zc_gpusim::cost::gpu_time;
+    use zc_gpusim::occupancy;
     use zc_tensor::Tensor;
 
     #[test]
@@ -149,62 +120,6 @@ mod tests {
         assert_eq!(s.iters_per_thread, 42);
     }
 
-    #[test]
-    fn full_grids_match_paper_geometry() {
-        let cfg = AssessConfig::default();
-        let nyx = AppDataset::Nyx.full_shape();
-        assert_eq!(full_grid_blocks(Pattern::GlobalReduction, nyx, &cfg), 512);
-        assert_eq!(full_grid_blocks(Pattern::Stencil, nyx, &cfg), 512);
-        // 505 y-window rows / 4 per block → 127 blocks.
-        assert_eq!(full_grid_blocks(Pattern::SlidingWindow, nyx, &cfg), 127);
-    }
-
-    #[test]
-    fn analytic_iters_match_measured_counters() {
-        // Run cuZC on a small shape and compare the per-pattern measured
-        // Iters/thread with the analytic formulas.
-        let shape = Shape::d3(70, 44, 18);
-        let orig = Tensor::from_fn(shape, |[x, y, ..]| (x + y) as f32 * 0.1);
-        let dec = orig.map(|v| v + 0.001);
-        let cfg = AssessConfig::default();
-        let a = CuZc::default().assess(&orig, &dec, &cfg).unwrap();
-        for p in &a.profiles {
-            let analytic = full_iters_per_thread(p.pattern, shape, &cfg);
-            assert_eq!(
-                p.iters_per_thread, analytic,
-                "{:?}: measured {} analytic {}",
-                p.pattern, p.iters_per_thread, analytic
-            );
-        }
-    }
-
-    #[test]
-    fn table_ii_iters_for_paper_shapes() {
-        // Miranda pattern-1 row: 12 × 48 = 576 (exactly as printed).
-        let cfg = AssessConfig::default();
-        let miranda = AppDataset::Miranda.full_shape();
-        assert_eq!(
-            full_iters_per_thread(Pattern::GlobalReduction, miranda, &cfg),
-            576
-        );
-        // NYX pattern-1: 16 × 64 = 1024 ≈ the paper's "1k".
-        let nyx = AppDataset::Nyx.full_shape();
-        assert_eq!(
-            full_iters_per_thread(Pattern::GlobalReduction, nyx, &cfg),
-            1024
-        );
-        // NYX has the deepest pattern-3 loops (paper observation (iii)).
-        let others = [
-            AppDataset::Hurricane,
-            AppDataset::ScaleLetkf,
-            AppDataset::Miranda,
-        ];
-        let nyx_p3 = full_iters_per_thread(Pattern::SlidingWindow, nyx, &cfg);
-        for d in others {
-            assert!(nyx_p3 > full_iters_per_thread(Pattern::SlidingWindow, d.full_shape(), &cfg));
-        }
-    }
-
     /// cuZC's runs of one dataset's first field at the `gen` shape.
     fn scaled_runs(ds: AppDataset, gen: &GenOptions, cfg: &AssessConfig) -> Vec<PatternRun> {
         let field = ds.generate_field(0, gen);
@@ -212,8 +127,89 @@ mod tests {
         CuZc::default().assess(&field.data, &dec, cfg).unwrap().runs
     }
 
+    /// The Iters/thread of one pattern's full-shape profile.
+    fn full_iters(ds: AppDataset, pattern: Pattern) -> u64 {
+        full_profiles(ds.full_shape(), &AssessConfig::default())
+            .iter()
+            .find(|p| p.pattern == pattern)
+            .expect("every pattern is planned")
+            .iters_per_thread
+    }
+
+    #[test]
+    fn full_grids_match_paper_geometry() {
+        // The declared full-shape launches carry the paper's grids, and a
+        // scaled run re-modeled at the full shape takes them.
+        let cfg = AssessConfig::default();
+        let nyx = AppDataset::Nyx.full_shape();
+        let grid = |kind: PassKind| kind.launches(nyx, &cfg)[0].grid;
+        assert_eq!(grid(PassKind::P1Scalars), 512);
+        assert_eq!(grid(PassKind::P2Stencil), 512);
+        // 505 y-window rows / 4 per block → 127 blocks.
+        assert_eq!(grid(PassKind::P3Ssim), 127);
+        let gen = GenOptions::scaled_xy(16);
+        let scaled = AppDataset::Nyx.shape(&gen);
+        for r in scaled_runs(AppDataset::Nyx, &gen, &cfg) {
+            let kind = match r.pattern {
+                Pattern::GlobalReduction => PassKind::P1Scalars,
+                Pattern::Stencil => PassKind::P2Stencil,
+                _ => PassKind::P3Ssim,
+            };
+            assert_eq!(full_run(&r, scaled, nyx, &cfg).grid_blocks, grid(kind));
+        }
+    }
+
+    #[test]
+    fn analytic_iters_match_measured_counters() {
+        // Run cuZC on a small shape: the pricer's declared profile equals
+        // the measured one in every column the tables print.
+        let shape = Shape::d3(70, 44, 18);
+        let orig = Tensor::from_fn(shape, |[x, y, ..]| (x + y) as f32 * 0.1);
+        let dec = orig.map(|v| v + 0.001);
+        let cfg = AssessConfig::default();
+        let a = CuZc::default().assess(&orig, &dec, &cfg).unwrap();
+        let declared = full_profiles(shape, &cfg);
+        assert_eq!(declared.len(), a.profiles.len());
+        for (d, m) in declared.iter().zip(&a.profiles) {
+            let row = |p: &PatternProfile| {
+                (
+                    p.pattern,
+                    p.regs_per_tb,
+                    p.smem_per_tb,
+                    p.iters_per_thread,
+                    p.blocks_per_sm,
+                    p.tbs_per_sm,
+                )
+            };
+            assert_eq!(row(d), row(m), "{:?}", m.pattern);
+        }
+    }
+
+    #[test]
+    fn table_ii_iters_for_paper_shapes() {
+        // Miranda pattern-1 row: 12 × 48 = 576 (exactly as printed).
+        assert_eq!(
+            full_iters(AppDataset::Miranda, Pattern::GlobalReduction),
+            576
+        );
+        // NYX pattern-1: 16 × 64 = 1024 ≈ the paper's "1k".
+        assert_eq!(full_iters(AppDataset::Nyx, Pattern::GlobalReduction), 1024);
+        // NYX has the deepest pattern-3 loops (paper observation (iii)).
+        let others = [
+            AppDataset::Hurricane,
+            AppDataset::ScaleLetkf,
+            AppDataset::Miranda,
+        ];
+        let nyx_p3 = full_iters(AppDataset::Nyx, Pattern::SlidingWindow);
+        for d in others {
+            assert!(nyx_p3 > full_iters(d, Pattern::SlidingWindow));
+        }
+    }
+
     #[test]
     fn one_device_placement_is_the_full_shape_remodel() {
+        // A one-device placement over either link prices a full-shape run
+        // bit-identically to the launch model on its occupancy and grid.
         let gen = GenOptions::scaled_xy(8);
         let cfg = AssessConfig::default();
         let sim = GpuSim::v100();
@@ -229,6 +225,22 @@ mod tests {
                 .iter()
                 .map(|r| full_run(r, scaled, full, &cfg))
                 .collect();
+            let launch_model: f64 = full_runs
+                .iter()
+                .map(|r| {
+                    let occ = occupancy(&sim.dev, &r.resources.unwrap());
+                    gpu_time(
+                        &sim.dev,
+                        &sim.calib,
+                        &r.counters,
+                        &occ,
+                        r.grid_blocks,
+                        r.class,
+                    )
+                    .total_s
+                })
+                .sum();
+            assert_eq!(remodeled.to_bits(), launch_model.to_bits(), "{}", ds.name());
             for link in [MultiGpuModel::nvlink(1), MultiGpuModel::pcie(1)] {
                 let placed = DevicePlacement { link, sim: &sim }
                     .pattern_times(&full_runs, full, &cfg)

@@ -22,15 +22,17 @@
 //! ## Scaled execution, full-shape modeling
 //!
 //! Functional simulation of full paper-sized fields (up to 1.4 GB each) is
-//! needlessly slow, so the harness runs the *functional* pass at a reduced
-//! `--scale` (default 4: every axis divided by 4) and then **re-models the
-//! launch at the full paper shape**: the measured per-pattern counters are
-//! volume-extrapolated (they are exactly linear in element count up to
-//! halo effects) while the launch geometry — grid size, occupancy, launch
-//! count — is taken from the full shape. Figures therefore reflect the
+//! needlessly slow, so the figure harness runs the *functional* pass at a
+//! reduced `--scale` (default 4: every axis divided by 4) and then
+//! **re-models the launch at the full paper shape**: the measured
+//! per-pattern counters are volume-extrapolated (they are exactly linear in
+//! element count up to halo effects), the grid is the one the kernels
+//! declare for the full shape (`zc_kernels::traffic`), and each GPU run is
+//! priced by the one-device `DevicePlacement`. Figures therefore reflect the
 //! paper's actual dataset geometries (which drive the Table II effects)
 //! at a small fraction of the simulation cost. `--scale 1` runs the real
-//! thing end-to-end.
+//! thing end-to-end. Table II itself needs no functional pass: it prints
+//! the job pricer's profile of the declared full-shape launches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,5 +41,5 @@ pub mod fullscale;
 pub mod paper;
 pub mod runner;
 
-pub use fullscale::{full_grid_blocks, full_run, remodel_full, scale_counters};
+pub use fullscale::{full_profiles, full_run, remodel_full, scale_counters};
 pub use runner::{assess_dataset, DatasetResult, HarnessOpts, SystemTimes};

@@ -117,8 +117,6 @@ pub struct DatasetResult {
     pub mozc: SystemTimes,
     /// ompZC times.
     pub ompzc: SystemTimes,
-    /// Representative cuZC pattern runs (for Table II).
-    pub cuzc_runs: Vec<PatternRun>,
     /// Mean compression ratio of the SZ-like compressor across fields.
     pub mean_ratio: f64,
 }
@@ -200,7 +198,6 @@ pub fn assess_dataset(dataset: AppDataset, opts: &HarnessOpts) -> DatasetResult 
         cuzc: SystemTimes::default(),
         mozc: SystemTimes::default(),
         ompzc: SystemTimes::default(),
-        cuzc_runs: Vec::new(),
         mean_ratio: 0.0,
     };
 
@@ -245,9 +242,6 @@ pub fn assess_dataset(dataset: AppDataset, opts: &HarnessOpts) -> DatasetResult 
             &sim,
             &cpu,
         );
-        if i == 0 {
-            res.cuzc_runs = a_cu.runs;
-        }
     }
     // Average.
     let nf = n_fields.max(1) as f64;
@@ -298,6 +292,5 @@ mod tests {
         // Ordering: cuZC fastest, ompZC slowest overall.
         assert!(r.cuzc.total() < r.mozc.total());
         assert!(r.mozc.total() < r.ompzc.total());
-        assert_eq!(r.cuzc_runs.len(), 3);
     }
 }

@@ -313,7 +313,7 @@ pub(crate) fn aggregate_with_faults(
     // (counters, engine legs, payload, exact assessed bytes) fold over the
     // *surviving* completed jobs in job order — the fold the fault-free
     // aggregate uses too — then the fault extras land on top.
-    let mut report = CampaignReport::from_busy_clocks(jobs, fleet, plan, clocks);
+    let mut report = CampaignReport::from_busy_clocks(jobs, fleet, plan, clocks, gather_s);
     let summary = &mut report.fleet;
     summary.engines.h2d_s += h2d_x;
     summary.engines.compute_s += compute_x;

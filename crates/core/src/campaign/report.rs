@@ -184,20 +184,23 @@ impl CampaignReport {
                 }
             }
         }
-        CampaignReport::from_busy_clocks(jobs, fleet, plan, busy_s)
+        CampaignReport::from_busy_clocks(jobs, fleet, plan, busy_s, gather_s)
     }
 
     /// Fold the completed jobs and the device groups' busy clocks into a
     /// report: counter totals, engine legs, payload and assessed bytes
     /// accumulate over the completed jobs in job order; the makespan,
     /// utilization, throughput and prediction error derive from the
-    /// clocks. The fault-free aggregate and the recovery replay both end
-    /// here; the replay then adds its fault extras on top.
+    /// clocks. The prediction books what the clocks book: each group's
+    /// plan load plus one `gather_s` per part placed on it. The fault-free
+    /// aggregate and the recovery replay both end here; the replay then
+    /// adds its fault extras on top.
     pub(super) fn from_busy_clocks(
         jobs: Vec<JobRecord>,
         fleet: &FleetSpec,
         plan: &ShardPlan,
         busy_s: Vec<f64>,
+        gather_s: f64,
     ) -> CampaignReport {
         let groups = busy_s.len();
         let mut totals = PatternTotals::default();
@@ -229,7 +232,7 @@ impl CampaignReport {
         // The engines' denominator is the schedule's total device-group
         // seconds, so the busy fractions are per-fleet quantities.
         engines.span_s = groups as f64 * makespan_s;
-        let predicted_makespan_s = plan.predicted_makespan();
+        let predicted_makespan_s = plan.predicted_makespan_with(gather_s);
         let makespan_rel_error = if makespan_s > 0.0 && predicted_makespan_s > 0.0 {
             (predicted_makespan_s - makespan_s) / makespan_s
         } else {

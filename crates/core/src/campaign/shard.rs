@@ -330,6 +330,16 @@ impl ShardPlan {
         self.predicted_busy.iter().copied().fold(0.0, f64::max)
     }
 
+    /// Predicted makespan when every placed part also costs a fixed
+    /// `per_part_s` on its group (a campaign's per-part result gather).
+    pub fn predicted_makespan_with(&self, per_part_s: f64) -> f64 {
+        let mut busy = self.predicted_busy.clone();
+        for &(g, _) in self.assignments.iter().flatten() {
+            busy[g as usize] += per_part_s;
+        }
+        busy.into_iter().fold(0.0, f64::max)
+    }
+
     /// Jobs assigned to each group (by primary group).
     pub fn per_group_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.groups as usize];
@@ -378,6 +388,8 @@ mod tests {
         let costs = [12.0, 1.0, 1.0, 1.0];
         let whole = Scheduler::List.plan(&costs, &[1, 1, 1, 1], 4);
         assert_eq!(whole.predicted_makespan(), 12.0);
+        // A per-part charge lands once on the group each part sits on.
+        assert_eq!(whole.predicted_makespan_with(0.5), 12.5);
         let split = Scheduler::List.plan(&costs, &[6, 1, 1, 1], 4);
         assert!(split.predicted_makespan() < 12.0);
         let shares: f64 = split.shares_of(0).iter().map(|(_, s)| s).sum();

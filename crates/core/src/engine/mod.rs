@@ -78,7 +78,7 @@ use crate::campaign::{
 };
 use crate::config::AssessConfig;
 use crate::exec::{Assessment, Confidence, Executor, MultiCuZc, PatternTimes};
-use crate::plan::{estimate_job_cost, resolve_slabs, verify, AssessPlan, BackendCaps, PassKind};
+use crate::plan::{estimate_job_cost, verify, AssessPlan, BackendCaps, PassKind};
 use crate::recommend::ProgressivePolicy;
 use crate::report::AnalysisReport;
 use std::collections::{BTreeSet, HashMap};
@@ -199,10 +199,7 @@ pub(crate) fn job_cost(
 ) -> (f64, usize) {
     let link = fleet.link.model(fleet.gpus_per_job);
     let est = estimate_job_cost(plan, shape, cfg, fleet.gpus_per_job, &link);
-    let pair_bytes = shape.len() as u64 * 8;
-    let planes = (shape.nz() * shape.nw()).max(1);
-    let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, None).unwrap_or(1);
-    (est.seconds, slabs)
+    (est.seconds, est.slabs)
 }
 
 /// How one request of a batch resolved.

@@ -1,9 +1,9 @@
 //! Shared CPU computation paths (serial + threaded) for all metric passes.
 //!
-//! The serial versions are the ground-truth reference the paper's §IV-B
-//! correctness check compares against; the `_par` versions are the
-//! functional engine of the ompZC executor, parallelized with `zc_par`'s
-//! deterministic fork/join. Both produce values matching the GPU kernels
+//! The serial paths are the ground-truth reference the paper's §IV-B
+//! correctness check compares against; the parallel paths (`_par`, or
+//! `parallel: true`) are the functional engine of the ompZC executor,
+//! parallelized with `zc_par`'s deterministic fork/join. Both produce values matching the GPU kernels
 //! to floating-point reduction tolerance. Every pass takes a slab count
 //! and folds the slabs in order; one slab is the monolithic scan.
 
@@ -96,50 +96,35 @@ fn hist_insert(h: &mut P1Histograms, orig: &[f32], dec: &[f32]) {
     }
 }
 
-/// Serial histogram pass, slab-tiled (bounds from the already-complete
-/// scalar pass). Integer bin counts merge exactly, so any contiguous split
-/// reproduces the one-slab histograms bit-for-bit.
+/// Histogram pass, slab-tiled (bounds from the already-complete scalar
+/// pass), serial or with plane tasks forked within each slab depending on
+/// `parallel`. Integer bin counts merge exactly, so every slab count and
+/// both modes reproduce the one-slab serial histograms bit-for-bit.
 pub fn histograms_tiled(
     f: &FieldPair<'_>,
     scalars: &P1Scalars,
     bins: usize,
+    parallel: bool,
     slabs: usize,
 ) -> P1Histograms {
     let plane = f.shape.slab_len().max(1);
-    let mut h = make_histograms(scalars, bins);
-    for (lo, hi) in slab_ranges(f.orig.len() / plane, slabs) {
-        hist_insert(
-            &mut h,
-            &f.orig[lo * plane..hi * plane],
-            &f.dec[lo * plane..hi * plane],
-        );
-    }
-    h
-}
-
-/// Parallel histogram pass, slab-tiled (plane tasks fork within each slab,
-/// counts merge in ascending plane order).
-pub fn histograms_par_tiled(
-    f: &FieldPair<'_>,
-    scalars: &P1Scalars,
-    bins: usize,
-    slabs: usize,
-) -> P1Histograms {
-    let slab = f.shape.slab_len();
-    let tasks = f.orig.len().div_ceil(slab);
     let mut acc = make_histograms(scalars, bins);
-    for (t_lo, t_hi) in slab_ranges(tasks, slabs) {
-        let parts = zc_par::par_map(t_hi - t_lo, |j| {
-            let lo = (t_lo + j) * slab;
-            let hi = (lo + slab).min(f.orig.len());
-            let mut h = make_histograms(scalars, bins);
-            hist_insert(&mut h, &f.orig[lo..hi], &f.dec[lo..hi]);
-            h
-        });
-        for h in &parts {
-            acc.err_pdf.merge(&h.err_pdf);
-            acc.rel_pdf.merge(&h.rel_pdf);
-            acc.value_hist.merge(&h.value_hist);
+    for (lo, hi) in slab_ranges(f.orig.len() / plane, slabs) {
+        if parallel {
+            let parts = zc_par::par_map(hi - lo, |j| {
+                let r = (lo + j) * plane..(lo + j + 1) * plane;
+                let mut h = make_histograms(scalars, bins);
+                hist_insert(&mut h, &f.orig[r.clone()], &f.dec[r]);
+                h
+            });
+            for h in &parts {
+                acc.err_pdf.merge(&h.err_pdf);
+                acc.rel_pdf.merge(&h.rel_pdf);
+                acc.value_hist.merge(&h.value_hist);
+            }
+        } else {
+            let r = lo * plane..hi * plane;
+            hist_insert(&mut acc, &f.orig[r.clone()], &f.dec[r]);
         }
     }
     acc
@@ -225,36 +210,36 @@ fn p2_planes(f: &FieldPair<'_>) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Serial pattern-2 scan (derivatives + all autocorrelation lags),
-/// slab-tiled. Stencil reads inside `p2_plane`
-/// reach one z slice past the plane itself (derivative halo, lag reach for
-/// autocorrelation), so tiling changes only where the plane sequence is
-/// cut — the carried combine keeps the (w4-outer, z-inner) order and the
-/// result bit-identical.
-pub fn p2_scan_tiled(f: &FieldPair<'_>, mean_e: f64, max_lag: usize, slabs: usize) -> P2Stats {
+/// Pattern-2 scan (derivatives + all autocorrelation lags), slab-tiled,
+/// serial or with plane tasks forked within each slab depending on
+/// `parallel`. Stencil reads inside `p2_plane` reach one z slice past the
+/// plane itself (derivative halo, lag reach for autocorrelation), so tiling
+/// changes only where the plane sequence is cut; either way the per-plane
+/// partials combine in ascending (w4-outer, z-inner) order into a carried
+/// accumulator, so the result is bit-identical at every slab count and in
+/// both modes.
+pub fn p2_scan_tiled(
+    f: &FieldPair<'_>,
+    mean_e: f64,
+    max_lag: usize,
+    parallel: bool,
+    slabs: usize,
+) -> P2Stats {
     let planes = p2_planes(f);
-    let mut st = P2Stats::identity(max_lag);
-    for (lo, hi) in slab_ranges(planes.len(), slabs) {
-        for &(z, w4) in &planes[lo..hi] {
-            st.combine(&p2_plane(f, mean_e, max_lag, z, w4));
-        }
-    }
-    st
-}
-
-/// Parallel pattern-2 scan, slab-tiled: plane tasks (one per z plane) fork
-/// within each slab, partials combine in ascending plane order into a
-/// carried accumulator.
-pub fn p2_scan_par_tiled(f: &FieldPair<'_>, mean_e: f64, max_lag: usize, slabs: usize) -> P2Stats {
-    let planes = p2_planes(f);
+    let plane = |i: usize| {
+        let (z, w4) = planes[i];
+        p2_plane(f, mean_e, max_lag, z, w4)
+    };
     let mut acc = P2Stats::identity(max_lag);
     for (lo, hi) in slab_ranges(planes.len(), slabs) {
-        let parts = zc_par::par_map(hi - lo, |i| {
-            let (z, w4) = planes[lo + i];
-            p2_plane(f, mean_e, max_lag, z, w4)
-        });
-        for p in &parts {
-            acc.combine(p);
+        if parallel {
+            for p in &zc_par::par_map(hi - lo, |i| plane(lo + i)) {
+                acc.combine(p);
+            }
+        } else {
+            for i in lo..hi {
+                acc.combine(&plane(i));
+            }
         }
     }
     acc
@@ -416,8 +401,8 @@ mod tests {
         let (orig, dec) = fields(Shape::d3(20, 20, 8));
         let f = FieldPair::new(&orig, &dec);
         let scalars = p1_scan_tiled(&f, 1);
-        let a = histograms_tiled(&f, &scalars, 64, 1);
-        let b = histograms_par_tiled(&f, &scalars, 64, 1);
+        let a = histograms_tiled(&f, &scalars, 64, false, 1);
+        let b = histograms_tiled(&f, &scalars, 64, true, 1);
         assert_eq!(a.err_pdf.counts(), b.err_pdf.counts());
         assert_eq!(a.value_hist.counts(), b.value_hist.counts());
         assert_eq!(a.rel_pdf.counts(), b.rel_pdf.counts());
@@ -428,11 +413,26 @@ mod tests {
         let (orig, dec) = fields(Shape::d3(14, 13, 12));
         let f = FieldPair::new(&orig, &dec);
         let mu = p1_scan_tiled(&f, 1).mean_e();
-        let a = p2_scan_tiled(&f, mu, 3, 1);
-        let b = p2_scan_par_tiled(&f, mu, 3, 1);
-        assert_eq!(a.n_interior, b.n_interior);
-        assert_eq!(a.ac_n, b.ac_n);
-        assert!((a.sum_grad_x - b.sum_grad_x).abs() < 1e-9 * a.sum_grad_x.max(1e-30));
+        let a = p2_scan_tiled(&f, mu, 3, false, 1);
+        let b = p2_scan_tiled(&f, mu, 3, true, 1);
+        let bits = |s: &P2Stats| {
+            let sums = [
+                s.sum_grad_x,
+                s.max_grad_x,
+                s.sum_grad_y,
+                s.max_grad_y,
+                s.sum_grad_err2,
+                s.sum_div_x,
+                s.sum_div_y,
+                s.sum_lap_x,
+                s.sum_lap_y,
+            ];
+            let mut v: Vec<u64> = sums.iter().chain(&s.ac_num).map(|x| x.to_bits()).collect();
+            v.push(s.n_interior);
+            v.extend(&s.ac_n);
+            v
+        };
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]
@@ -493,8 +493,8 @@ mod tests {
         let (orig, dec) = fields(Shape::d3(18, 14, 13));
         let f = FieldPair::new(&orig, &dec);
         let mono = p1_scan_tiled(&f, 1);
-        let hist = histograms_tiled(&f, &mono, 32, 1);
-        let p2 = p2_scan_tiled(&f, mono.mean_e(), 3, 1);
+        let hist = histograms_tiled(&f, &mono, 32, false, 1);
+        let p2 = p2_scan_tiled(&f, mono.mean_e(), 3, false, 1);
         let ssim = ssim_scan_tiled(&f, &SsimSettings::default(), 2.0, false, 1);
         for slabs in [1usize, 2, 3, 5, 13, 64] {
             assert_eq!(
@@ -505,23 +505,21 @@ mod tests {
                 p1_scan_par_tiled(&f, slabs).sum_e2.to_bits(),
                 p1_scan_par_tiled(&f, 1).sum_e2.to_bits()
             );
-            let h = histograms_tiled(&f, &mono, 32, slabs);
+            let h = histograms_tiled(&f, &mono, 32, false, slabs);
             assert_eq!(h.err_pdf.counts(), hist.err_pdf.counts());
             assert_eq!(
-                histograms_par_tiled(&f, &mono, 32, slabs)
+                histograms_tiled(&f, &mono, 32, true, slabs)
                     .value_hist
                     .counts(),
                 hist.value_hist.counts()
             );
-            let t2 = p2_scan_tiled(&f, mono.mean_e(), 3, slabs);
+            let t2 = p2_scan_tiled(&f, mono.mean_e(), 3, false, slabs);
             assert_eq!(t2.sum_grad_x.to_bits(), p2.sum_grad_x.to_bits());
             assert_eq!(
-                p2_scan_par_tiled(&f, mono.mean_e(), 3, slabs)
+                p2_scan_tiled(&f, mono.mean_e(), 3, true, slabs)
                     .sum_grad_x
                     .to_bits(),
-                p2_scan_par_tiled(&f, mono.mean_e(), 3, 1)
-                    .sum_grad_x
-                    .to_bits()
+                p2.sum_grad_x.to_bits()
             );
             let t3 = ssim_scan_tiled(&f, &SsimSettings::default(), 2.0, false, slabs);
             assert_eq!(t3.sum.to_bits(), ssim.sum.to_bits());

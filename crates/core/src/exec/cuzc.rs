@@ -11,47 +11,21 @@ use crate::plan::{
     gpu_prepass_charge, Pass, PassCtx, PassExecution, PassKind, PassLaunch, PassOutput,
 };
 use zc_gpusim::stream::HostLink;
-use zc_gpusim::{Counters, GpuSim, LaunchResult, TileCharge};
+use zc_gpusim::{Counters, GpuSim};
 use zc_kernels::p3::SsimParams;
-use zc_kernels::{
-    FieldPair, HasReferencePath, P1FusedKernel, P1HistKernel, P2FusedKernel, P2Stats, Reference,
-    SsimFusedKernel,
-};
+use zc_kernels::{FieldPair, P1FusedKernel, P1HistKernel, P2FusedKernel, P2Stats, SsimFusedKernel};
 
 /// The pattern-oriented GPU executor.
 #[derive(Clone, Debug)]
 pub struct CuZc {
     /// The simulated device.
     pub sim: GpuSim,
-    /// Launch every kernel through its scalar reference path instead of the
-    /// SoA fast path (differential testing / benchmarking; results and
-    /// counters must be identical).
-    pub reference_path: bool,
 }
 
 impl Default for CuZc {
     fn default() -> Self {
         CuZc {
             sim: GpuSim::v100(),
-            reference_path: false,
-        }
-    }
-}
-
-impl CuZc {
-    /// Launch a kernel slab-tiled (contiguous block ranges) through the
-    /// configured lane path; one slab is a monolithic launch. The per-tile
-    /// charges feed the stream timeline.
-    fn launch_slabs<K: HasReferencePath>(
-        &self,
-        k: &K,
-        grid: usize,
-        slabs: usize,
-    ) -> (LaunchResult<K::Output>, Vec<TileCharge>) {
-        if self.reference_path {
-            self.sim.launch_tiled(&Reference(k), grid, slabs)
-        } else {
-            self.sim.launch_tiled(k, grid, slabs)
         }
     }
 }
@@ -73,7 +47,7 @@ impl Executor for CuZc {
             // exactly as in the real coordinator.
             PassKind::P1Scalars => {
                 let k = P1FusedKernel { fields: f };
-                let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                 launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                 let mut ex = PassExecution::new(PassOutput::Scalars(r.output), launches);
                 ex.fold_tiles(slabs, &tiles);
@@ -86,7 +60,7 @@ impl Executor for CuZc {
                     scalars: ctx.p1(),
                     bins: cfg.bins,
                 };
-                let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                 launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                 let mut ex = PassExecution::new(PassOutput::Histograms(r.output), launches);
                 ex.fold_tiles(slabs, &tiles);
@@ -102,11 +76,8 @@ impl Executor for CuZc {
                         stride,
                         mean_e: ctx.p1().mean_e(),
                         max_lag: cfg.max_lag,
-                        derivatives: stride == 1,
-                        autocorr: true,
-                        cooperative: true,
                     };
-                    let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                    let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                     launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                     stats.combine(&r.output);
                     stride_tiles.push(tiles);
@@ -131,7 +102,7 @@ impl Executor for CuZc {
                     params,
                     fifo_in_shared: true,
                 };
-                let (r, tiles) = self.launch_slabs(&k, k.grid(), slabs);
+                let (r, tiles) = self.sim.launch_tiled(&k, k.grid(), slabs);
                 launches.push(PassLaunch::from_gpu(&self.sim, &k, &r));
                 let mut ex = PassExecution::new(PassOutput::Ssim(r.output), launches);
                 ex.fold_tiles(slabs, &tiles);
@@ -214,35 +185,6 @@ mod tests {
         let p3 = &a.profiles[2];
         assert_eq!(p3.regs_per_tb, 11_008);
         assert!(a.modeled_seconds > 0.0);
-    }
-
-    #[test]
-    fn reference_path_executor_is_identical() {
-        let (orig, dec) = fields();
-        let cfg = AssessConfig::default();
-        let fast = CuZc::default().assess(&orig, &dec, &cfg).unwrap();
-        let refr = CuZc {
-            reference_path: true,
-            ..Default::default()
-        }
-        .assess(&orig, &dec, &cfg)
-        .unwrap();
-        // Same outputs, same counters, same modeled time — only the host
-        // wall-clock may differ.
-        assert_eq!(fast.counters, refr.counters);
-        assert_eq!(fast.modeled_seconds, refr.modeled_seconds);
-        assert_eq!(
-            fast.report.p1.psnr_db().to_bits(),
-            refr.report.p1.psnr_db().to_bits()
-        );
-        let (fh, rh) = (
-            fast.report.histograms.unwrap(),
-            refr.report.histograms.unwrap(),
-        );
-        assert_eq!(fh.err_pdf.counts(), rh.err_pdf.counts());
-        let (fs, rs) = (fast.report.ssim.unwrap(), refr.report.ssim.unwrap());
-        assert_eq!(fs.windows, rs.windows);
-        assert_eq!(fs.mean_ssim.to_bits(), rs.mean_ssim.to_bits());
     }
 
     #[test]

@@ -117,19 +117,21 @@ impl Executor for OmpZc {
                 },
             ),
             PassKind::P1Hist => PassExecution::new(
-                PassOutput::Histograms(cpu_ref::histograms_par_tiled(
+                PassOutput::Histograms(cpu_ref::histograms_tiled(
                     &f,
                     &ctx.p1(),
                     ctx.cfg.bins,
+                    true,
                     s,
                 )),
                 self.charge(self.p1_hist_counters(n), KernelClass::GlobalReduction),
             ),
             PassKind::P2Stencil => PassExecution::new(
-                PassOutput::Stencil(cpu_ref::p2_scan_par_tiled(
+                PassOutput::Stencil(cpu_ref::p2_scan_tiled(
                     &f,
                     ctx.p1().mean_e(),
                     ctx.cfg.max_lag,
+                    true,
                     s,
                 )),
                 self.charge(

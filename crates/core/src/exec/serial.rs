@@ -31,13 +31,18 @@ impl Executor for SerialZc {
             // other patterns (autocorrelation's μ/σ², SSIM's dynamic range)
             // need it.
             PassKind::P1Scalars => PassOutput::Scalars(cpu_ref::p1_scan_tiled(&f, s)),
-            PassKind::P1Hist => {
-                PassOutput::Histograms(cpu_ref::histograms_tiled(&f, &ctx.p1(), ctx.cfg.bins, s))
-            }
+            PassKind::P1Hist => PassOutput::Histograms(cpu_ref::histograms_tiled(
+                &f,
+                &ctx.p1(),
+                ctx.cfg.bins,
+                false,
+                s,
+            )),
             PassKind::P2Stencil => PassOutput::Stencil(cpu_ref::p2_scan_tiled(
                 &f,
                 ctx.p1().mean_e(),
                 ctx.cfg.max_lag,
+                false,
                 s,
             )),
             PassKind::P3Ssim => PassOutput::Ssim(cpu_ref::ssim_scan_tiled(

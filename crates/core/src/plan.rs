@@ -500,17 +500,16 @@ pub struct CostEstimate {
     /// through the same stream-timeline model the executors report `e2e`
     /// from, over the PCIe staging link they stage on.
     pub seconds: f64,
+    /// The Table-II profile of each pattern's declared launches, folded
+    /// exactly as [`PlanRunner::run`] folds executed ones.
+    pub profiles: Vec<PatternProfile>,
+    /// The slab count the run resolves on the priced device: its memory
+    /// capacity forces an out-of-core pair into more slabs.
+    pub slabs: usize,
 }
 
-/// Predict one job's assessment cost from its pass DAG with the one cost
-/// model its run is charged by: every pass's declared launches
-/// ([`PassKind::launches`] — exact counters and grids from the field shape
-/// and the configuration) are priced by the simulator's [`gpu_time`],
-/// re-priced per pattern by [`DevicePlacement::pattern_times`] when
-/// `gpus > 1` (grid share, halo exchange and all-reduce over `link`,
-/// taken at `gpus` devices), and overlapped through the stream timeline —
-/// the same fold, placement and timeline code [`PlanRunner::run`] applies
-/// to executed launches.
+/// Predict one job's assessment cost on `gpus` V100s joined by `link`
+/// ([`DevicePlacement::price_job`]).
 pub fn estimate_job_cost(
     plan: &AssessPlan,
     shape: Shape,
@@ -519,56 +518,14 @@ pub fn estimate_job_cost(
     link: &MultiGpuModel,
 ) -> CostEstimate {
     let sim = GpuSim::v100();
-    let pair_bytes = shape.len() as u64 * 4 * 2;
-    let planes = (shape.nz() * shape.nw()).max(1);
-    let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, None).unwrap_or(1);
-    let mut charges = Charges::new();
-    for pass in plan.passes() {
-        let launches: Vec<PassLaunch> = pass
-            .kind
-            .launches(shape, cfg)
-            .iter()
-            .map(|l| PassLaunch::declared(&sim, l))
-            .collect();
-        if launches.is_empty() {
-            continue;
-        }
-        // Each launch tiles as the simulator tiles it — `slabs` contiguous
-        // block ranges, at most one per block — with its seconds split
-        // evenly over its tiles.
-        let mut tiles = Vec::new();
-        for l in &launches {
-            let n = slabs.clamp(1, l.grid_blocks);
-            fold_slab_seconds(&mut tiles, slabs, (0..n).map(|_| l.seconds / n as f64));
-        }
-        charges.add(pass.kind, &launches, tiles);
-    }
-    let placement = DevicePlacement {
+    DevicePlacement {
         link: MultiGpuModel {
             gpus: gpus.max(1),
             ..*link
         },
         sim: &sim,
-    };
-    // The staging link is PCIe regardless of the intra-group interconnect
-    // — matching `CuZc::transfer`, so predictions share a basis with the
-    // per-job `e2e` the report aggregates.
-    let (times, _, _, e2e) = charges.settle(
-        Some(placement),
-        Some(HostLink::pcie()),
-        shape,
-        cfg,
-        slabs,
-        false,
-    );
-    CostEstimate {
-        pass_seconds: charges
-            .pass_tiles
-            .iter()
-            .map(|(kind, tiles)| (*kind, tiles.iter().sum()))
-            .collect(),
-        seconds: e2e.map_or(times.total(), |e| e.overlapped_s),
     }
+    .price_job(plan, shape, cfg)
 }
 
 /// The strided-subsample pattern-1 prepass result (progressive
@@ -658,37 +615,21 @@ pub fn subsample_scan(orig: &Tensor<f32>, dec: &Tensor<f32>, stride: usize) -> P
 }
 
 /// The modeled GPU charge for a strided-gather prepass over `sampled`
-/// elements: a strided read pulls whole 32-byte sectors, so the wasted
-/// bandwidth grows with the stride up to the 8-element sector width. The
-/// gather runs the fused pattern-1 kernel one sampled element per thread,
-/// priced by the simulator's [`gpu_time`] like every other launch. Shared
-/// by the moZC and cuZC `prepass_charge` hooks.
+/// elements ([`traffic::p1_gather`]), priced by the simulator's
+/// [`gpu_time`] like every other launch. Shared by the moZC and cuZC
+/// `prepass_charge` hooks.
 pub(crate) fn gpu_prepass_charge(sim: &GpuSim, sampled: u64, stride: usize) -> (Counters, f64) {
-    let waste = stride.clamp(1, 8) as u64;
-    let c = Counters {
-        global_read_bytes: 8 * sampled * waste,
-        lane_flops: 30 * sampled,
-        launches: 1,
-        ..Default::default()
-    };
-    let resources = zc_kernels::p1::scalar_resources();
-    let launch = Launch {
-        counters: c,
-        grid: (sampled as usize)
-            .div_ceil(resources.threads_per_block as usize)
-            .max(1),
-        resources,
-        class: KernelClass::GlobalReduction,
-    };
-    (c, PassLaunch::declared(sim, &launch).seconds)
+    let launch = traffic::p1_gather(sampled, stride);
+    (launch.counters, PassLaunch::declared(sim, &launch).seconds)
 }
 
 /// A device-placement policy: grid-partition every pattern's launches over
 /// the `link.gpus` devices `link` connects, re-pricing compute on the
 /// per-device grid share and charging halo-exchange plus all-reduce
 /// communication (the paper's §VI multi-GPU extension). This is the one
-/// multi-GPU cost model: ganged executors and the `multigpu` figure both
-/// price through [`DevicePlacement::pattern_times`].
+/// multi-GPU cost model: ganged executors, the job pricer
+/// ([`DevicePlacement::price_job`]) and the full-shape figures all price
+/// through [`DevicePlacement::pattern_times`].
 #[derive(Clone, Copy, Debug)]
 pub struct DevicePlacement<'a> {
     /// Device count and inter-device interconnect.
@@ -698,6 +639,64 @@ pub struct DevicePlacement<'a> {
 }
 
 impl DevicePlacement<'_> {
+    /// Predict one job's assessment cost with the one cost model its run
+    /// is charged by: every pass's declared launches ([`PassKind::launches`]
+    /// — exact counters and grids from the field shape and the
+    /// configuration) are priced by the simulator's [`gpu_time`], re-priced
+    /// per pattern by [`Self::pattern_times`] when this placement spans
+    /// more than one device, and overlapped through the stream timeline
+    /// over the slab schedule the device's memory forces — the same fold,
+    /// placement and timeline code [`PlanRunner::run`] applies to executed
+    /// launches.
+    pub fn price_job(&self, plan: &AssessPlan, shape: Shape, cfg: &AssessConfig) -> CostEstimate {
+        let pair_bytes = shape.len() as u64 * 4 * 2;
+        let planes = (shape.nz() * shape.nw()).max(1);
+        let capacity = self.sim.dev.mem_bytes;
+        let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, Some(capacity)).unwrap_or(1);
+        let mut charges = Charges::new();
+        for pass in plan.passes() {
+            let launches: Vec<PassLaunch> = pass
+                .kind
+                .launches(shape, cfg)
+                .iter()
+                .map(|l| PassLaunch::declared(self.sim, l))
+                .collect();
+            if launches.is_empty() {
+                continue;
+            }
+            // Each launch tiles as the simulator tiles it — `slabs`
+            // contiguous block ranges, at most one per block — with its
+            // seconds split evenly over its tiles.
+            let mut tiles = Vec::new();
+            for l in &launches {
+                let n = slabs.clamp(1, l.grid_blocks);
+                fold_slab_seconds(&mut tiles, slabs, (0..n).map(|_| l.seconds / n as f64));
+            }
+            charges.add(pass.kind, &launches, tiles);
+        }
+        // The staging link is PCIe regardless of the intra-group
+        // interconnect — matching `CuZc::transfer`, so predictions share a
+        // basis with the per-job `e2e` the report aggregates.
+        let (times, profiles, _, e2e) = charges.settle(
+            Some(*self),
+            Some(HostLink::pcie()),
+            shape,
+            cfg,
+            slabs,
+            pair_bytes > capacity,
+        );
+        CostEstimate {
+            pass_seconds: charges
+                .pass_tiles
+                .iter()
+                .map(|(kind, tiles)| (*kind, tiles.iter().sum()))
+                .collect(),
+            seconds: e2e.map_or(times.total(), |e| e.overlapped_s),
+            profiles,
+            slabs,
+        }
+    }
+
     /// Halo bytes a device exchanges with one neighbour for a pattern.
     fn halo_bytes(&self, pattern: Pattern, shape: zc_tensor::Shape, cfg: &AssessConfig) -> u64 {
         let slab = shape.slab_len() as u64 * 4 * 2; // both fields
@@ -963,8 +962,8 @@ impl<'a> PlanRunner<'a> {
 
 /// Per-pass launch records folded per pattern — the one place a run is
 /// priced, whether its launches were executed ([`PlanRunner::run`]) or
-/// declared ([`estimate_job_cost`]), so a prediction goes through exactly
-/// the code its run will.
+/// declared ([`DevicePlacement::price_job`]), so a prediction goes through
+/// exactly the code its run will.
 struct Charges {
     accs: [PatternAcc; 3],
     counters: Counters,

@@ -727,15 +727,12 @@ mod tests {
         let shape = Shape::d3(18, 15, 9);
         let (orig, dec) = fields(shape);
         let sim = GpuSim::v100();
-        // Fused pattern-2 derivative stats.
+        // The fused stride-1 launch's derivative stats.
         let fused = crate::p2::P2FusedKernel {
             fields: FieldPair::new(&orig, &dec),
             stride: 1,
             mean_e: 0.0,
             max_lag: 1,
-            derivatives: true,
-            autocorr: false,
-            cooperative: true,
         };
         let want = sim.launch(&fused, fused.grid()).output;
         let mo = MoDerivKernel {
@@ -768,9 +765,6 @@ mod tests {
             stride: 2,
             mean_e: 0.001,
             max_lag: 2,
-            derivatives: false,
-            autocorr: true,
-            cooperative: true,
         };
         let want = sim.launch(&fused, fused.grid()).output;
         let mo = MoAutocorrKernel {

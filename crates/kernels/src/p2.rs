@@ -8,13 +8,15 @@
 //! computes, per interior point:
 //!
 //! * first- and second-order derivatives, divergence and Laplacian of both
-//!   fields plus the derivative-magnitude distortion (when `derivatives`),
-//! * the lag-`stride` autocorrelation terms of the error field
-//!   (when `autocorr`).
+//!   fields plus the derivative-magnitude distortion (on the stride-1
+//!   launch only),
+//! * the lag-`stride` autocorrelation terms of the error field.
 //!
 //! The executor launches the kernel once per stride 1..=MAXLAG; stride 1
 //! also carries the derivative metrics (the paper's `stride` doubles as
-//! derivative order and autocorrelation gap).
+//! derivative order and autocorrelation gap). The block partials fold
+//! through a cooperative grid sync. This is the one variant
+//! [`crate::traffic::p2_stencil`] declares.
 
 use crate::acc::{deriv1_nd, deriv2_nd, grad_mag, P2Stats};
 use crate::{FieldPair, HasReferencePath};
@@ -38,19 +40,13 @@ pub(crate) const AC_FLOPS: u64 = 12;
 pub struct P2FusedKernel<'a> {
     /// The field pair under assessment.
     pub fields: FieldPair<'a>,
-    /// Autocorrelation spatial gap τ (and derivative-launch marker).
+    /// Autocorrelation spatial gap τ; the stride-1 launch also computes
+    /// the derivative metrics.
     pub stride: usize,
     /// Mean of the error field (from the pattern-1 pass) — Eq. 2's μ.
     pub mean_e: f64,
     /// Total lags the merged [`P2Stats`] tracks.
     pub max_lag: usize,
-    /// Compute derivative metrics in this launch (cuZC fuses them into the
-    /// stride-1 launch).
-    pub derivatives: bool,
-    /// Compute autocorrelation terms in this launch.
-    pub autocorr: bool,
-    /// Use cooperative-groups grid sync (cuZC) or a second launch (moZC).
-    pub cooperative: bool,
 }
 
 impl P2FusedKernel<'_> {
@@ -59,27 +55,27 @@ impl P2FusedKernel<'_> {
         crate::traffic::plane_grid(self.fields.shape)
     }
 
+    /// Whether this launch computes the derivative metrics.
+    fn derivatives(&self) -> bool {
+        self.stride == 1
+    }
+
     /// Slices of each field staged per tile: z−1, z, z+1 for derivatives
     /// and z+τ for autocorrelation (deduplicated when τ = 1; 1D/2D fields
     /// stage only their own plane — the stencil has no z extent there).
     fn slice_offsets(&self) -> Vec<isize> {
-        let mut offs = vec![0isize];
-        if self.fields.shape.ndim() >= 3 {
-            if self.derivatives {
-                offs.push(-1);
-                offs.push(1);
-            }
-            if self.autocorr && !offs.contains(&(self.stride as isize)) {
-                offs.push(self.stride as isize);
-            }
+        if self.fields.shape.ndim() < 3 {
+            vec![0]
+        } else if self.derivatives() {
+            vec![0, -1, 1]
+        } else {
+            vec![0, self.stride as isize]
         }
-        offs
     }
 
     /// Staged tile width: halo 1 low side (derivatives), max(1, τ) high.
     fn tile_width(&self) -> usize {
-        let hi = if self.autocorr { self.stride.max(1) } else { 1 };
-        TILE + 1 + hi
+        TILE + 1 + self.stride.max(1)
     }
 }
 
@@ -118,10 +114,6 @@ impl BlockKernel for P2FusedKernel<'_> {
         KernelClass::Stencil
     }
 
-    fn cooperative(&self) -> bool {
-        self.cooperative
-    }
-
     fn run_block(&self, block: usize, ctx: &mut BlockCtx) -> P2Stats {
         let s = self.fields.shape;
         let ndim = s.ndim();
@@ -133,8 +125,8 @@ impl BlockKernel for P2FusedKernel<'_> {
         let wdt = self.tile_width();
         let mut stats = P2Stats::identity(self.max_lag);
 
-        let deriv_plane = self.derivatives && (ndim < 3 || (z0 >= 1 && z0 + 1 < nz));
-        let ac_plane = self.autocorr && (ndim < 3 || z0 + tau < nz);
+        let deriv_plane = self.derivatives() && (ndim < 3 || (z0 >= 1 && z0 + 1 < nz));
+        let ac_plane = ndim < 3 || z0 + tau < nz;
         if !deriv_plane && !ac_plane {
             return stats;
         }
@@ -367,8 +359,8 @@ impl HasReferencePath for P2FusedKernel<'_> {
         let wdt = self.tile_width();
         let mut stats = P2Stats::identity(self.max_lag);
 
-        let deriv_plane = self.derivatives && (ndim < 3 || (z0 >= 1 && z0 + 1 < nz));
-        let ac_plane = self.autocorr && (ndim < 3 || z0 + tau < nz);
+        let deriv_plane = self.derivatives() && (ndim < 3 || (z0 >= 1 && z0 + 1 < nz));
+        let ac_plane = ndim < 3 || z0 + tau < nz;
         if !deriv_plane && !ac_plane {
             return stats;
         }
@@ -620,9 +612,6 @@ mod tests {
                 stride,
                 mean_e: p1.mean_e(),
                 max_lag,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
             };
             let r = sim.launch(&k, k.grid());
             acc.combine(&r.output);
@@ -722,9 +711,6 @@ mod tests {
             stride: 1,
             mean_e: 0.0,
             max_lag: 1,
-            derivatives: true,
-            autocorr: true,
-            cooperative: true,
         };
         assert_eq!(k.grid(), 33);
     }
@@ -739,9 +725,6 @@ mod tests {
                 stride,
                 mean_e: 0.0,
                 max_lag: 10,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
             }
             .resources()
             .smem_per_block

@@ -4,17 +4,24 @@
 //! configuration, the exact [`Counters`] one launch charges and the grid it
 //! launches over (paper Table II: a pattern's time is set by its counters,
 //! its grid size and its occupancy). The declarations live *here*, next to
-//! the kernels, and are the only copy of these formulas: the kernels'
-//! `grid()` methods read the same shape functions, and `zc_core::plan`
-//! prices jobs by feeding the declared launches through the simulator's own
-//! cost function, so a job is priced exactly as its run will be charged.
+//! the kernels, and are the only copy of these formulas; everything else
+//! reads them:
+//!
+//! * the kernels' `grid()` methods read the same shape functions;
+//! * `zc_core::plan` prices jobs by feeding the declared launches through
+//!   the simulator's own cost function, so a job is priced exactly as its
+//!   run will be charged, and folds them into the per-pattern profiles
+//!   (Regs/TB, SMem/TB, Iters/thread, TB/SM) a run reports;
+//! * the paper's Table II prints that declared profile at the full dataset
+//!   shapes, and the full-shape figures take their grids from
+//!   [`plane_grid`] and [`ssim_grid`].
 //!
 //! Every declaration is O(1) in the shape — no loop over blocks, planes or
 //! tiles — because the plan verifier and the job pricer evaluate them per
 //! request. Declared counters equal a real launch's counters field for
 //! field; the one data-dependent charge, the histogram pass's special ops
 //! (one division per non-zero original value), is declared at its upper
-//! bound. The tests pin every declaration to a real launch.
+//! bound. The tests pin every declaration of a real kernel to its launch.
 
 use crate::acc::{P1Scalars, WindowMoments};
 use crate::p1::{hist_resources, scalar_resources, ABSORB_FLOPS, P1_WARPS};
@@ -147,6 +154,29 @@ pub fn p1_hist(shape: Shape, bins: usize) -> Launch {
         },
         grid: grid as usize,
         resources: hist_resources(bins),
+        class: KernelClass::GlobalReduction,
+    }
+}
+
+/// The progressive prepass's strided gather over `sampled` elements: the
+/// fused pattern-1 kernel, one sampled element per thread. A strided read
+/// pulls whole 32-byte sectors, so the wasted bandwidth grows with the
+/// stride up to the 8-element sector width. Modeled only — the prepass
+/// values come from a shared host scan — so no test pins it to a launch.
+pub fn p1_gather(sampled: u64, stride: usize) -> Launch {
+    let waste = stride.clamp(1, 8) as u64;
+    let resources = scalar_resources();
+    Launch {
+        counters: Counters {
+            global_read_bytes: 8 * sampled * waste,
+            lane_flops: 30 * sampled,
+            launches: 1,
+            ..Counters::default()
+        },
+        grid: (sampled as usize)
+            .div_ceil(resources.threads_per_block as usize)
+            .max(1),
+        resources,
         class: KernelClass::GlobalReduction,
     }
 }
@@ -382,9 +412,6 @@ mod tests {
                     stride,
                     mean_e: scalars.mean_e(),
                     max_lag,
-                    derivatives: stride == 1,
-                    autocorr: true,
-                    cooperative: true,
                 };
                 let r = check(&sim, &k, k.grid(), p2_stencil(shape, stride, max_lag));
                 assert_eq!(

@@ -155,9 +155,6 @@ fn p2_fused_fast_path_matches_reference() {
                 stride,
                 mean_e: 1.5e-4,
                 max_lag: 3,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
             };
             assert_paths_agree(&k, k.grid(), &format!("p2 {shape:?} stride {stride}"));
         }

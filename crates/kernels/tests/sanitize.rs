@@ -165,9 +165,6 @@ fn p2_fused_is_sanitizer_clean_both_paths() {
                 stride,
                 mean_e: 1.5e-4,
                 max_lag: 3,
-                derivatives: stride == 1,
-                autocorr: true,
-                cooperative: true,
             };
             let what = format!("p2 {shape:?} stride {stride}");
             assert_clean_and_observation_only(&k, k.grid(), &format!("{what} fast"));
@@ -711,9 +708,6 @@ fn production_kernels_are_sanitizer_clean_under_tiled_launch() {
             stride: 1,
             mean_e: 1.5e-4,
             max_lag: 3,
-            derivatives: true,
-            autocorr: true,
-            cooperative: true,
         };
         for slabs in [2usize, 5] {
             let (r1, t1, rep1) = sim.launch_tiled_checked(&k1, k1.grid(), slabs);

@@ -483,16 +483,26 @@ fn run() -> Result<ExitCode, String> {
 /// lints (verify), and exit without assessing. Error-severity diagnostics
 /// exit 4 — distinct from usage errors (2) and sanitizer hazards (3).
 fn run_static_analysis(args: &Args, run: &RunConfig, shape: Shape) -> Result<ExitCode, String> {
-    use zc_core::plan::{estimate_job_cost, footprint, verify, BackendCaps};
-    use zc_gpusim::MultiGpuModel;
+    use zc_core::plan::{footprint, verify, BackendCaps, DevicePlacement};
+    use zc_gpusim::{GpuSim, MultiGpuModel};
     let plan = AssessPlan::lower(&run.assess);
     let caps = BackendCaps::for_kind(run.executor, args.device_mem);
 
     if args.explain_plan {
         let fp = footprint(&plan, shape, &run.assess, &caps);
         // Predicted seconds come from the job pricer, not the verifier:
-        // each pass's declared launches priced on one cuZC device.
-        let est = estimate_job_cost(&plan, shape, &run.assess, 1, &MultiGpuModel::nvlink(1));
+        // each pass's declared launches priced on one cuZC device with the
+        // run's device memory, so an out-of-core pair is priced over the
+        // slab schedule and re-uploads it will run with.
+        let mut sim = GpuSim::v100();
+        if let Some(m) = args.device_mem {
+            sim.dev.mem_bytes = m;
+        }
+        let est = DevicePlacement {
+            link: MultiGpuModel::nvlink(1),
+            sim: &sim,
+        }
+        .price_job(&plan, shape, &run.assess);
         println!("assessment plan for {shape} ({:?} executor)", run.executor);
         for p in &fp.passes {
             let deps = if p.deps.is_empty() {

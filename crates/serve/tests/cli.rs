@@ -346,3 +346,41 @@ fn trace_flag_prints_launch_summaries() {
     assert!(stdout.contains("occupancy"));
     assert!(stdout.contains("modeled"));
 }
+
+/// The first number after `key` on the line that contains it.
+fn number_after(text: &str, key: &str) -> f64 {
+    let line = text
+        .lines()
+        .find(|l| l.contains(key))
+        .unwrap_or_else(|| panic!("no '{key}' in:\n{text}"));
+    let rest = &line[line.find(key).unwrap() + key.len()..];
+    rest.split_whitespace().next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn explain_plan_prices_the_out_of_core_run() {
+    // The explained prediction follows the device memory into the slab
+    // schedule and re-uploads the run then uses.
+    for mem in ["128KiB", "256KiB", "512KiB"] {
+        let explain = cuzc()
+            .args(["--demo", "--explain-plan", "--device-mem", mem])
+            .output()
+            .unwrap();
+        assert!(explain.status.success());
+        let predicted_s = number_after(
+            &String::from_utf8_lossy(&explain.stdout),
+            "predicted job time:",
+        );
+        let run = cuzc()
+            .args(["--demo", "--device-mem", mem])
+            .output()
+            .unwrap();
+        assert!(run.status.success());
+        let measured_ms = number_after(&String::from_utf8_lossy(&run.stdout), "end-to-end:");
+        let rel = (predicted_s * 1e3 - measured_ms).abs() / measured_ms;
+        assert!(
+            rel < 0.03,
+            "{mem}: predicted {predicted_s} s vs run {measured_ms} ms"
+        );
+    }
+}

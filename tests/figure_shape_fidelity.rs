@@ -125,16 +125,22 @@ fn fig12_pattern_bands_loose() {
 #[test]
 fn table2_per_dataset_structure() {
     use cuz_checker::core::AssessConfig;
-    use zc_bench::fullscale::full_iters_per_thread;
+    use zc_bench::fullscale::full_profiles;
     let cfg = AssessConfig::default();
+    let iters = |ds: AppDataset, pattern: Pattern| {
+        full_profiles(ds.full_shape(), &cfg)
+            .iter()
+            .find(|p| p.pattern == pattern)
+            .expect("every pattern is profiled")
+            .iters_per_thread
+    };
     // Pattern-1 iters: Miranda smallest, SCALE-LETKF largest (Table II).
-    let it =
-        |ds: AppDataset| full_iters_per_thread(Pattern::GlobalReduction, ds.full_shape(), &cfg);
+    let it = |ds: AppDataset| iters(ds, Pattern::GlobalReduction);
     assert!(it(AppDataset::Miranda) < it(AppDataset::Hurricane));
     assert!(it(AppDataset::Hurricane) <= it(AppDataset::Nyx));
     assert!(it(AppDataset::Nyx) < it(AppDataset::ScaleLetkf));
     // Pattern-3: NYX deepest (observation (iii)).
-    let p3 = |ds: AppDataset| full_iters_per_thread(Pattern::SlidingWindow, ds.full_shape(), &cfg);
+    let p3 = |ds: AppDataset| iters(ds, Pattern::SlidingWindow);
     for other in [
         AppDataset::Hurricane,
         AppDataset::ScaleLetkf,
