@@ -35,12 +35,6 @@ impl LinearQuantizer {
         LinearQuantizer { eb, radius }
     }
 
-    /// The configured error bound.
-    #[inline]
-    pub fn error_bound(&self) -> f64 {
-        self.eb
-    }
-
     /// Number of distinct codes (`2 · radius`).
     #[inline]
     pub fn alphabet_len(&self) -> usize {

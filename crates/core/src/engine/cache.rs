@@ -307,11 +307,6 @@ impl ResultCache {
         merged
     }
 
-    /// Codec stats stored for a key (present after any absorb of it).
-    pub fn stats_of(&self, key: &CacheKey) -> Option<CompressionStats> {
-        self.map.get(key).map(|e| e.stats)
-    }
-
     /// Whether the cache can hold anything (a 0-entry budget disables it).
     pub(crate) fn is_enabled(&self) -> bool {
         self.budget > 0

@@ -8,27 +8,10 @@
 //! and folds the slabs in order; one slab is the monolithic scan.
 
 use crate::config::SsimSettings;
+use crate::plan::slab_ranges;
 use zc_kernels::acc::{deriv1_nd, deriv2_nd};
 use zc_kernels::p3::SsimAcc;
 use zc_kernels::{FieldPair, Histogram, P1Histograms, P1Scalars, P2Stats, WindowMoments};
-
-/// Split `n` sequential units into at most `slabs` contiguous ranges (the
-/// first `n % slabs` ranges are one unit longer). Slab-tiled dispatch
-/// iterates these in order with a carried accumulator, so any fold that
-/// was sequential-in-order stays **bit-identical** under tiling.
-pub fn slab_ranges(n: usize, slabs: usize) -> Vec<(usize, usize)> {
-    let slabs = slabs.clamp(1, n.max(1));
-    let base = n / slabs;
-    let rem = n % slabs;
-    let mut out = Vec::with_capacity(slabs);
-    let mut lo = 0;
-    for s in 0..slabs {
-        let hi = lo + base + usize::from(s < rem);
-        out.push((lo, hi));
-        lo = hi;
-    }
-    out
-}
 
 /// Serial fused pattern-1 scan, slab-tiled: one carried accumulator
 /// absorbs each z-slab in order, so the absorb sequence — and every bit of
@@ -530,7 +513,7 @@ mod tests {
     #[test]
     fn slab_ranges_cover_contiguously() {
         for (n, slabs) in [(10usize, 3usize), (7, 7), (5, 9), (1, 4), (0, 3)] {
-            let r = slab_ranges(n, slabs);
+            let r: Vec<_> = slab_ranges(n, slabs).collect();
             assert_eq!(r.len(), slabs.clamp(1, n.max(1)));
             assert_eq!(r.first().unwrap().0, 0);
             assert_eq!(r.last().unwrap().1, n);

@@ -447,8 +447,9 @@ const RESIDENT_SLABS: u64 = 4;
 /// clamp rather than fail; an out-of-core pair under a `Monolithic` policy
 /// (or one too large even for per-plane slabs) is an error.
 ///
-/// Public so harnesses (the overlap bench, the CLI) can report the slab
-/// count a run will use without re-deriving the heuristic.
+/// Inside the library only [`SlabSchedule::resolve`] calls this; it stays
+/// public for the benchmark harness, which reports a job's slab count
+/// from a shape and a policy without a lowered plan at hand.
 pub fn resolve_slabs(
     policy: crate::config::TilingPolicy,
     pair_bytes: u64,
@@ -486,6 +487,97 @@ pub fn resolve_slabs(
         slabs = slabs.max(min_slabs);
     }
     Ok(slabs)
+}
+
+/// A job's slab schedule (DESIGN.md §6.8): its field-pair bytes, tileable
+/// plane count and slab count against one device capacity — the single
+/// place a run's slab count, out-of-core state and resident window are
+/// decided. The runner, the job pricer, the plan verifier and the CLI all
+/// read this one value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SlabSchedule {
+    /// Field-pair bytes (both f32 fields).
+    pub pair_bytes: u64,
+    /// Tileable extent (z-planes × w), at least 1.
+    pub planes: usize,
+    /// Resolved slab count (1 = monolithic).
+    pub slabs: usize,
+    /// The device capacity the schedule was resolved against (`None` = a
+    /// host-resident backend).
+    pub capacity: Option<u64>,
+}
+
+impl SlabSchedule {
+    /// Resolve `shape`'s schedule under `cfg.tiling` on a device of
+    /// `capacity` bytes ([`resolve_slabs`]). A capacity error is
+    /// attributed to the plan's heaviest field-reading pass.
+    pub fn resolve(
+        plan: &AssessPlan,
+        shape: Shape,
+        cfg: &AssessConfig,
+        capacity: Option<u64>,
+    ) -> Result<SlabSchedule, AssessError> {
+        let one = SlabSchedule::one_slab(shape, capacity);
+        let slabs = resolve_slabs(cfg.tiling, one.pair_bytes, one.planes, capacity)
+            .map_err(|e| e.with_pass(verify::heaviest_field_pass(plan, shape, cfg)))?;
+        Ok(SlabSchedule { slabs, ..one })
+    }
+
+    /// `shape` as one slab — what an unplaceable job is priced as.
+    fn one_slab(shape: Shape, capacity: Option<u64>) -> SlabSchedule {
+        SlabSchedule {
+            pair_bytes: shape.len() as u64 * 4 * 2,
+            planes: (shape.nz() * shape.nw()).max(1),
+            slabs: 1,
+            capacity,
+        }
+    }
+
+    /// Whether the pair exceeds the device: every dependent pass then
+    /// re-uploads the slabs it reads.
+    pub fn out_of_core(&self) -> bool {
+        self.capacity.is_some_and(|cap| self.pair_bytes > cap)
+    }
+
+    /// Resident device window in bytes: the whole pair for one slab,
+    /// otherwise `RESIDENT_SLABS` mean slabs, capped at the larger of the
+    /// device and the pair (`None` on a host backend).
+    pub fn resident_bytes(&self) -> Option<u64> {
+        let cap = self.capacity?;
+        Some(if self.slabs == 1 {
+            self.pair_bytes
+        } else {
+            let window = self.pair_bytes.div_ceil(self.slabs as u64) * RESIDENT_SLABS;
+            window.min(cap.max(self.pair_bytes))
+        })
+    }
+
+    /// Each slab's upload bytes, in slab order ([`slab_ranges`] over the
+    /// planes).
+    pub fn slab_bytes(&self) -> impl Iterator<Item = u64> {
+        let plane_bytes = self.pair_bytes / self.planes as u64;
+        slab_ranges(self.planes, self.slabs).map(move |(lo, hi)| (hi - lo) as u64 * plane_bytes)
+    }
+}
+
+/// Split `n` sequential units (planes, plane tasks) into at most `slabs`
+/// contiguous ranges, the first `n % slabs` one unit longer. Slab-tiled
+/// dispatch iterates these in order with a carried accumulator, so any
+/// fold that was sequential-in-order stays **bit-identical** under tiling.
+pub fn slab_ranges(n: usize, slabs: usize) -> impl Iterator<Item = (usize, usize)> {
+    let slabs = slabs.clamp(1, n.max(1));
+    let (base, rem) = (n / slabs, n % slabs);
+    (0..slabs).scan(0, move |lo, s| {
+        let range = (*lo, *lo + base + usize::from(s < rem));
+        *lo = range.1;
+        Some(range)
+    })
+}
+
+/// The last upload slab tile `i` of a pass tiled `tiles` ways covers when
+/// the pair streams in `slabs` slabs.
+fn slab_of(i: usize, tiles: usize, slabs: usize) -> usize {
+    ((i + 1) * slabs).div_ceil(tiles) - 1
 }
 
 /// A job-level cost prediction derived from a lowered [`AssessPlan`] and
@@ -649,10 +741,11 @@ impl DevicePlacement<'_> {
     /// placement and timeline code [`PlanRunner::run`] applies to executed
     /// launches.
     pub fn price_job(&self, plan: &AssessPlan, shape: Shape, cfg: &AssessConfig) -> CostEstimate {
-        let pair_bytes = shape.len() as u64 * 4 * 2;
-        let planes = (shape.nz() * shape.nw()).max(1);
-        let capacity = self.sim.dev.mem_bytes;
-        let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, Some(capacity)).unwrap_or(1);
+        let capacity = Some(self.sim.dev.mem_bytes);
+        // An unplaceable job is priced as one (out-of-core) slab.
+        let schedule = SlabSchedule::resolve(plan, shape, cfg, capacity)
+            .unwrap_or_else(|_| SlabSchedule::one_slab(shape, capacity));
+        let slabs = schedule.slabs;
         let mut charges = Charges::new();
         for pass in plan.passes() {
             let launches: Vec<PassLaunch> = pass
@@ -677,14 +770,8 @@ impl DevicePlacement<'_> {
         // The staging link is PCIe regardless of the intra-group
         // interconnect — matching `CuZc::transfer`, so predictions share a
         // basis with the per-job `e2e` the report aggregates.
-        let (times, profiles, _, e2e) = charges.settle(
-            Some(*self),
-            Some(HostLink::pcie()),
-            shape,
-            cfg,
-            slabs,
-            pair_bytes > capacity,
-        );
+        let (times, profiles, _, e2e) =
+            charges.settle(Some(*self), Some(HostLink::pcie()), shape, cfg, &schedule);
         CostEstimate {
             pass_seconds: charges
                 .pass_tiles
@@ -885,19 +972,15 @@ impl<'a> PlanRunner<'a> {
         let non_finite = validate(orig, dec, cfg)?;
         let t0 = Instant::now();
 
-        let pair_bytes = orig.shape().len() as u64 * 4 * 2; // both fields
-        let planes = (orig.shape().nz() * orig.shape().nw()).max(1);
-        let capacity = backend.device_capacity();
-        let slabs = resolve_slabs(cfg.tiling, pair_bytes, planes, capacity)
-            .map_err(|e| e.with_pass(verify::heaviest_field_pass(self.plan, orig.shape(), cfg)))?;
-        let out_of_core = capacity.is_some_and(|cap| pair_bytes > cap);
+        let schedule =
+            SlabSchedule::resolve(self.plan, orig.shape(), cfg, backend.device_capacity())?;
 
         let mut ctx = PassCtx {
             orig,
             dec,
             cfg,
             p1: self.seed,
-            slabs,
+            slabs: schedule.slabs,
         };
         let mut charges = Charges::new();
         let mut hists = None;
@@ -937,8 +1020,7 @@ impl<'a> PlanRunner<'a> {
             backend.transfer(),
             orig.shape(),
             cfg,
-            slabs,
-            out_of_core,
+            &schedule,
         );
 
         let p1 = ctx
@@ -1001,16 +1083,15 @@ impl Charges {
     /// Per-pattern times, profiles and runs; re-priced under a multi-device
     /// `placement` (compute share + halo/all-reduce communication, scaling
     /// each pass's slab seconds in place — counters, runs and profiles are
-    /// placement-invariant by construction); then the stream timeline over
-    /// the backend's host `link`, if it has one.
+    /// placement-invariant by construction); then the stream timeline of
+    /// `schedule` over the backend's host `link`, if it has one.
     fn settle(
         &mut self,
         placement: Option<DevicePlacement<'_>>,
         link: Option<HostLink>,
         shape: Shape,
         cfg: &AssessConfig,
-        slabs: usize,
-        out_of_core: bool,
+        schedule: &SlabSchedule,
     ) -> (
         PatternTimes,
         Vec<PatternProfile>,
@@ -1050,7 +1131,7 @@ impl Charges {
 
         let e2e = link
             .filter(|_| times.total() > 0.0)
-            .map(|link| timeline(&link, shape, cfg, &self.pass_tiles, slabs, out_of_core));
+            .map(|link| timeline(&link, schedule, cfg, &self.pass_tiles));
         (times, profiles, runs, e2e)
     }
 }
@@ -1090,22 +1171,15 @@ impl Charges {
 /// drain each pass's running partials.
 fn timeline(
     link: &HostLink,
-    shape: Shape,
+    schedule: &SlabSchedule,
     cfg: &AssessConfig,
     pass_tiles: &[(PassKind, Vec<f64>)],
-    slabs: usize,
-    out_of_core: bool,
 ) -> EndToEnd {
-    let pair_bytes = shape.len() as u64 * 4 * 2;
-    let planes = (shape.nz() * shape.nw()).max(1);
+    let SlabSchedule { planes, slabs, .. } = *schedule;
     // Slab k's upload bytes (even plane split, remainder up front —
     // matching the contiguous block split in `launch_tiled`).
-    let slab_bytes = |k: usize| {
-        let base = planes / slabs;
-        let extra = usize::from(k < planes % slabs);
-        (base + extra) as u64 * shape.slab_len() as u64 * 4 * 2
-    };
-    debug_assert_eq!((0..slabs).map(slab_bytes).sum::<u64>(), pair_bytes);
+    let slab_bytes: Vec<u64> = schedule.slab_bytes().collect();
+    debug_assert_eq!(slab_bytes.iter().sum::<u64>(), schedule.pair_bytes);
     // The stencil's forward halo, in slabs.
     let span = cfg.max_lag.div_ceil((planes / slabs).max(1));
 
@@ -1116,8 +1190,6 @@ fn timeline(
             .find(|(k, _)| *k == kind)
             .map(|(_, v)| v.as_slice())
     };
-    // Tile i of t maps onto upload slab floor-scaled into `slabs`.
-    let slab_of = |i: usize, t: usize| ((i + 1) * slabs).div_ceil(t) - 1;
 
     // Copies live on their own streams: a compute tile enqueued on the
     // stream its input upload used would serialize behind the *whole*
@@ -1134,7 +1206,7 @@ fn timeline(
             tl.push(
                 UPLOAD_STREAM,
                 Engine::H2D,
-                link.transfer_s(slab_bytes(k)),
+                link.transfer_s(slab_bytes[k]),
                 &[],
             )
         })
@@ -1192,24 +1264,24 @@ fn timeline(
     let mut p1_events = Vec::new();
     let mut last_p1 = None;
     for k in 0..slabs {
-        while p1_next < p1.len() && slab_of(p1_next, p1.len()) <= k {
+        while p1_next < p1.len() && slab_of(p1_next, p1.len(), slabs) <= k {
             let (i, t) = (p1_next, p1[p1_next]);
             p1_next += 1;
             if t <= 0.0 {
                 continue;
             }
-            let ev = tl.push(0, Engine::Compute, t, &[h2d[slab_of(i, p1.len())]]);
+            let ev = tl.push(0, Engine::Compute, t, &[h2d[slab_of(i, p1.len(), slabs)]]);
             p1_events.push(ev);
             last_p1 = Some(ev);
         }
         for s in dependents.iter_mut() {
-            while s.next < s.tiles.len() && slab_of(s.next, s.tiles.len()) <= k {
+            while s.next < s.tiles.len() && slab_of(s.next, s.tiles.len(), slabs) <= k {
                 let (i, t) = (s.next, s.tiles[s.next]);
                 s.next += 1;
                 if t <= 0.0 {
                     continue;
                 }
-                let slab = slab_of(i, s.tiles.len())
+                let slab = slab_of(i, s.tiles.len(), slabs)
                     .saturating_add(s.halo)
                     .min(slabs - 1);
                 let mut deps = Vec::with_capacity(2);
@@ -1218,12 +1290,12 @@ fn timeline(
                 if let Some(p1) = last_p1 {
                     deps.push(p1);
                 }
-                if out_of_core {
+                if schedule.out_of_core() {
                     // The slab was evicted after the P1 sweep:
                     // re-upload it (and its halo) on this pass's copy
                     // stream.
-                    let bytes = (slab_of(i, s.tiles.len())..=slab)
-                        .map(slab_bytes)
+                    let bytes = slab_bytes[slab_of(i, s.tiles.len(), slabs)..=slab]
+                        .iter()
                         .sum::<u64>();
                     deps.push(tl.push(
                         REUPLOAD_STREAM + s.stream,
@@ -1265,6 +1337,14 @@ mod tests {
             .collect()
     }
 
+    /// `shape` streamed in `slabs` slabs, device-resident or out-of-core.
+    fn schedule(shape: Shape, slabs: usize, out_of_core: bool) -> SlabSchedule {
+        SlabSchedule {
+            slabs,
+            ..SlabSchedule::one_slab(shape, out_of_core.then_some(0))
+        }
+    }
+
     /// A monolithic run is one slab: one upload leg for the whole pair, one
     /// read-back leg per pass, every pass's seconds on the compute engine,
     /// and a makespan between the upload-then-compute chain and the
@@ -1280,7 +1360,12 @@ mod tests {
             (PassKind::P2Stencil, 0.6e-3),
             (PassKind::P3Ssim, 2.5e-3),
         ];
-        let e2e = timeline(&link, shape, &cfg, &even(&pass_seconds, 1), 1, false);
+        let e2e = timeline(
+            &link,
+            &schedule(shape, 1, false),
+            &cfg,
+            &even(&pass_seconds, 1),
+        );
         let pair = shape.len() as u64 * 4 * 2;
         assert_eq!(e2e.h2d_s, link.transfer_s(pair));
         let d2h: f64 = pass_seconds
@@ -1313,11 +1398,9 @@ mod tests {
         ];
         let e2e = timeline(
             &link,
-            shape,
+            &schedule(shape, slabs, false),
             &cfg,
             &even(&pass_seconds, slabs),
-            slabs,
-            false,
         );
         assert!(e2e.overlapped_s <= e2e.serialized_s);
         let first_slab = link.transfer_s((shape.len() as u64 * 4 * 2).div_ceil(16));
@@ -1349,8 +1432,8 @@ mod tests {
             (PassKind::P3Ssim, 4.0e-3),
         ];
         let tiles = even(&pass_seconds, 16);
-        let resident = timeline(&link, shape, &cfg, &tiles, 16, false);
-        let ooc = timeline(&link, shape, &cfg, &tiles, 16, true);
+        let resident = timeline(&link, &schedule(shape, 16, false), &cfg, &tiles);
+        let ooc = timeline(&link, &schedule(shape, 16, true), &cfg, &tiles);
         assert!(
             ooc.h2d_s > 3.0 * resident.h2d_s,
             "ooc h2d {:.4} ms vs resident {:.4} ms",

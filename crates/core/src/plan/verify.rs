@@ -21,11 +21,10 @@
 //!   kernels' shape-independent declarations (`zc_kernels::{p1,p2,p3}`),
 //!   checked against the backend envelope: `plan/smem-overflow`,
 //!   `plan/regs-overflow`, `plan/launch-geometry`.
-//! * **Device capacity** (`plan/capacity`) — the slab resolution and the
-//!   resident-window arithmetic of [`resolve_slabs`], evaluated at plan
-//!   time and attributed to the heaviest field-reading pass; the message
-//!   is the same [`AssessError::Capacity`] rendering the runtime path
-//!   produces, so both surfaces report identically.
+//! * **Device capacity** (`plan/capacity`) — the same [`SlabSchedule`]
+//!   the runner resolves, evaluated at plan time; its error is the
+//!   [`AssessError::Capacity`] the runtime path raises, so both surfaces
+//!   report identically.
 //! * **Deferred finalize** (`plan/deferred-finalize`) — the tiled stream
 //!   timeline's producer/consumer contract: no dependent tile may consume
 //!   a prefix scalar its producer slab has not finalized yet
@@ -33,7 +32,7 @@
 //!
 //! [`PlanRunner`]: super::PlanRunner
 
-use super::{resolve_slabs, AssessPlan, Pass, PassKind, RESIDENT_SLABS};
+use super::{slab_of, AssessPlan, Pass, PassKind, SlabSchedule};
 use crate::config::{AssessConfig, ExecutorKind};
 use crate::exec::AssessError;
 use zc_gpusim::{Counters, DeviceSpec, KernelResources};
@@ -117,22 +116,14 @@ pub struct PassFootprint {
     pub declared: Counters,
 }
 
-/// The whole plan's static footprint — what `cuzc --explain-plan` prints
-/// and the capacity diagnostics are sourced from.
+/// The whole plan's static footprint — what `cuzc --explain-plan` prints.
 #[derive(Clone, Debug)]
 pub struct PlanFootprint {
     /// Per-pass footprints, in schedule order.
     pub passes: Vec<PassFootprint>,
-    /// Field-pair bytes (both f32 fields).
-    pub pair_bytes: u64,
-    /// Tileable extent (z-planes × w).
-    pub planes: usize,
-    /// Resolved slab count under the configured tiling policy and the
+    /// The slab schedule under the configured tiling policy and the
     /// backend capacity, or the capacity error the runtime would hit.
-    pub slabs: Result<usize, AssessError>,
-    /// Resident device window in bytes under the resolved slab schedule
-    /// (`None` for host backends or unresolvable slabs).
-    pub resident_bytes: Option<u64>,
+    pub schedule: Result<SlabSchedule, AssessError>,
 }
 
 /// The static resource declaration of a pass's worst launch, from the
@@ -170,43 +161,10 @@ pub fn footprint(
             declared: p.kind.declared(shape, cfg),
         })
         .collect();
-    let pair_bytes = shape.len() as u64 * 4 * 2;
-    let planes = (shape.nz() * shape.nw()).max(1);
-    let slabs = plan_slabs(plan, shape, cfg, caps);
-    let resident_bytes = match (&slabs, caps.device_mem_bytes) {
-        (Ok(s), Some(cap)) => {
-            let window = pair_bytes.div_ceil(*s as u64) * RESIDENT_SLABS;
-            // Monolithic residency is the whole pair, not a slab window.
-            Some(if *s == 1 {
-                pair_bytes
-            } else {
-                window.min(cap.max(pair_bytes))
-            })
-        }
-        _ => None,
-    };
     PlanFootprint {
         passes,
-        pair_bytes,
-        planes,
-        slabs,
-        resident_bytes,
+        schedule: SlabSchedule::resolve(plan, shape, cfg, caps.device_mem_bytes),
     }
-}
-
-/// The plan's slab count under the configured tiling policy and the
-/// backend capacity, or the capacity error the runtime would hit,
-/// attributed to its heaviest field pass.
-fn plan_slabs(
-    plan: &AssessPlan,
-    shape: Shape,
-    cfg: &AssessConfig,
-    caps: &BackendCaps,
-) -> Result<usize, AssessError> {
-    let pair_bytes = shape.len() as u64 * 4 * 2;
-    let planes = (shape.nz() * shape.nw()).max(1);
-    resolve_slabs(cfg.tiling, pair_bytes, planes, caps.device_mem_bytes)
-        .map_err(|e| e.with_pass(heaviest_field_pass(plan, shape, cfg)))
 }
 
 /// The field-reading pass with the largest declared device traffic — the
@@ -247,11 +205,9 @@ pub fn verify_tile_schedule(slabs: usize, p1_tiles: usize, dep_tiles: usize) -> 
     if slabs <= 1 || p1_tiles == 0 || dep_tiles == 0 {
         return None;
     }
-    // Tile i of a pass with t tiles ends at this slab (matching the
-    // timeline's `slab_of`).
-    let slab_of = |i: usize, t: usize| ((i + 1) * slabs).div_ceil(t) - 1;
-    let first_finalize = slab_of(0, p1_tiles);
-    let first_consume = slab_of(0, dep_tiles);
+    // The slab each side's first tile ends at, as the timeline maps it.
+    let first_finalize = slab_of(0, p1_tiles, slabs);
+    let first_consume = slab_of(0, dep_tiles, slabs);
     if first_finalize > first_consume {
         return Some(diag(
             "plan/deferred-finalize",
@@ -419,9 +375,9 @@ pub fn verify(
 
     // -- device capacity ---------------------------------------------------
     let reads_fields = passes.iter().any(|p| p.reads_fields);
-    let slabs = plan_slabs(plan, shape, cfg, caps);
+    let schedule = SlabSchedule::resolve(plan, shape, cfg, caps.device_mem_bytes);
     if reads_fields && caps.device_mem_bytes.is_some() {
-        if let Err(e) = &slabs {
+        if let Err(e) = &schedule {
             let at = match e {
                 AssessError::Capacity {
                     pass: Some(kind), ..
@@ -433,7 +389,7 @@ pub fn verify(
     }
 
     // -- deferred finalize -------------------------------------------------
-    if let Ok(slabs) = slabs {
+    if let Ok(SlabSchedule { slabs, .. }) = schedule {
         for p in passes {
             if p.deps.contains(&PassKind::P1Scalars) {
                 // The production schedule tiles producer and consumer at

@@ -200,11 +200,6 @@ impl AppDataset {
         self.roster().len()
     }
 
-    /// Names of every field.
-    pub fn field_names(self) -> Vec<&'static str> {
-        self.roster().iter().map(|e| e.0).collect()
-    }
-
     /// Name of field `index` (panics if out of range).
     pub fn field_name(self, index: usize) -> &'static str {
         self.roster()[index].0

@@ -95,11 +95,6 @@ impl BlockCtx {
         }
     }
 
-    /// Whether this context carries sanitizer shadow state.
-    pub fn is_sanitized(&self) -> bool {
-        self.san.is_some()
-    }
-
     /// Detach the shadow state and produce its diagnostics (launcher-side).
     pub(crate) fn finish_sanitize(&mut self) -> Option<(Vec<Diag>, u64)> {
         self.san.take().map(|s| s.finish(&self.counters))

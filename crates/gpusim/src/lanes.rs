@@ -49,12 +49,6 @@ impl<T: Copy + Default> Lanes<T> {
         Lanes(a)
     }
 
-    /// Set lane `i`.
-    #[inline]
-    pub fn set_lane(&mut self, i: usize, v: T) {
-        self.0[i] = v;
-    }
-
     /// `__shfl_down_sync`: lane `i` receives lane `i + delta`'s value when
     /// both lanes are inside `mask` and `i + delta < 32`; otherwise it keeps
     /// its own value.

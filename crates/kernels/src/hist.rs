@@ -97,13 +97,6 @@ impl Histogram {
         }
     }
 
-    /// Add a pre-binned count (used when merging per-block histograms).
-    #[inline]
-    pub fn add_count(&mut self, bin: usize, count: u64) {
-        self.bins[bin] += count;
-        self.total += count;
-    }
-
     /// Merge another congruent histogram.
     pub fn merge(&mut self, o: &Histogram) {
         assert_eq!(self.bins.len(), o.bins.len(), "bin count mismatch");

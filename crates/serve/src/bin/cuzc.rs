@@ -24,7 +24,7 @@ use zc_core::exec::make_executor_with_device_mem;
 use zc_core::io::{read_raw, write_pgm_slice, Endianness};
 use zc_core::metrics::{Metric, MetricSelection};
 use zc_core::output::{autocorr_csv, histogram_csv, scalars_csv};
-use zc_core::plan::AssessPlan;
+use zc_core::plan::{AssessPlan, BackendCaps, SlabSchedule};
 use zc_core::recommend::{ProgressivePolicy, QualityCriteria};
 use zc_tensor::{Shape, Tensor};
 
@@ -360,27 +360,24 @@ fn run() -> Result<ExitCode, String> {
 
     // Assess: lower the metric selection to a pass plan, run it.
     let executor = make_executor_with_device_mem(run.executor, args.device_mem);
+    let plan = AssessPlan::lower(&run.assess);
     // Echo the slab schedule a device run will use (out-of-core fields
     // stream; a Capacity error surfaces below with the same numbers).
-    let capacity = match run.executor {
-        zc_core::ExecutorKind::CuZc | zc_core::ExecutorKind::MoZc => Some(
-            args.device_mem
-                .unwrap_or_else(|| zc_gpusim::GpuSim::v100().dev.mem_bytes),
-        ),
-        _ => None,
-    };
-    if let Some(cap) = capacity {
-        let pair = orig.shape().len() as u64 * 4 * 2;
-        let planes = (orig.shape().nz() * orig.shape().nw()).max(1);
-        if let Ok(slabs) = zc_core::plan::resolve_slabs(run.assess.tiling, pair, planes, Some(cap))
-        {
-            eprintln!(
-                "tiling: {slabs} slab(s) for a {pair}-byte pair on a {cap}-byte device{}",
-                if pair > cap { " (out-of-core)" } else { "" }
-            );
-        }
+    let capacity = BackendCaps::for_kind(run.executor, args.device_mem).device_mem_bytes;
+    if let (Some(cap), Ok(s)) = (
+        capacity,
+        SlabSchedule::resolve(&plan, orig.shape(), &run.assess, capacity),
+    ) {
+        let ooc = if s.out_of_core() {
+            " (out-of-core)"
+        } else {
+            ""
+        };
+        eprintln!(
+            "tiling: {} slab(s) for a {}-byte pair on a {cap}-byte device{ooc}",
+            s.slabs, s.pair_bytes
+        );
     }
-    let plan = AssessPlan::lower(&run.assess);
     let mut a = executor
         .run_plan(&plan, &orig, &dec, &run.assess)
         .map_err(|e| format!("assessment failed: {e}"))?;
@@ -483,7 +480,7 @@ fn run() -> Result<ExitCode, String> {
 /// lints (verify), and exit without assessing. Error-severity diagnostics
 /// exit 4 — distinct from usage errors (2) and sanitizer hazards (3).
 fn run_static_analysis(args: &Args, run: &RunConfig, shape: Shape) -> Result<ExitCode, String> {
-    use zc_core::plan::{footprint, verify, BackendCaps, DevicePlacement};
+    use zc_core::plan::{footprint, verify, DevicePlacement};
     use zc_gpusim::{GpuSim, MultiGpuModel};
     let plan = AssessPlan::lower(&run.assess);
     let caps = BackendCaps::for_kind(run.executor, args.device_mem);
@@ -541,13 +538,13 @@ fn run_static_analysis(args: &Args, run: &RunConfig, shape: Shape) -> Result<Exi
             "  predicted job time: {:.3e} s overlapped on one cuZC device",
             est.seconds
         );
-        match &fp.slabs {
-            Ok(slabs) => {
+        match &fp.schedule {
+            Ok(s) => {
                 print!(
                     "  slab window: {} slab(s) over {} plane(s), pair {} B",
-                    slabs, fp.planes, fp.pair_bytes
+                    s.slabs, s.planes, s.pair_bytes
                 );
-                match fp.resident_bytes {
+                match s.resident_bytes() {
                     Some(r) => println!(", resident window {r} B"),
                     None => println!(" (host-resident)"),
                 }

@@ -90,11 +90,6 @@ impl<T: Element> Tensor<T> {
         &mut self.data
     }
 
-    /// Consume the tensor, yielding its backing buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Iterate over all elements in memory order.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.data.iter()
