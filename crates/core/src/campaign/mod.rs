@@ -36,7 +36,7 @@
 pub(crate) mod job;
 pub(crate) mod recover;
 mod report;
-mod shard;
+pub(crate) mod shard;
 
 pub use job::{FieldRef, JobMetrics, JobOutcome, JobRecord, JobSpec};
 pub use recover::{RecoveryPolicy, RecoveryReport};
@@ -234,7 +234,7 @@ impl CampaignSpec {
         fleets
             .iter()
             .map(|fleet| {
-                let (records, shard) = engine.place(&priced, fleet);
+                let (records, shard) = engine.place(&priced, fleet, &[]);
                 // A fleet carrying a live fault plan aggregates through the
                 // chaos replay; a null (or absent) plan takes the fault-free
                 // path — same bits, no simulation.

@@ -15,6 +15,12 @@
 //!   the split parts and whole jobs are placed longest-predicted-first onto
 //!   the least-loaded group. The result is never predicted-worse than
 //!   round-robin: the scheduler prices both plans and keeps the better one.
+//!
+//! A resident service places each batch onto groups still busy with
+//! earlier ones: [`Scheduler::plan_onto`] takes the seconds each group
+//! still owes, list scheduling starts from those loads, and both plans are
+//! compared by when their last group finishes. A campaign owes nothing,
+//! and zero owed seconds reproduce [`Scheduler::plan`] bit for bit.
 
 use crate::exec::{CuZc, MultiCuZc};
 use zc_gpusim::{FaultPlan, MultiGpuModel};
@@ -163,14 +169,35 @@ impl Scheduler {
 
     /// Build the shard plan for `costs[i]` = job *i*'s predicted seconds
     /// and `splittable[i]` = the most parts job *i* can split into (its
-    /// resolved slab count; 1 = unsplittable).
+    /// resolved slab count; 1 = unsplittable) on an idle fleet: the
+    /// zero-owed case of [`Scheduler::plan_onto`].
     pub fn plan(self, costs: &[f64], splittable: &[usize], groups: u32) -> ShardPlan {
+        self.plan_onto(costs, splittable, groups, &[])
+    }
+
+    /// Build the shard plan onto groups that still owe `owed_s[g]` seconds
+    /// of earlier work (one entry per group, or `&[]` for an idle fleet). List
+    /// scheduling starts each group's load at what it owes and keeps
+    /// round-robin when that finishes sooner, comparing
+    /// [`ShardPlan::predicted_finish`] for both. Nothing owed reproduces
+    /// the idle-fleet plan bit for bit.
+    pub fn plan_onto(
+        self,
+        costs: &[f64],
+        splittable: &[usize],
+        groups: u32,
+        owed_s: &[f64],
+    ) -> ShardPlan {
+        debug_assert!(
+            owed_s.is_empty() || owed_s.len() == groups as usize,
+            "owed seconds: one entry per group, or none"
+        );
         match self {
             Scheduler::RoundRobin => ShardPlan::round_robin_priced(costs, groups),
             Scheduler::List => {
-                let lpt = ShardPlan::lpt(costs, splittable, groups);
+                let lpt = ShardPlan::lpt(costs, splittable, groups, owed_s);
                 let rr = ShardPlan::round_robin_priced(costs, groups);
-                if lpt.predicted_makespan() <= rr.predicted_makespan() {
+                if lpt.predicted_finish(owed_s) <= rr.predicted_finish(owed_s) {
                     lpt
                 } else {
                     rr
@@ -178,6 +205,11 @@ impl Scheduler {
             }
         }
     }
+}
+
+/// Seconds group `g` still owes (`&[]` is an idle fleet).
+pub(crate) fn owed(owed_s: &[f64], g: usize) -> f64 {
+    owed_s.get(g).copied().unwrap_or(0.0)
 }
 
 /// The static job → device-group assignment. Each job maps to one or more
@@ -261,10 +293,11 @@ impl ShardPlan {
 
     /// Longest-predicted-first list scheduling over [`ShardPlan::pieces`]:
     /// split parts and whole jobs together, longest first (ties by job id,
-    /// then part), each onto the least-loaded group — so the small parts
-    /// fill in around the mid-size jobs instead of the mid-size jobs
-    /// stacking on top of the parts.
-    fn lpt(costs: &[f64], splittable: &[usize], groups: u32) -> ShardPlan {
+    /// then part), each onto the group that frees up first counting what
+    /// it still owes (`owed_s`) — so the small parts fill in around the
+    /// mid-size jobs instead of the mid-size jobs stacking on top of the
+    /// parts, and a batch fills the groups its predecessors left idle.
+    fn lpt(costs: &[f64], splittable: &[usize], groups: u32, owed_s: &[f64]) -> ShardPlan {
         assert!(groups >= 1, "shard plan needs at least one group");
         let mut pieces = ShardPlan::pieces(costs, splittable, groups);
         // Stable: equal pieces keep job-then-part order.
@@ -272,10 +305,13 @@ impl ShardPlan {
         let mut load = vec![0.0f64; groups as usize];
         let mut assignments: Vec<Vec<(u32, f64)>> = vec![Vec::new(); costs.len()];
         for (i, share, seconds) in pieces {
+            // Adding zero owed seconds is exact, so an idle fleet compares
+            // the bare loads.
+            let free_at = |g: usize| owed(owed_s, g) + load[g];
             let least = (0..load.len())
                 .min_by(|&a, &b| {
-                    load[a]
-                        .partial_cmp(&load[b])
+                    free_at(a)
+                        .partial_cmp(&free_at(b))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .expect("at least one group");
@@ -327,7 +363,17 @@ impl ShardPlan {
 
     /// Predicted makespan: the busiest group's predicted load.
     pub fn predicted_makespan(&self) -> f64 {
-        self.predicted_busy.iter().copied().fold(0.0, f64::max)
+        self.predicted_finish(&[])
+    }
+
+    /// Predicted finish of the last group when group `g` first works off
+    /// the `owed_s[g]` seconds it still owes: `max(owed + load)`.
+    pub fn predicted_finish(&self, owed_s: &[f64]) -> f64 {
+        self.predicted_busy
+            .iter()
+            .enumerate()
+            .map(|(g, &busy)| owed(owed_s, g) + busy)
+            .fold(0.0, f64::max)
     }
 
     /// Predicted makespan when every placed part also costs a fixed
@@ -443,6 +489,74 @@ mod tests {
                 total / groups as f64
             );
         }
+    }
+
+    #[test]
+    fn list_plans_onto_owed_groups_place_everything_and_never_lose_to_round_robin() {
+        let mut rng = zc_data::SplitMix64::new(0x03ED_C10C);
+        for case in 0..256 {
+            let groups = 1 + (rng.next_u64() % 8) as u32;
+            let n = (rng.next_u64() % 24) as usize;
+            let costs: Vec<f64> = (0..n)
+                .map(|_| (1 + rng.next_u64() % 1000) as f64 / 100.0)
+                .collect();
+            let splittable: Vec<usize> =
+                (0..n).map(|_| 1 + (rng.next_u64() % 64) as usize).collect();
+            // Idle groups beside groups still busy with earlier batches.
+            let owed: Vec<f64> = (0..groups)
+                .map(|_| match rng.next_u64() % 3 {
+                    0 => 0.0,
+                    _ => (rng.next_u64() % 4000) as f64 / 100.0,
+                })
+                .collect();
+            let ctx = format!("case {case}: owed {owed:?}");
+            let list = Scheduler::List.plan_onto(&costs, &splittable, groups, &owed);
+            let rr = Scheduler::RoundRobin.plan_onto(&costs, &splittable, groups, &owed);
+            for i in 0..n {
+                let parts = list.shares_of(i);
+                assert!(!parts.is_empty(), "{ctx}: job {i} unplaced");
+                assert!(parts.iter().all(|&(g, _)| g < groups), "{ctx}");
+                let shares: f64 = parts.iter().map(|(_, s)| s).sum();
+                assert!(
+                    (shares - 1.0).abs() < 1e-12,
+                    "{ctx}: job {i} shares {shares}"
+                );
+            }
+            assert!(
+                list.predicted_finish(&owed) <= rr.predicted_finish(&owed),
+                "{ctx}: list {} over round-robin {}",
+                list.predicted_finish(&owed),
+                rr.predicted_finish(&owed)
+            );
+            // Greedy list scheduling from initial loads: no group ends more
+            // than one piece past the balanced finish, unless it already
+            // owed more than that.
+            let total: f64 = costs.iter().sum::<f64>() + owed.iter().sum::<f64>();
+            let largest = ShardPlan::pieces(&costs, &splittable, groups)
+                .iter()
+                .map(|p| p.2)
+                .fold(0.0, f64::max);
+            let most_owed = owed.iter().copied().fold(0.0, f64::max);
+            assert!(
+                list.predicted_finish(&owed)
+                    <= most_owed.max(total / groups as f64 + largest) + 1e-9,
+                "{ctx}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_group_owing_more_than_the_batch_gets_none_of_it() {
+        // Group 0 owes 100 s; eight one-second jobs fit on the idle three.
+        let costs = [1.0; 8];
+        let ones = [1usize; 8];
+        let owed = [100.0, 0.0, 0.0, 0.0];
+        let plan = Scheduler::List.plan_onto(&costs, &ones, 4, &owed);
+        assert_eq!(plan.predicted_busy()[0], 0.0);
+        assert_eq!(plan.predicted_finish(&owed), 100.0);
+        // Round-robin would stack two more seconds on the busy group.
+        let rr = Scheduler::RoundRobin.plan_onto(&costs, &ones, 4, &owed);
+        assert_eq!(rr.predicted_finish(&owed), 102.0);
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //!
 //! Eviction is exact LRU over a bounded entry count, driven by a logical
 //! access clock (no wall time — the engine is deterministic end to end).
+//!
+//! Each entry also remembers the modeled time its latest run is ready
+//! ([`ResultCache::ready_s`]): a drain settles it once the run is placed,
+//! and a later hit on the entry is ready no earlier.
 
 use crate::config::AssessConfig;
 use crate::plan::PassKind;
@@ -126,6 +130,9 @@ struct Entry {
     report: AnalysisReport,
     stats: CompressionStats,
     last_used: u64,
+    /// Modeled time the latest run absorbed here is ready (0 until a
+    /// drain settles it).
+    ready_s: f64,
 }
 
 impl Entry {
@@ -287,6 +294,7 @@ impl ResultCache {
                         report: stored.clone(),
                         stats,
                         last_used: self.clock,
+                        ready_s: 0.0,
                     },
                 );
                 stored
@@ -305,6 +313,20 @@ impl ResultCache {
             self.stats.evictions += 1;
         }
         merged
+    }
+
+    /// Modeled time `key`'s entry is ready (`None` if nothing is cached).
+    /// Touches neither the LRU stamp nor the counters.
+    pub(crate) fn ready_s(&self, key: &CacheKey) -> Option<f64> {
+        self.map.get(key).map(|e| e.ready_s)
+    }
+
+    /// Record that a run absorbed under `key` is ready at `ready_s`: the
+    /// entry is ready once its latest run is (a no-op if it was evicted).
+    pub(crate) fn settle(&mut self, key: &CacheKey, ready_s: f64) {
+        if let Some(e) = self.map.get_mut(key) {
+            e.ready_s = e.ready_s.max(ready_s);
+        }
     }
 
     /// Whether the cache can hold anything (a 0-entry budget disables it).

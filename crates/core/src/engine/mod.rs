@@ -26,7 +26,11 @@
 //!    earlier in the same wave cannot weaken it;
 //! 6. price every job that occupied the device with one cost helper (the
 //!    same one [`crate::campaign::CampaignSpec::job_costs`] uses);
-//! 7. place the priced jobs on the fleet and aggregate.
+//! 7. place the priced jobs on the fleet's groups, each still owing the
+//!    seconds the caller says it owes, aggregate, and give every result
+//!    the modeled time it is ready: no earlier than the groups its job
+//!    ran on finish, nor than the cached result it read (see
+//!    [`JobResult::ready_s`]).
 //!
 //! A campaign is one such batch on a cache-off session:
 //! [`crate::campaign::CampaignSpec::run_on_fleets`] admits each field once,
@@ -72,6 +76,7 @@ use cache::merge_sections;
 pub use cache::{field_digest, CacheKey, CacheStats, CfgKey, Lookup, ResultCache};
 pub use calibrate::CostCalibration;
 
+use crate::campaign::shard::owed;
 use crate::campaign::{
     job, CampaignReport, FieldRef, FleetSpec, FleetUtilization, JobOutcome, JobRecord, JobSpec,
     Scheduler, ShardPlan,
@@ -81,7 +86,7 @@ use crate::exec::{Assessment, Confidence, Executor, MultiCuZc, PatternTimes};
 use crate::plan::{estimate_job_cost, verify, AssessPlan, BackendCaps, PassKind};
 use crate::recommend::ProgressivePolicy;
 use crate::report::AnalysisReport;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zc_compress::CompressorSpec;
 use zc_tensor::{Shape, Tensor};
 
@@ -172,6 +177,13 @@ pub struct JobResult {
     /// The full analysis report (merged with any cached sections and the
     /// codec stats) for completed jobs.
     pub report: Option<AnalysisReport>,
+    /// Modeled time this result is ready, on the clock of the drain's
+    /// `now_s`: the latest end, over the groups the job's parts were
+    /// placed on, of the seconds that group owed plus its busy seconds in
+    /// this batch — and never before the cached result it read is ready.
+    /// A full hit occupies no device: it is ready at the drain, or when
+    /// the run that filled its entry is, whichever is later.
+    pub ready_s: f64,
 }
 
 /// What one [`Engine::drain`] returns: per-ticket results in submission
@@ -181,7 +193,9 @@ pub struct BatchReport {
     /// One result per drained ticket, in ticket order.
     pub results: Vec<JobResult>,
     /// Modeled fleet utilization of the batch's *executed* jobs (full
-    /// cache hits occupy no device time and are excluded).
+    /// cache hits occupy no device time and are excluded). `busy_s` is
+    /// each group's busy seconds in this batch alone, not counting what it
+    /// owed.
     pub fleet: FleetUtilization,
     /// Cumulative cache counters after the batch.
     pub cache: CacheStats,
@@ -212,6 +226,31 @@ pub(crate) struct Resolved {
     /// The plan the job occupied the device with (`None` for a full hit,
     /// which is not a fleet record).
     plan: Option<AssessPlan>,
+    /// The cached result a hit or partial hit read, which must be ready
+    /// before this one is (`None` for a miss).
+    source: Option<Source>,
+    /// The key this run's report was absorbed under (`None` if it was
+    /// not), so the drain can settle the entry's ready time.
+    absorbed: Option<CacheKey>,
+}
+
+/// One request of a wave: its index, cache outcome, the plan it runs, the
+/// cached report a partial hit merges over, and the result it read.
+type WaveEntry = (
+    usize,
+    CacheOutcome,
+    AssessPlan,
+    Option<Box<AnalysisReport>>,
+    Option<Source>,
+);
+
+/// Where a hit or partial hit's cached sections came from.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// An earlier request of the same batch absorbed them (an earlier wave).
+    Batch(usize),
+    /// An earlier drain did; the entry is ready at this modeled time.
+    Ready(f64),
 }
 
 /// Jobs that occupied the device, priced for placement: one record per
@@ -408,16 +447,23 @@ impl Engine {
         Ok(ticket)
     }
 
-    /// Execute every pending request, place the executed jobs on the
-    /// session's fleet, and return the batch.
-    pub fn drain(&mut self) -> BatchReport {
+    /// Execute every pending request at modeled time `now_s`, place the
+    /// executed jobs on the session's fleet, whose group `g` still owes
+    /// `owed_s[g]` seconds of earlier work (`&[]` is an idle fleet), and
+    /// return the batch.
+    pub fn drain(&mut self, now_s: f64, owed_s: &[f64]) -> BatchReport {
         let (tickets, reqs): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.pending).into_iter().unzip();
-        let mut results = Vec::with_capacity(reqs.len());
+        let mut results: Vec<JobResult> = Vec::with_capacity(reqs.len());
+        // Per result: the priced job behind it (`None` for a full hit), the
+        // cached result it read, and the key it was absorbed under.
+        let mut links = Vec::with_capacity(reqs.len());
         let mut priced = Priced::default();
         let mut cfg = None;
         let resolved = self.execute(&reqs, None);
         for ((ticket, req), r) in tickets.into_iter().zip(reqs).zip(resolved) {
+            let job = r.plan.as_ref().map(|_| priced.records.len());
+            links.push((job, r.source, r.absorbed));
             if let Some(plan) = &r.plan {
                 let spec = JobSpec {
                     id: priced.records.len(),
@@ -434,10 +480,32 @@ impl Engine {
                 cache: r.cache,
                 outcome: r.outcome,
                 report: r.report,
+                ready_s: now_s,
             });
         }
-        let (records, shard) = self.place(&priced, &self.fleet);
+        let (records, shard) = self.place(&priced, &self.fleet, owed_s);
         let agg = CampaignReport::aggregate(records, &self.fleet, &cfg.unwrap_or_default(), &shard);
+        // A source is an earlier wave's request, so it has a lower index
+        // and its ready time is final by the time a reader needs it.
+        for (i, (job, source, absorbed)) in links.into_iter().enumerate() {
+            let ran = job.map_or(0.0, |j| {
+                shard
+                    .shares_of(j)
+                    .iter()
+                    .map(|&(g, _)| owed(owed_s, g as usize) + agg.fleet.busy_s[g as usize])
+                    .fold(0.0, f64::max)
+            });
+            let read = match source {
+                None => now_s,
+                Some(Source::Batch(j)) => results[j].ready_s,
+                Some(Source::Ready(t)) => t,
+            };
+            let ready_s = (now_s + ran).max(read);
+            results[i].ready_s = ready_s;
+            if let Some(key) = absorbed {
+                self.cache.settle(&key, ready_s);
+            }
+        }
         BatchReport {
             results,
             fleet: agg.fleet,
@@ -502,14 +570,15 @@ impl Engine {
         };
 
         let mut resolved: Vec<Option<Resolved>> = (0..reqs.len()).map(|_| None).collect();
+        // The request of this batch whose absorb last filled each key.
+        let mut filled_by: BTreeMap<&CacheKey, usize> = BTreeMap::new();
         let mut waiting: Vec<usize> = (0..reqs.len()).collect();
         let executor = &self.executor;
         while !waiting.is_empty() {
             // 3. Look up in ticket order; a key already seen waits a wave.
             let mut seen = BTreeSet::new();
             let mut next = Vec::new();
-            let mut wave: Vec<(usize, CacheOutcome, AssessPlan, Option<Box<AnalysisReport>>)> =
-                Vec::new();
+            let mut wave: Vec<WaveEntry> = Vec::new();
             for i in waiting {
                 if let Some(key) = &keys[i] {
                     if !seen.insert(key) {
@@ -520,9 +589,16 @@ impl Engine {
                 let cfg = &reqs[i].cfg;
                 let plan = AssessPlan::lower(cfg);
                 let needed: Vec<PassKind> = plan.passes().iter().map(|p| p.kind).collect();
-                let lookup = match &keys[i] {
-                    Some(key) => self.cache.lookup(key, &needed),
-                    None => Lookup::Miss,
+                let (lookup, source) = match &keys[i] {
+                    Some(key) => {
+                        let lookup = self.cache.lookup(key, &needed);
+                        let source = match filled_by.get(key) {
+                            Some(&j) => Source::Batch(j),
+                            None => Source::Ready(self.cache.ready_s(key).unwrap_or(0.0)),
+                        };
+                        (lookup, Some(source))
+                    }
+                    None => (Lookup::Miss, None),
                 };
                 match lookup {
                     Lookup::Full(found) => {
@@ -543,6 +619,8 @@ impl Engine {
                             outcome: JobOutcome::Done(Box::new(m)),
                             report: Some(report),
                             plan: None, // no device time: not a fleet record
+                            source,
+                            absorbed: None,
                         });
                     }
                     Lookup::Partial { cached, covered } => wave.push((
@@ -550,8 +628,9 @@ impl Engine {
                         CacheOutcome::Partial,
                         AssessPlan::residual(cfg, &covered),
                         Some(cached),
+                        source,
                     )),
-                    Lookup::Miss => wave.push((i, CacheOutcome::Miss, plan, None)),
+                    Lookup::Miss => wave.push((i, CacheOutcome::Miss, plan, None, None)),
                 }
             }
 
@@ -570,7 +649,7 @@ impl Engine {
                 fields[u] = Some(data);
             }
             let runs = zc_par::par_map(wave.len(), |w| {
-                let (i, _, plan, cached) = &wave[w];
+                let (i, _, plan, cached, _) = &wave[w];
                 let req = &reqs[*i];
                 let orig = fields[field_of[*i]]
                     .as_ref()
@@ -608,7 +687,8 @@ impl Engine {
             });
 
             // 5. Absorb into the cache in ticket order.
-            for ((i, cache, plan, cached), run) in wave.into_iter().zip(runs) {
+            for ((i, cache, plan, cached, source), run) in wave.into_iter().zip(runs) {
+                let mut absorbed = None;
                 let (outcome, report) = match run {
                     Ok((mut a, stats, assessed)) => {
                         if let Some(cached) = cached {
@@ -621,6 +701,8 @@ impl Engine {
                         }
                         let report = match &keys[i] {
                             Some(key) if a.confidence == Confidence::Full => {
+                                filled_by.insert(key, i);
+                                absorbed = Some(key.clone());
                                 self.cache.absorb(key.clone(), &a.report, stats)
                             }
                             _ => a.report,
@@ -645,6 +727,8 @@ impl Engine {
                     outcome,
                     report,
                     plan: Some(plan),
+                    source,
+                    absorbed,
                 });
             }
             waiting = next;
@@ -656,12 +740,18 @@ impl Engine {
             .collect()
     }
 
-    /// Step 7's placement: shard a drained batch's priced jobs over `fleet`
-    /// with the session's scheduler.
-    pub(crate) fn place(&self, priced: &Priced, fleet: &FleetSpec) -> (Vec<JobRecord>, ShardPlan) {
-        let shard = self
-            .scheduler
-            .plan(&priced.costs, &priced.splittable, fleet.groups());
+    /// Step 7's placement: shard a drained batch's priced jobs over
+    /// `fleet`'s groups, which still owe `owed_s`, with the session's
+    /// scheduler.
+    pub(crate) fn place(
+        &self,
+        priced: &Priced,
+        fleet: &FleetSpec,
+        owed_s: &[f64],
+    ) -> (Vec<JobRecord>, ShardPlan) {
+        let shard =
+            self.scheduler
+                .plan_onto(&priced.costs, &priced.splittable, fleet.groups(), owed_s);
         let records = priced
             .records
             .iter()
@@ -699,9 +789,9 @@ mod tests {
     fn repeat_request_is_a_full_hit_with_identical_metrics() {
         let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
         let t0 = engine.submit(request(MetricSelection::all())).unwrap();
-        let batch0 = engine.drain();
+        let batch0 = engine.drain(0.0, &[]);
         let t1 = engine.submit(request(MetricSelection::all())).unwrap();
-        let batch1 = engine.drain();
+        let batch1 = engine.drain(0.0, &[]);
         assert_ne!(t0, t1);
         assert_eq!(batch0.results[0].cache, CacheOutcome::Miss);
         assert_eq!(batch1.results[0].cache, CacheOutcome::Hit);
@@ -719,11 +809,66 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_fills_the_idle_group_and_reports_when_each_result_is_ready() {
+        // Group 0 still owes a second; the list scheduler places the miss
+        // on idle group 1, round-robin stacks it behind group 0's backlog.
+        let owed = [1.0, 0.0];
+        let mut list = Engine::new(FleetSpec::nvlink(2))
+            .unwrap()
+            .with_scheduler(Scheduler::List);
+        list.submit(request(MetricSelection::all())).unwrap();
+        let batch = list.drain(0.0, &owed);
+        let busy = batch.fleet.busy_s.clone();
+        assert_eq!(busy[0], 0.0);
+        assert!(busy[1] > 0.0);
+        assert_eq!(batch.results[0].ready_s, busy[1]);
+        // A repeat is a full hit: it occupies no group, and is ready at its
+        // drain or when the run it reads is, whichever is later.
+        for now in [busy[1] / 2.0, 2.0 * busy[1]] {
+            list.submit(request(MetricSelection::all())).unwrap();
+            let hit = list.drain(now, &[5.0, 5.0]);
+            assert_eq!(hit.results[0].cache, CacheOutcome::Hit);
+            assert_eq!(hit.fleet.makespan_s, 0.0);
+            assert_eq!(hit.results[0].ready_s, now.max(busy[1]));
+        }
+
+        let mut rr = Engine::new(FleetSpec::nvlink(2)).unwrap();
+        rr.submit(request(MetricSelection::all())).unwrap();
+        let batch = rr.drain(0.0, &owed);
+        assert_eq!(batch.fleet.busy_s, [busy[1], 0.0]);
+        assert_eq!(batch.results[0].ready_s, 1.0 + busy[1]);
+    }
+
+    #[test]
+    fn an_in_batch_repeat_is_ready_no_earlier_than_the_run_it_reads() {
+        // One key, four requests, four waves: a PSNR miss, its repeat (a
+        // full hit on the miss), a full profile (a partial hit merging the
+        // miss's sections) and its repeat (a full hit on the partial).
+        let psnr = || request(MetricSelection::none().with(Metric::Psnr));
+        let all = || request(MetricSelection::all());
+        let mut engine = Engine::new(FleetSpec::nvlink(2))
+            .unwrap()
+            .with_scheduler(Scheduler::List);
+        for req in [psnr(), psnr(), all(), all()] {
+            engine.submit(req).unwrap();
+        }
+        let now = 0.25;
+        let r = engine.drain(now, &[0.0, 0.0]).results;
+        let cache: Vec<_> = r.iter().map(|r| r.cache).collect();
+        use CacheOutcome::*;
+        assert_eq!(cache, [Miss, Hit, Partial, Hit]);
+        assert!(r[0].ready_s > now);
+        assert_eq!(r[1].ready_s, r[0].ready_s);
+        assert!(r[2].ready_s >= r[0].ready_s);
+        assert_eq!(r[3].ready_s, r[2].ready_s);
+    }
+
+    #[test]
     fn duplicate_requests_in_one_batch_share_work() {
         let mut engine = Engine::new(FleetSpec::nvlink(1)).unwrap();
         engine.submit(request(MetricSelection::all())).unwrap();
         engine.submit(request(MetricSelection::all())).unwrap();
-        let batch = engine.drain();
+        let batch = engine.drain(0.0, &[]);
         assert_eq!(batch.results[0].cache, CacheOutcome::Miss);
         assert_eq!(batch.results[1].cache, CacheOutcome::Hit);
     }
@@ -743,9 +888,9 @@ mod tests {
         engine
             .submit(request(MetricSelection::none().with(Metric::Psnr)))
             .unwrap();
-        engine.drain();
+        engine.drain(0.0, &[]);
         engine.submit(request(MetricSelection::all())).unwrap();
-        let batch = engine.drain();
+        let batch = engine.drain(0.0, &[]);
         assert_eq!(batch.results[0].cache, CacheOutcome::Partial);
         let report = batch.results[0].report.as_ref().unwrap();
         assert!(report.stencil.is_some() && report.ssim.is_some());
@@ -785,7 +930,7 @@ mod tests {
             .with_cache_entries(0);
         engine.submit(request(MetricSelection::all())).unwrap();
         engine.submit(request(MetricSelection::all())).unwrap();
-        let batch = engine.drain();
+        let batch = engine.drain(0.0, &[]);
         // Without a cache both duplicates run, as misses in one wave.
         assert!(batch.results.iter().all(|r| r.cache == CacheOutcome::Miss));
         assert_eq!(batch.cache.lookups(), 0);

@@ -471,20 +471,23 @@ pub fn resolve_slabs(
     };
     let mut slabs = wanted.clamp(1, max_slabs);
     if let Some(cap) = capacity.filter(|&cap| pair_bytes > cap) {
-        // Out-of-core: RESIDENT_SLABS × ceil(pair / slabs) must fit.
-        let min_slabs = (pair_bytes * RESIDENT_SLABS).div_ceil(cap.max(1)) as usize;
-        if policy == TilingPolicy::Monolithic || min_slabs > max_slabs {
+        // Out-of-core: RESIDENT_SLABS of the largest slab must fit. The
+        // even plane split makes the largest slab ceil(planes / slabs)
+        // planes, so the window holds at most `fit` planes per slab.
+        let plane_bytes = pair_bytes.div_ceil(max_slabs as u64);
+        let fit = (cap / (plane_bytes * RESIDENT_SLABS)) as usize;
+        if policy == TilingPolicy::Monolithic || fit == 0 {
             return Err(AssessError::Capacity {
                 required: if policy == TilingPolicy::Monolithic {
                     pair_bytes
                 } else {
-                    pair_bytes.div_ceil(max_slabs as u64) * RESIDENT_SLABS
+                    plane_bytes * RESIDENT_SLABS
                 },
                 capacity: cap,
                 pass: None,
             });
         }
-        slabs = slabs.max(min_slabs);
+        slabs = slabs.max(max_slabs.div_ceil(fit));
     }
     Ok(slabs)
 }
@@ -540,15 +543,15 @@ impl SlabSchedule {
     }
 
     /// Resident device window in bytes: the whole pair for one slab,
-    /// otherwise `RESIDENT_SLABS` mean slabs, capped at the larger of the
-    /// device and the pair (`None` on a host backend).
+    /// otherwise `RESIDENT_SLABS` of the largest slab, capped at the larger
+    /// of the device and the pair (`None` on a host backend).
     pub fn resident_bytes(&self) -> Option<u64> {
         let cap = self.capacity?;
         Some(if self.slabs == 1 {
             self.pair_bytes
         } else {
-            let window = self.pair_bytes.div_ceil(self.slabs as u64) * RESIDENT_SLABS;
-            window.min(cap.max(self.pair_bytes))
+            let largest = self.slab_bytes().max().unwrap_or(self.pair_bytes);
+            (largest * RESIDENT_SLABS).min(cap.max(self.pair_bytes))
         })
     }
 
@@ -1327,6 +1330,7 @@ fn timeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TilingPolicy;
     use zc_tensor::Shape;
 
     /// Each pass's seconds split evenly over `slabs` tiles.
@@ -1442,5 +1446,52 @@ mod tests {
         );
         assert!(ooc.overlapped_s >= resident.overlapped_s);
         assert!(ooc.overlapped_s <= ooc.serialized_s);
+    }
+
+    /// The demo pair (48×48×32: 32 planes of 18 432 B) on the CLI's three
+    /// device sizes: four of the *largest* slab fit, where sizing the
+    /// window from the mean slab left 18 slabs on 128 KiB, fourteen of them
+    /// two planes, whose window needs 147 456 B.
+    #[test]
+    fn the_resident_window_holds_four_largest_slabs_of_the_demo_pair() {
+        let plan = AssessPlan::lower(&AssessConfig::default());
+        let shape = Shape::d3(48, 48, 32);
+        for (kib, slabs, window) in [(128, 32, 73_728), (256, 11, 221_184), (512, 5, 516_096)] {
+            let cap = kib << 10;
+            let s =
+                SlabSchedule::resolve(&plan, shape, &AssessConfig::default(), Some(cap)).unwrap();
+            assert_eq!(
+                (s.slabs, s.resident_bytes()),
+                (slabs, Some(window)),
+                "{kib} KiB"
+            );
+            let largest = s.slab_bytes().max().unwrap();
+            assert!(largest * RESIDENT_SLABS <= cap, "{kib} KiB");
+        }
+    }
+
+    /// Out-of-core, the resolved count is the fewest slabs whose four
+    /// largest fit the device, on every plane count and capacity.
+    #[test]
+    fn out_of_core_resolves_the_fewest_slabs_whose_largest_fit() {
+        let largest = |planes: usize, slabs: usize, plane: u64| {
+            planes.div_ceil(slabs) as u64 * plane * RESIDENT_SLABS
+        };
+        let mut rng = zc_data::SplitMix64::new(0x51AB_5EED);
+        for _ in 0..2000 {
+            let planes = 1 + (rng.next_u64() % 96) as usize;
+            let plane = 1 + rng.next_u64() % 4096;
+            let pair = planes as u64 * plane;
+            let cap = 1 + rng.next_u64() % pair.max(2);
+            let case = format!("{planes} planes × {plane} B on {cap} B");
+            match resolve_slabs(TilingPolicy::Slabs(1), pair, planes, Some(cap)) {
+                Ok(slabs) if pair > cap => {
+                    assert!(largest(planes, slabs, plane) <= cap, "{case}: {slabs}");
+                    assert!(largest(planes, slabs - 1, plane) > cap, "{case}: {slabs}");
+                }
+                Ok(slabs) => assert_eq!(slabs, 1, "{case}"),
+                Err(_) => assert!(plane * RESIDENT_SLABS > cap, "{case}"),
+            }
+        }
     }
 }

@@ -7,15 +7,19 @@
 //!
 //! * a **request loop** ([`Server`]): requests arrive (modeled arrival
 //!   times), pass admission, batch up, and drain onto the simulated fleet
-//!   as one shard-scheduled batch per window;
+//!   as one shard-scheduled batch per window. Each device group keeps its
+//!   own modeled clock: a batch is placed onto the seconds each group
+//!   still owes, a request completes when the groups its job ran on finish
+//!   their share of the batch, and a full cache hit completes at its drain
+//!   unless the run that filled its entry is still going;
 //! * **admission control**: structural validation and static plan
 //!   verification happen at [`Server::offer`] time, via the engine (a
 //!   refused request never occupies the queue);
 //! * **per-tenant quotas**: each tenant may hold at most a fixed number of
 //!   queued requests per batch window — one chatty tenant cannot starve
 //!   the rest;
-//! * **backpressure**: when the fleet's modeled backlog (time still owed
-//!   on previous batches plus the estimated cost of the queue) exceeds an
+//! * **backpressure**: when the fleet's modeled backlog (time the latest
+//!   group clock still owes plus the estimated cost of the queue) exceeds an
 //!   occupancy watermark, [`Server::offer`] returns the typed
 //!   [`ServeError::Saturated`] instead of queueing unboundedly;
 //! * **caching for free**: the engine's content-addressed result cache
@@ -276,8 +280,14 @@ pub struct ServeReport {
     pub assessed_bytes: u64,
     /// Engine cache counters after the run.
     pub cache: CacheStats,
-    /// Modeled completion time of the last batch (seconds).
+    /// Modeled completion time of the last request (seconds).
     pub makespan_s: f64,
+    /// Modeled busy seconds per device group over every batch the server
+    /// drained.
+    pub group_busy_s: Vec<f64>,
+    /// Fleet utilization: the groups' busy seconds over groups × the span
+    /// from first arrival to last completion.
+    pub utilization: f64,
 }
 
 impl ServeReport {
@@ -316,9 +326,14 @@ impl ServeReport {
                 format!("{:.2}", self.assessed_bytes as f64 / 1e6),
             ),
             ("makespan (ms)", format!("{:.3}", self.makespan_s * 1e3)),
+            ("fleet utilization", format!("{:.3}", self.utilization)),
         ];
         for (k, v) in rows {
             out.push_str(&format!("{k:<26} {v:>10}\n"));
+        }
+        for (g, busy) in self.group_busy_s.iter().enumerate() {
+            let k = format!("group {g} busy (ms)");
+            out.push_str(&format!("{k:<26} {:>10.3}\n", busy * 1e3));
         }
         out
     }
@@ -338,8 +353,12 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 pub struct Server {
     engine: Engine,
     cfg: ServeConfig,
-    /// Modeled time the fleet finishes everything drained so far.
-    free_at_s: f64,
+    /// Modeled time each device group finishes everything drained so far
+    /// (empty until the first drain).
+    free_at_s: Vec<f64>,
+    /// Modeled busy seconds per device group over every drained batch
+    /// (empty until the first drain).
+    busy_s: Vec<f64>,
     /// Estimated seconds of the queued (undrained) requests.
     queued_est_s: f64,
     /// Queued requests per tenant this window.
@@ -359,17 +378,20 @@ impl Server {
         Ok(Server {
             engine,
             cfg,
-            free_at_s: 0.0,
+            free_at_s: Vec::new(),
+            busy_s: Vec::new(),
             queued_est_s: 0.0,
             tenant_queued: Vec::new(),
             queued: Vec::new(),
         })
     }
 
-    /// The modeled backlog at time `now_s`: seconds still owed on drained
-    /// batches plus the predicted seconds of the queue.
+    /// The modeled backlog at time `now_s`: seconds the latest group clock
+    /// still owes on drained batches plus the predicted seconds of the
+    /// queue.
     pub fn backlog_s(&self, now_s: f64) -> f64 {
-        (self.free_at_s - now_s).max(0.0) + self.queued_est_s
+        let latest = self.free_at_s.iter().copied().fold(0.0, f64::max);
+        (latest - now_s).max(0.0) + self.queued_est_s
     }
 
     /// Offer one request to the service at its arrival time. Quota and
@@ -405,9 +427,14 @@ impl Server {
         self.queued.len() >= self.cfg.batch
     }
 
-    /// Drain the queued batch at modeled time `now_s`. Returns
-    /// (ticket, tenant, arrival, completion, result) per queued request,
-    /// in ticket order; the window's quota counters reset.
+    /// Drain the queued batch at modeled time `now_s`: place it onto the
+    /// seconds each group still owes, so a job starts when its group is
+    /// free. Returns (ticket, tenant, arrival, completion, result) per
+    /// queued request, in ticket order: a request completes when its
+    /// result is ready ([`zc_core::engine::JobResult::ready_s`]), so a
+    /// full cache hit completes at `now_s` or when the run it reads does,
+    /// whichever is later. Each group's clock advances by its own busy
+    /// seconds; the window's quota counters reset.
     #[allow(clippy::type_complexity)]
     pub fn drain(
         &mut self,
@@ -416,10 +443,29 @@ impl Server {
         if self.queued.is_empty() {
             return Vec::new();
         }
-        let start = self.free_at_s.max(now_s);
-        let batch = self.engine.drain();
-        let completion = start + batch.fleet.makespan_s;
-        self.free_at_s = completion;
+        if self.free_at_s.is_empty() {
+            let groups = self.cfg.fleet.groups() as usize;
+            self.free_at_s = vec![0.0; groups];
+            self.busy_s = vec![0.0; groups];
+        }
+        let owed: Vec<f64> = self
+            .free_at_s
+            .iter()
+            .map(|&free| (free - now_s).max(0.0))
+            .collect();
+        let batch = self.engine.drain(now_s, &owed);
+        for ((clock, total), &busy) in self
+            .free_at_s
+            .iter_mut()
+            .zip(&mut self.busy_s)
+            .zip(&batch.fleet.busy_s)
+        {
+            // An idle group keeps its clock: a batch of full hits moves none.
+            if busy > 0.0 {
+                *clock = clock.max(now_s) + busy;
+                *total += busy;
+            }
+        }
         self.queued_est_s = 0.0;
         self.tenant_queued.clear();
         let queued = std::mem::take(&mut self.queued);
@@ -428,7 +474,7 @@ impl Server {
             .zip(batch.results)
             .map(|((ticket, tenant, arrival), result)| {
                 debug_assert_eq!(ticket, result.ticket);
-                (ticket, tenant, arrival, completion, result)
+                (ticket, tenant, arrival, result.ready_s, result)
             })
             .collect()
     }
@@ -444,21 +490,25 @@ impl Server {
     pub fn run_trace(&mut self, trace: &RequestTrace) -> ServeReport {
         let n = trace.requests.len();
         let mut verdicts: Vec<Option<Verdict>> = vec![None; n];
-        let mut ticket_slot: Vec<(JobTicket, usize)> = Vec::new();
+        // The engine issues tickets sequentially and only to accepted
+        // requests, so the k-th accepted request holds ticket
+        // `first_ticket + k` and its trace slot is `slots[k]`.
+        let mut first_ticket = None;
+        let mut slots: Vec<usize> = Vec::new();
         let mut latencies = Vec::new();
         let mut completed = 0usize;
         let (mut saturated, mut quota_refused, mut admission_refused, mut failed) = (0, 0, 0, 0);
         let mut assessed_bytes = 0u64;
         let mut last_completion = 0.0f64;
         let mut settle = |drained: Vec<(JobTicket, u32, f64, f64, zc_core::engine::JobResult)>,
-                          ticket_slot: &mut Vec<(JobTicket, usize)>,
+                          first_ticket: Option<u64>,
+                          slots: &[usize],
                           verdicts: &mut Vec<Option<Verdict>>| {
             for (ticket, _tenant, arrival, completion, result) in drained {
-                let slot = ticket_slot
-                    .iter()
-                    .find(|(t, _)| *t == ticket)
-                    .map(|(_, s)| *s)
+                let k = first_ticket
+                    .and_then(|first| ticket.id().checked_sub(first))
                     .expect("every drained ticket was offered");
+                let slot = slots[k as usize];
                 last_completion = last_completion.max(completion);
                 let verdict = match result.outcome {
                     JobOutcome::Done(m) => {
@@ -483,7 +533,10 @@ impl Server {
         };
         for (i, req) in trace.requests.iter().enumerate() {
             match self.offer(req) {
-                Ok(ticket) => ticket_slot.push((ticket, i)),
+                Ok(ticket) => {
+                    first_ticket.get_or_insert(ticket.id());
+                    slots.push(i);
+                }
                 Err(e) => {
                     match &e {
                         ServeError::Saturated { .. } => saturated += 1,
@@ -498,15 +551,21 @@ impl Server {
             }
             if self.batch_ready() {
                 let drained = self.drain(req.arrival_s);
-                settle(drained, &mut ticket_slot, &mut verdicts);
+                settle(drained, first_ticket, &slots, &mut verdicts);
             }
         }
         let end = trace.requests.last().map(|r| r.arrival_s).unwrap_or(0.0);
         let drained = self.drain(end);
-        settle(drained, &mut ticket_slot, &mut verdicts);
+        settle(drained, first_ticket, &slots, &mut verdicts);
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         let first_arrival = trace.requests.first().map(|r| r.arrival_s).unwrap_or(0.0);
         let span = (last_completion - first_arrival).max(f64::EPSILON);
+        let group_busy_s = self.busy_s.clone();
+        let utilization = if group_busy_s.is_empty() {
+            0.0
+        } else {
+            group_busy_s.iter().sum::<f64>() / (group_busy_s.len() as f64 * span)
+        };
         ServeReport {
             verdicts: verdicts
                 .into_iter()
@@ -527,6 +586,8 @@ impl Server {
             assessed_bytes,
             cache: self.cache_stats(),
             makespan_s: last_completion,
+            group_busy_s,
+            utilization,
         }
     }
 }
@@ -639,6 +700,75 @@ mod tests {
             assert!(report.cache.digests_reused > 0, "{ctx}");
             assert!(report.jobs_per_sec > 0.0, "{ctx}");
             assert!(report.p99_latency_s >= report.p50_latency_s, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn full_hits_complete_no_earlier_than_their_source_and_move_no_clock() {
+        let mut server = Server::new(small_cfg()).unwrap();
+        let at = |arrival_s| ServeRequest {
+            arrival_s,
+            ..RequestTrace::synthetic(1, 1).requests[0].clone()
+        };
+        // A miss and its duplicate in one batch: the duplicate is a hit a
+        // wave later, and completes with the miss.
+        server.offer(&at(0.0)).unwrap();
+        server.offer(&at(0.0)).unwrap();
+        let first = server.drain(0.0);
+        assert_eq!(first[0].4.cache, CacheOutcome::Miss);
+        assert_eq!(first[1].4.cache, CacheOutcome::Hit);
+        let ready = first[0].3;
+        assert!(ready > 0.0);
+        assert_eq!(first[1].3, ready);
+        let clocks = server.free_at_s.clone();
+        // Repeats drained while the miss still runs complete when it does;
+        // repeats drained after it complete at their drain time. Neither
+        // batch moves a clock.
+        for now in [ready / 2.0, 2.0 * ready] {
+            server.offer(&at(now)).unwrap();
+            server.offer(&at(now)).unwrap();
+            let hits = server.drain(now);
+            assert_eq!(hits.len(), 2);
+            for (_, _, _, completion, result) in hits {
+                assert_eq!(result.cache, CacheOutcome::Hit);
+                assert_eq!(completion, now.max(ready));
+            }
+            assert_eq!(server.free_at_s, clocks);
+            assert_eq!(server.backlog_s(now), (ready - now).max(0.0));
+        }
+    }
+
+    #[test]
+    fn group_clocks_only_advance_and_completions_follow_arrival_and_drain() {
+        for gpus in [2, 8] {
+            let cfg = ServeConfig {
+                fleet: FleetSpec::nvlink(gpus),
+                ..small_cfg()
+            };
+            let trace = RequestTrace::synthetic(11, 48);
+            let mut server = Server::new(cfg.clone()).unwrap();
+            let mut clocks = vec![0.0; gpus as usize];
+            let mut last_completion = 0.0f64;
+            let mut drain = |server: &mut Server, now: f64| {
+                for (_, _, arrival, completion, _) in server.drain(now) {
+                    assert!(completion >= arrival && completion >= now, "{gpus} GPUs");
+                    last_completion = last_completion.max(completion);
+                }
+                for (before, &after) in clocks.iter_mut().zip(&server.free_at_s) {
+                    assert!(after >= *before, "{gpus} GPUs: clock {before} -> {after}");
+                    *before = after;
+                }
+            };
+            for req in &trace.requests {
+                if server.offer(req).is_ok() && server.batch_ready() {
+                    drain(&mut server, req.arrival_s);
+                }
+            }
+            drain(&mut server, trace.requests.last().unwrap().arrival_s);
+            let report = Server::new(cfg).unwrap().run_trace(&trace);
+            assert_eq!(report.makespan_s.to_bits(), last_completion.to_bits());
+            assert!(report.utilization > 0.0 && report.utilization <= 1.0);
+            assert_eq!(report.group_busy_s, server.busy_s);
         }
     }
 
