@@ -40,6 +40,7 @@ pub(crate) mod shard;
 
 pub use job::{FieldRef, JobMetrics, JobOutcome, JobRecord, JobSpec};
 pub use recover::{RecoveryPolicy, RecoveryReport};
+pub(crate) use report::gather_s;
 pub use report::{CampaignReport, EngineBusy, FleetUtilization, PatternTotals};
 pub use shard::{FleetSpec, LinkKind, Scheduler, ShardPlan};
 
@@ -215,7 +216,11 @@ impl CampaignSpec {
             })
             .collect();
         let mut executed = engine
-            .execute(&admitted, self.progressive.as_ref())
+            .execute(
+                &admitted,
+                &vec![&plan; admitted.len()],
+                self.progressive.as_ref(),
+            )
             .into_iter();
         let mut priced = Priced::default();
         for job in jobs {

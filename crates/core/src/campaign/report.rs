@@ -195,7 +195,7 @@ impl CampaignReport {
     /// plan load plus one `gather_s` per part placed on it. The fault-free
     /// aggregate and the recovery replay both end here; the replay then
     /// adds its fault extras on top.
-    pub(super) fn from_busy_clocks(
+    pub(crate) fn from_busy_clocks(
         jobs: Vec<JobRecord>,
         fleet: &FleetSpec,
         plan: &ShardPlan,

@@ -25,12 +25,15 @@
 //!    partial hit merges over the sections it looked up, so an eviction
 //!    earlier in the same wave cannot weaken it;
 //! 6. price every job that occupied the device with one cost helper (the
-//!    same one [`crate::campaign::CampaignSpec::job_costs`] uses);
-//! 7. place the priced jobs on the fleet's groups, each still owing the
-//!    seconds the caller says it owes, aggregate, and give every result
-//!    the modeled time it is ready: no earlier than the groups its job
-//!    ran on finish, nor than the cached result it read (see
-//!    [`JobResult::ready_s`]).
+//!    same one [`crate::campaign::CampaignSpec::job_costs`] uses): a miss
+//!    keeps the price its plan got at submit, a partial hit prices its
+//!    residual plan;
+//! 7. place the priced jobs on the session's device groups, each starting
+//!    from when its stream timeline goes idle, then replay every job's own
+//!    run legs onto its group's timeline in ticket order (DESIGN.md
+//!    §6.12), and give every result the modeled time it is ready: no
+//!    earlier than its job's result gather ends, nor than the cached
+//!    result it read (see [`JobResult::ready_s`]).
 //!
 //! A campaign is one such batch on a cache-off session:
 //! [`crate::campaign::CampaignSpec::run_on_fleets`] admits each field once,
@@ -48,6 +51,10 @@
 //!
 //! The session adds what a one-shot run cannot have:
 //!
+//! * **Group timelines**: each device group keeps its H2D, compute and D2H
+//!   engine cursors across drains, so one job's upload overlaps the
+//!   kernels of the job ahead of it and its read-backs overlap the kernels
+//!   of the job behind it. They are allocated at the first drain.
 //! * **Memory** ([`ResultCache`]): results are content-addressed by
 //!   (field digest, codec label, value-affecting config). A repeated
 //!   request is answered from cache without touching the executor; a
@@ -71,21 +78,22 @@
 
 mod cache;
 mod calibrate;
+mod groups;
 
 use cache::merge_sections;
 pub use cache::{field_digest, CacheKey, CacheStats, CfgKey, Lookup, ResultCache};
 pub use calibrate::CostCalibration;
 
-use crate::campaign::shard::owed;
 use crate::campaign::{
-    job, CampaignReport, FieldRef, FleetSpec, FleetUtilization, JobOutcome, JobRecord, JobSpec,
-    Scheduler, ShardPlan,
+    gather_s, job, CampaignReport, FieldRef, FleetSpec, FleetUtilization, JobOutcome, JobRecord,
+    JobSpec, Scheduler, ShardPlan,
 };
 use crate::config::AssessConfig;
 use crate::exec::{Assessment, Confidence, Executor, MultiCuZc, PatternTimes};
-use crate::plan::{estimate_job_cost, verify, AssessPlan, BackendCaps, PassKind};
+use crate::plan::{estimate_job_cost, verify, AssessPlan, BackendCaps, PassKind, RunLegs};
 use crate::recommend::ProgressivePolicy;
 use crate::report::AnalysisReport;
+use groups::GroupTimeline;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zc_compress::CompressorSpec;
 use zc_tensor::{Shape, Tensor};
@@ -178,11 +186,12 @@ pub struct JobResult {
     /// codec stats) for completed jobs.
     pub report: Option<AnalysisReport>,
     /// Modeled time this result is ready, on the clock of the drain's
-    /// `now_s`: the latest end, over the groups the job's parts were
-    /// placed on, of the seconds that group owed plus its busy seconds in
-    /// this batch — and never before the cached result it read is ready.
-    /// A full hit occupies no device: it is ready at the drain, or when
-    /// the run that filled its entry is, whichever is later.
+    /// `now_s`: when its job's result gather ends on its group's stream
+    /// timeline (for a split job, the latest of its parts' ends) — and
+    /// never before the cached result it read is ready. A full hit
+    /// occupies no device: it is ready at the drain, or when the run that
+    /// filled its entry is, whichever is later. A job that failed before
+    /// reaching the device is ready at the drain.
     pub ready_s: f64,
 }
 
@@ -193,9 +202,10 @@ pub struct BatchReport {
     /// One result per drained ticket, in ticket order.
     pub results: Vec<JobResult>,
     /// Modeled fleet utilization of the batch's *executed* jobs (full
-    /// cache hits occupy no device time and are excluded). `busy_s` is
-    /// each group's busy seconds in this batch alone, not counting what it
-    /// owed.
+    /// cache hits occupy no device time and are excluded). `busy_s` is how
+    /// far each group's stream timeline advanced in this batch: from the
+    /// drain, or from where the group's earlier work ended if that is
+    /// later, to where this batch's work on it ends.
     pub fleet: FleetUtilization,
     /// Cumulative cache counters after the batch.
     pub cache: CacheStats,
@@ -203,8 +213,8 @@ pub struct BatchReport {
 
 /// Predicted seconds and split limit (resolved slab count)
 /// of running `plan` on a field of `shape` on one device group of `fleet`
-/// — the one pricing rule behind shard plans, [`Engine::estimate_seconds`]
-/// and [`crate::campaign::CampaignSpec::job_costs`].
+/// — the one pricing rule behind shard plans, [`Engine::submit`] (and so
+/// [`Engine::backlog_s`]) and [`crate::campaign::CampaignSpec::job_costs`].
 pub(crate) fn job_cost(
     plan: &AssessPlan,
     shape: Shape,
@@ -223,9 +233,12 @@ pub(crate) struct Resolved {
     cache: CacheOutcome,
     pub(crate) outcome: JobOutcome,
     pub(crate) report: Option<AnalysisReport>,
-    /// The plan the job occupied the device with (`None` for a full hit,
-    /// which is not a fleet record).
-    plan: Option<AssessPlan>,
+    /// The residual plan a partial hit ran (`None` for a miss, which ran
+    /// the plan it was submitted with, and for a full hit).
+    residual: Option<AssessPlan>,
+    /// The run's copy and compute legs (`None` for a full hit or a failed
+    /// run).
+    legs: Option<RunLegs>,
     /// The cached result a hit or partial hit read, which must be ready
     /// before this one is (`None` for a miss).
     source: Option<Source>,
@@ -234,15 +247,25 @@ pub(crate) struct Resolved {
     absorbed: Option<CacheKey>,
 }
 
-/// One request of a wave: its index, cache outcome, the plan it runs, the
-/// cached report a partial hit merges over, and the result it read.
+/// One request of a wave: its index, cache outcome, the residual plan a
+/// partial hit runs instead of its own, the cached report it merges over,
+/// and the result it read.
 type WaveEntry = (
     usize,
     CacheOutcome,
-    AssessPlan,
+    Option<AssessPlan>,
     Option<Box<AnalysisReport>>,
     Option<Source>,
 );
+
+/// How an executed job occupies its groups' timelines.
+struct Occupancy {
+    legs: Option<RunLegs>,
+    /// Its stream makespan (its modeled seconds without legs).
+    span_s: f64,
+    /// Its result gather over the fleet's link.
+    gather_s: f64,
+}
 
 /// Where a hit or partial hit's cached sections came from.
 #[derive(Clone, Copy, Debug)]
@@ -340,7 +363,14 @@ pub struct Engine {
     memo: DigestMemo,
     fields_generated: u64,
     pending: Vec<(JobTicket, AssessRequest)>,
+    /// The plan each pending request was admitted under, and its
+    /// [`job_cost`].
+    pending_plans: Vec<(AssessPlan, (f64, usize))>,
+    /// Summed prices of the pending requests, in submission order.
+    pending_s: f64,
     next_ticket: u64,
+    /// One stream timeline per device group (empty until the first drain).
+    groups: Vec<GroupTimeline>,
 }
 
 impl Engine {
@@ -364,7 +394,10 @@ impl Engine {
             memo: DigestMemo::new(cache_entries),
             fields_generated: 0,
             pending: Vec::new(),
+            pending_plans: Vec::new(),
+            pending_s: 0.0,
             next_ticket: 0,
+            groups: Vec::new(),
             fleet,
         }
     }
@@ -404,11 +437,25 @@ impl Engine {
         self.pending.len()
     }
 
-    /// Predicted seconds for a request — what `zc-serve` prices admission
-    /// and backpressure with.
-    pub fn estimate_seconds(&self, req: &AssessRequest) -> f64 {
-        let plan = AssessPlan::lower(&req.cfg);
-        job_cost(&plan, req.field.shape(), &req.cfg, &self.fleet).0
+    /// The modeled backlog at `now_s`: seconds until the latest device
+    /// group's timeline goes idle, plus the predicted seconds of the
+    /// pending requests — what `zc-serve` applies backpressure by.
+    pub fn backlog_s(&self, now_s: f64) -> f64 {
+        let latest = self.group_free_at_s().into_iter().fold(0.0, f64::max);
+        (latest - now_s).max(0.0) + self.pending_s
+    }
+
+    /// When each device group's last engine goes idle (empty before the
+    /// first drain).
+    pub fn group_free_at_s(&self) -> Vec<f64> {
+        self.groups.iter().map(GroupTimeline::free_at_s).collect()
+    }
+
+    /// How far each device group's timeline advanced over every drain:
+    /// the sum of the batches' [`BatchReport::fleet`] `busy_s` (empty
+    /// before the first drain).
+    pub fn group_busy_s(&self) -> Vec<f64> {
+        self.groups.iter().map(|g| g.busy_s).collect()
     }
 
     /// Verify a lowered plan against the device envelope: the first
@@ -432,46 +479,71 @@ impl Engine {
         }
     }
 
-    /// Submit a request. Validation and admission happen *here*, not at
-    /// drain time: a request whose lowered plan carries an error-severity
-    /// verifier diagnostic (device-envelope overflow, malformed DAG…) is
-    /// refused before it can occupy the queue.
+    /// Submit a request. Validation, admission and pricing happen *here*,
+    /// not at drain time: a request whose lowered plan carries an
+    /// error-severity verifier diagnostic (device-envelope overflow,
+    /// malformed DAG…) is refused before it can occupy the queue, and an
+    /// admitted one keeps its plan and price until it drains.
     pub fn submit(&mut self, req: AssessRequest) -> Result<JobTicket, EngineError> {
         req.cfg
             .validate()
             .map_err(|e| EngineError::BadConfig(e.to_string()))?;
-        self.admit_plan(&AssessPlan::lower(&req.cfg), req.field.shape(), &req.cfg)?;
+        let plan = AssessPlan::lower(&req.cfg);
+        self.admit_plan(&plan, req.field.shape(), &req.cfg)?;
+        let price = job_cost(&plan, req.field.shape(), &req.cfg, &self.fleet);
         let ticket = JobTicket(self.next_ticket);
         self.next_ticket += 1;
+        self.pending_s += price.0;
         self.pending.push((ticket, req));
+        self.pending_plans.push((plan, price));
         Ok(ticket)
     }
 
     /// Execute every pending request at modeled time `now_s`, place the
-    /// executed jobs on the session's fleet, whose group `g` still owes
-    /// `owed_s[g]` seconds of earlier work (`&[]` is an idle fleet), and
-    /// return the batch.
-    pub fn drain(&mut self, now_s: f64, owed_s: &[f64]) -> BatchReport {
+    /// executed jobs on the session's device groups from when each group's
+    /// timeline goes idle, replay them onto the groups' timelines in
+    /// ticket order, and return the batch.
+    pub fn drain(&mut self, now_s: f64) -> BatchReport {
+        self.pending_s = 0.0;
+        if self.groups.is_empty() {
+            self.groups = vec![GroupTimeline::default(); self.fleet.groups() as usize];
+        }
         let (tickets, reqs): (Vec<_>, Vec<_>) =
             std::mem::take(&mut self.pending).into_iter().unzip();
+        let (plans, prices): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.pending_plans).into_iter().unzip();
+        let resolved = self.execute(&reqs, &plans.iter().collect::<Vec<_>>(), None);
         let mut results: Vec<JobResult> = Vec::with_capacity(reqs.len());
         // Per result: the priced job behind it (`None` for a full hit), the
         // cached result it read, and the key it was absorbed under.
         let mut links = Vec::with_capacity(reqs.len());
         let mut priced = Priced::default();
+        // Per priced job: how it occupies its groups (`None` if it failed).
+        let mut occupancy = Vec::new();
         let mut cfg = None;
-        let resolved = self.execute(&reqs, None);
-        for ((ticket, req), r) in tickets.into_iter().zip(reqs).zip(resolved) {
-            let job = r.plan.as_ref().map(|_| priced.records.len());
+        for (((ticket, req), price), r) in tickets.into_iter().zip(reqs).zip(prices).zip(resolved) {
+            let job = (r.cache != CacheOutcome::Hit).then_some(priced.records.len());
             links.push((job, r.source, r.absorbed));
-            if let Some(plan) = &r.plan {
+            if job.is_some() {
                 let spec = JobSpec {
                     id: priced.records.len(),
                     field_index: r.field_index,
                     field: req.field.clone(),
                     compressor: req.compressor,
                 };
-                let price = job_cost(plan, req.field.shape(), &req.cfg, &self.fleet);
+                // A miss ran the plan it was priced with at submit.
+                let price = match &r.residual {
+                    Some(plan) => job_cost(plan, req.field.shape(), &req.cfg, &self.fleet),
+                    None => price,
+                };
+                occupancy.push(match &r.outcome {
+                    JobOutcome::Done(m) => Some(Occupancy {
+                        legs: r.legs,
+                        span_s: m.e2e.map_or(m.modeled_seconds, |e| e.overlapped_s),
+                        gather_s: gather_s(&self.fleet, &req.cfg),
+                    }),
+                    JobOutcome::Failed(_) => None,
+                });
                 priced.push(spec, r.outcome.clone(), price);
                 cfg.get_or_insert(req.cfg);
             }
@@ -483,24 +555,51 @@ impl Engine {
                 ready_s: now_s,
             });
         }
-        let (records, shard) = self.place(&priced, &self.fleet, owed_s);
-        let agg = CampaignReport::aggregate(records, &self.fleet, &cfg.unwrap_or_default(), &shard);
+        let before = self.group_free_at_s();
+        let owed: Vec<f64> = before.iter().map(|&free| (free - now_s).max(0.0)).collect();
+        let (records, shard) = self.place(&priced, &self.fleet, &owed);
+        // Ticket order: a whole job replays its legs onto its group's
+        // timeline; a split job's parts each hold their group.
+        let ends: Vec<f64> = occupancy
+            .iter()
+            .enumerate()
+            .map(|(j, occ)| {
+                let Some(occ) = occ else { return now_s };
+                match (shard.shares_of(j), &occ.legs) {
+                    (&[(g, _)], Some(legs)) => self.groups[g as usize]
+                        .run(legs, now_s, occ.gather_s)
+                        .makespan_s(),
+                    (parts, _) => parts
+                        .iter()
+                        .map(|&(g, share)| {
+                            self.groups[g as usize].hold(now_s, share * occ.span_s + occ.gather_s)
+                        })
+                        .fold(now_s, f64::max),
+                }
+            })
+            .collect();
+        let busy_s: Vec<f64> = self
+            .groups
+            .iter_mut()
+            .zip(before)
+            .map(|(group, before)| {
+                let advance = (group.free_at_s() - before.max(now_s)).max(0.0);
+                group.busy_s += advance;
+                advance
+            })
+            .collect();
+        let gather = gather_s(&self.fleet, &cfg.unwrap_or_default());
+        let agg = CampaignReport::from_busy_clocks(records, &self.fleet, &shard, busy_s, gather);
         // A source is an earlier wave's request, so it has a lower index
         // and its ready time is final by the time a reader needs it.
         for (i, (job, source, absorbed)) in links.into_iter().enumerate() {
-            let ran = job.map_or(0.0, |j| {
-                shard
-                    .shares_of(j)
-                    .iter()
-                    .map(|&(g, _)| owed(owed_s, g as usize) + agg.fleet.busy_s[g as usize])
-                    .fold(0.0, f64::max)
-            });
+            let ran = job.map_or(now_s, |j| ends[j]);
             let read = match source {
                 None => now_s,
                 Some(Source::Batch(j)) => results[j].ready_s,
                 Some(Source::Ready(t)) => t,
             };
-            let ready_s = (now_s + ran).max(read);
+            let ready_s = ran.max(read);
             results[i].ready_s = ready_s;
             if let Some(key) = absorbed {
                 self.cache.settle(&key, ready_s);
@@ -514,15 +613,18 @@ impl Engine {
     }
 
     /// Steps 1–5 of a drain (see the module docs): execute a batch of
-    /// admitted requests and return them resolved, in order. With a
-    /// `progressive` policy, each executed plan is preceded by the
-    /// strided-subsample prepass and skipped when the prepass already
-    /// decides the job; such estimates are never cached.
+    /// admitted requests, each with the plan it was lowered to, and return
+    /// them resolved, in order. With a `progressive` policy, each executed
+    /// plan is preceded by the strided-subsample prepass and skipped when
+    /// the prepass already decides the job; such estimates are never
+    /// cached.
     pub(crate) fn execute(
         &mut self,
         reqs: &[AssessRequest],
+        plans: &[&AssessPlan],
         progressive: Option<&ProgressivePolicy>,
     ) -> Vec<Resolved> {
+        debug_assert_eq!(reqs.len(), plans.len(), "one plan per request");
         // 1. Index the distinct fields; their data is generated on demand.
         let mut index_of: HashMap<&FieldRef, usize> = HashMap::new();
         let mut unique: Vec<&FieldRef> = Vec::new();
@@ -587,8 +689,7 @@ impl Engine {
                     }
                 }
                 let cfg = &reqs[i].cfg;
-                let plan = AssessPlan::lower(cfg);
-                let needed: Vec<PassKind> = plan.passes().iter().map(|p| p.kind).collect();
+                let needed: Vec<PassKind> = plans[i].passes().iter().map(|p| p.kind).collect();
                 let (lookup, source) = match &keys[i] {
                     Some(key) => {
                         let lookup = self.cache.lookup(key, &needed);
@@ -618,7 +719,8 @@ impl Engine {
                             cache: CacheOutcome::Hit,
                             outcome: JobOutcome::Done(Box::new(m)),
                             report: Some(report),
-                            plan: None, // no device time: not a fleet record
+                            residual: None,
+                            legs: None,
                             source,
                             absorbed: None,
                         });
@@ -626,11 +728,11 @@ impl Engine {
                     Lookup::Partial { cached, covered } => wave.push((
                         i,
                         CacheOutcome::Partial,
-                        AssessPlan::residual(cfg, &covered),
+                        Some(AssessPlan::residual(cfg, &covered)),
                         Some(cached),
                         source,
                     )),
-                    Lookup::Miss => wave.push((i, CacheOutcome::Miss, plan, None, None)),
+                    Lookup::Miss => wave.push((i, CacheOutcome::Miss, None, None, None)),
                 }
             }
 
@@ -649,8 +751,9 @@ impl Engine {
                 fields[u] = Some(data);
             }
             let runs = zc_par::par_map(wave.len(), |w| {
-                let (i, _, plan, cached, _) = &wave[w];
+                let (i, _, residual, cached, _) = &wave[w];
                 let req = &reqs[*i];
+                let plan = residual.as_ref().unwrap_or(plans[*i]);
                 let orig = fields[field_of[*i]]
                     .as_ref()
                     .expect("a wave's fields are generated before it runs");
@@ -687,10 +790,12 @@ impl Engine {
             });
 
             // 5. Absorb into the cache in ticket order.
-            for ((i, cache, plan, cached, source), run) in wave.into_iter().zip(runs) {
+            for ((i, cache, residual, cached, source), run) in wave.into_iter().zip(runs) {
                 let mut absorbed = None;
+                let mut legs = None;
                 let (outcome, report) = match run {
                     Ok((mut a, stats, assessed)) => {
+                        legs = a.legs.take();
                         if let Some(cached) = cached {
                             // Merge over the sections looked up, not over
                             // whatever the entry holds now: an earlier
@@ -726,7 +831,8 @@ impl Engine {
                     cache,
                     outcome,
                     report,
-                    plan: Some(plan),
+                    residual,
+                    legs,
                     source,
                     absorbed,
                 });
@@ -785,13 +891,20 @@ mod tests {
         }
     }
 
+    fn done(r: &JobResult) -> &crate::campaign::JobMetrics {
+        match &r.outcome {
+            JobOutcome::Done(m) => m,
+            JobOutcome::Failed(msg) => panic!("job failed: {msg}"),
+        }
+    }
+
     #[test]
     fn repeat_request_is_a_full_hit_with_identical_metrics() {
         let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
         let t0 = engine.submit(request(MetricSelection::all())).unwrap();
-        let batch0 = engine.drain(0.0, &[]);
+        let batch0 = engine.drain(0.0);
         let t1 = engine.submit(request(MetricSelection::all())).unwrap();
-        let batch1 = engine.drain(0.0, &[]);
+        let batch1 = engine.drain(0.0);
         assert_ne!(t0, t1);
         assert_eq!(batch0.results[0].cache, CacheOutcome::Miss);
         assert_eq!(batch1.results[0].cache, CacheOutcome::Hit);
@@ -810,33 +923,50 @@ mod tests {
 
     #[test]
     fn a_batch_fills_the_idle_group_and_reports_when_each_result_is_ready() {
-        // Group 0 still owes a second; the list scheduler places the miss
+        // Group 0 is busy for a second; the list scheduler places the miss
         // on idle group 1, round-robin stacks it behind group 0's backlog.
-        let owed = [1.0, 0.0];
+        let busy_group_0 = |engine: &mut Engine| {
+            engine.groups = vec![GroupTimeline::default(); 2];
+            engine.groups[0].hold(0.0, 1.0);
+        };
         let mut list = Engine::new(FleetSpec::nvlink(2))
             .unwrap()
             .with_scheduler(Scheduler::List);
+        busy_group_0(&mut list);
         list.submit(request(MetricSelection::all())).unwrap();
-        let batch = list.drain(0.0, &owed);
+        let batch = list.drain(0.0);
         let busy = batch.fleet.busy_s.clone();
         assert_eq!(busy[0], 0.0);
         assert!(busy[1] > 0.0);
+        // Alone on an idle group, the job is ready when its gather ends:
+        // its own stream makespan plus the gather, which is exactly how far
+        // the group's timeline advanced.
+        let m = done(&batch.results[0]);
+        let gather = gather_s(&list.fleet, &request(MetricSelection::all()).cfg);
         assert_eq!(batch.results[0].ready_s, busy[1]);
+        assert_eq!(busy[1], m.e2e.unwrap().overlapped_s + gather);
+        assert_eq!(list.group_free_at_s(), [1.0, busy[1]]);
+        assert_eq!(list.group_busy_s(), busy);
         // A repeat is a full hit: it occupies no group, and is ready at its
         // drain or when the run it reads is, whichever is later.
         for now in [busy[1] / 2.0, 2.0 * busy[1]] {
             list.submit(request(MetricSelection::all())).unwrap();
-            let hit = list.drain(now, &[5.0, 5.0]);
+            let hit = list.drain(now);
             assert_eq!(hit.results[0].cache, CacheOutcome::Hit);
             assert_eq!(hit.fleet.makespan_s, 0.0);
             assert_eq!(hit.results[0].ready_s, now.max(busy[1]));
+            assert_eq!(list.group_free_at_s(), [1.0, busy[1]]);
         }
 
         let mut rr = Engine::new(FleetSpec::nvlink(2)).unwrap();
+        busy_group_0(&mut rr);
         rr.submit(request(MetricSelection::all())).unwrap();
-        let batch = rr.drain(0.0, &owed);
-        assert_eq!(batch.fleet.busy_s, [busy[1], 0.0]);
-        assert_eq!(batch.results[0].ready_s, 1.0 + busy[1]);
+        let batch = rr.drain(0.0);
+        // The same legs, shifted to start at 1 s: equal up to the rounding
+        // of the shifted sums.
+        let ready = batch.results[0].ready_s;
+        assert!((ready - (1.0 + busy[1])).abs() <= 1e-12, "{ready}");
+        assert_eq!(batch.fleet.busy_s, [ready - 1.0, 0.0]);
     }
 
     #[test]
@@ -853,7 +983,7 @@ mod tests {
             engine.submit(req).unwrap();
         }
         let now = 0.25;
-        let r = engine.drain(now, &[0.0, 0.0]).results;
+        let r = engine.drain(now).results;
         let cache: Vec<_> = r.iter().map(|r| r.cache).collect();
         use CacheOutcome::*;
         assert_eq!(cache, [Miss, Hit, Partial, Hit]);
@@ -864,11 +994,40 @@ mod tests {
     }
 
     #[test]
+    fn a_short_job_ahead_of_a_long_one_on_a_group_completes_first() {
+        // One group: a PSNR screen, then a full profile of another field.
+        // The screen's gather ends before the profile's; the profile's
+        // upload overlaps the screen, so the group's timeline advances by
+        // less than the two jobs' standalone spans.
+        let mut engine = Engine::new(FleetSpec::nvlink(1)).unwrap();
+        let long = AssessRequest {
+            field: FieldRef::new(AppDataset::Nyx, 1, GenOptions::scaled(32)),
+            ..request(MetricSelection::all())
+        };
+        engine
+            .submit(request(MetricSelection::none().with(Metric::Psnr)))
+            .unwrap();
+        engine.submit(long).unwrap();
+        let batch = engine.drain(0.0);
+        let r = &batch.results;
+        assert!(r.iter().all(|r| r.cache == CacheOutcome::Miss));
+        assert!(r[0].ready_s < r[1].ready_s);
+        let gather = gather_s(&engine.fleet, &request(MetricSelection::all()).cfg);
+        let alone: Vec<f64> = r
+            .iter()
+            .map(|r| done(r).e2e.unwrap().overlapped_s + gather)
+            .collect();
+        assert_eq!(r[0].ready_s, alone[0]);
+        assert!(r[1].ready_s < alone[0] + alone[1]);
+        assert_eq!(batch.fleet.busy_s, [r[1].ready_s]);
+    }
+
+    #[test]
     fn duplicate_requests_in_one_batch_share_work() {
         let mut engine = Engine::new(FleetSpec::nvlink(1)).unwrap();
         engine.submit(request(MetricSelection::all())).unwrap();
         engine.submit(request(MetricSelection::all())).unwrap();
-        let batch = engine.drain(0.0, &[]);
+        let batch = engine.drain(0.0);
         assert_eq!(batch.results[0].cache, CacheOutcome::Miss);
         assert_eq!(batch.results[1].cache, CacheOutcome::Hit);
     }
@@ -888,9 +1047,9 @@ mod tests {
         engine
             .submit(request(MetricSelection::none().with(Metric::Psnr)))
             .unwrap();
-        engine.drain(0.0, &[]);
+        engine.drain(0.0);
         engine.submit(request(MetricSelection::all())).unwrap();
-        let batch = engine.drain(0.0, &[]);
+        let batch = engine.drain(0.0);
         assert_eq!(batch.results[0].cache, CacheOutcome::Partial);
         let report = batch.results[0].report.as_ref().unwrap();
         assert!(report.stencil.is_some() && report.ssim.is_some());
@@ -898,10 +1057,30 @@ mod tests {
     }
 
     #[test]
-    fn estimate_is_positive_and_needs_no_correction() {
-        let engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
+    fn submit_prices_once_and_the_backlog_is_the_pending_price() {
+        let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
+        assert!(
+            engine.group_free_at_s().is_empty(),
+            "nothing before a drain"
+        );
         let req = request(MetricSelection::all());
-        assert!(engine.estimate_seconds(&req) > 0.0);
+        engine.submit(req.clone()).unwrap();
+        let one = engine.backlog_s(0.0);
+        engine.submit(req).unwrap();
+        assert_eq!(engine.backlog_s(0.0).to_bits(), (one + one).to_bits());
+        engine.drain(0.0);
+        let latest = engine.group_free_at_s().into_iter().fold(0.0, f64::max);
+        assert!(latest > 0.0);
+        assert_eq!(engine.backlog_s(0.0), latest);
+        assert_eq!(engine.backlog_s(latest + 1.0), 0.0);
+    }
+
+    #[test]
+    fn estimate_is_positive_and_needs_no_correction() {
+        let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
+        let req = request(MetricSelection::all());
+        engine.submit(req.clone()).unwrap();
+        assert!(engine.backlog_s(0.0) > 0.0);
         let probe = CostCalibration::probe(&FleetSpec::nvlink(2), &req.cfg);
         assert!((probe.scale - 1.0).abs() <= 0.01, "scale {}", probe.scale);
     }
@@ -909,7 +1088,7 @@ mod tests {
     #[test]
     fn service_estimates_and_campaign_costs_share_one_price() {
         let req = request(MetricSelection::all());
-        let engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
+        let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
         let spec = crate::campaign::CampaignSpec {
             fields: vec![req.field.clone()],
             compressors: vec![req.compressor],
@@ -920,7 +1099,8 @@ mod tests {
             recovery: Default::default(),
         };
         let (costs, _) = spec.job_costs();
-        assert_eq!(engine.estimate_seconds(&req).to_bits(), costs[0].to_bits());
+        engine.submit(req).unwrap();
+        assert_eq!(engine.backlog_s(0.0).to_bits(), costs[0].to_bits());
     }
 
     #[test]
@@ -930,7 +1110,7 @@ mod tests {
             .with_cache_entries(0);
         engine.submit(request(MetricSelection::all())).unwrap();
         engine.submit(request(MetricSelection::all())).unwrap();
-        let batch = engine.drain(0.0, &[]);
+        let batch = engine.drain(0.0);
         // Without a cache both duplicates run, as misses in one wave.
         assert!(batch.results.iter().all(|r| r.cache == CacheOutcome::Miss));
         assert_eq!(batch.cache.lookups(), 0);
@@ -954,14 +1134,16 @@ mod tests {
             other(2),
             request(MetricSelection::all()),
         ];
-        let resolved = engine.execute(&reqs, None);
+        let plans: Vec<AssessPlan> = reqs.iter().map(|r| AssessPlan::lower(&r.cfg)).collect();
+        let plans: Vec<&AssessPlan> = plans.iter().collect();
+        let resolved = engine.execute(&reqs, &plans, None);
         assert!(resolved.iter().all(|r| r.cache == CacheOutcome::Miss));
         let stats = engine.cache_stats();
         assert_eq!(stats.fields_generated, 3);
         assert_eq!(stats.digests_reused, 0);
         assert_eq!(engine.remembered_digests(), 0);
         // A second batch regenerates: without a cache nothing is remembered.
-        engine.execute(&reqs[..2], None);
+        engine.execute(&reqs[..2], &plans[..2], None);
         assert_eq!(engine.cache_stats().fields_generated, 5);
         assert_eq!(engine.remembered_digests(), 0);
     }

@@ -38,7 +38,7 @@ use crate::config::{AssessConfig, ExecutorKind};
 use crate::metrics::Pattern;
 use crate::plan::{
     subsample_scan, AssessPlan, DevicePlacement, Pass, PassCtx, PassExecution, PlanRunner,
-    PrepassRun,
+    PrepassRun, RunLegs,
 };
 use crate::report::AnalysisReport;
 use std::fmt;
@@ -155,6 +155,9 @@ pub struct Assessment {
     /// overlapped stream makespan vs the serialized sum (device-resident
     /// backends only; `None` for host executors).
     pub e2e: Option<EndToEnd>,
+    /// The copy and compute legs `e2e` was scheduled from, for a device
+    /// group to replay beside its other jobs (`None` wherever `e2e` is).
+    pub legs: Option<RunLegs>,
     /// Whether the metric values are full-resolution or subsample
     /// estimates (progressive early exit).
     pub confidence: Confidence,
@@ -191,6 +194,7 @@ impl Assessment {
             profiles: Vec::new(),
             runs,
             e2e: None,
+            legs: None,
             confidence: Confidence::Subsampled,
         }
     }

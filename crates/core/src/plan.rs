@@ -49,7 +49,7 @@ use crate::metrics::{Metric, MetricSelection, Pattern};
 use crate::report::AnalysisReport;
 use std::time::Instant;
 use zc_gpusim::cost::gpu_time;
-use zc_gpusim::stream::{EndToEnd, Engine, HostLink, Timeline};
+use zc_gpusim::stream::{EndToEnd, Engine, EventId, HostLink, Timeline};
 use zc_gpusim::{occupancy, Counters, GpuSim, KernelClass, KernelResources, MultiGpuModel};
 use zc_kernels::p3::SsimAcc;
 use zc_kernels::traffic::{self, Launch};
@@ -773,7 +773,7 @@ impl DevicePlacement<'_> {
         // The staging link is PCIe regardless of the intra-group
         // interconnect — matching `CuZc::transfer`, so predictions share a
         // basis with the per-job `e2e` the report aggregates.
-        let (times, profiles, _, e2e) =
+        let (times, profiles, _, legs) =
             charges.settle(Some(*self), Some(HostLink::pcie()), shape, cfg, &schedule);
         CostEstimate {
             pass_seconds: charges
@@ -781,7 +781,7 @@ impl DevicePlacement<'_> {
                 .iter()
                 .map(|(kind, tiles)| (*kind, tiles.iter().sum()))
                 .collect(),
-            seconds: e2e.map_or(times.total(), |e| e.overlapped_s),
+            seconds: legs.map_or(times.total(), |l| l.end_to_end().overlapped_s),
             profiles,
             slabs,
         }
@@ -1018,7 +1018,7 @@ impl<'a> PlanRunner<'a> {
             }
             done.push(pass.kind);
         }
-        let (times, profiles, runs, e2e) = charges.settle(
+        let (times, profiles, runs, legs) = charges.settle(
             backend.placement(),
             backend.transfer(),
             orig.shape(),
@@ -1039,7 +1039,8 @@ impl<'a> PlanRunner<'a> {
             wall_seconds: t0.elapsed().as_secs_f64(),
             profiles,
             runs,
-            e2e,
+            e2e: legs.as_ref().map(RunLegs::end_to_end),
+            legs,
             confidence: Confidence::Full,
         })
     }
@@ -1086,8 +1087,8 @@ impl Charges {
     /// Per-pattern times, profiles and runs; re-priced under a multi-device
     /// `placement` (compute share + halo/all-reduce communication, scaling
     /// each pass's slab seconds in place — counters, runs and profiles are
-    /// placement-invariant by construction); then the stream timeline of
-    /// `schedule` over the backend's host `link`, if it has one.
+    /// placement-invariant by construction); then the run's stream legs
+    /// over `schedule` and the backend's host `link`, if it has one.
     fn settle(
         &mut self,
         placement: Option<DevicePlacement<'_>>,
@@ -1099,7 +1100,7 @@ impl Charges {
         PatternTimes,
         Vec<PatternProfile>,
         Vec<PatternRun>,
-        Option<EndToEnd>,
+        Option<RunLegs>,
     ) {
         let mut times = PatternTimes::default();
         let mut profiles = Vec::new();
@@ -1132,198 +1133,241 @@ impl Charges {
             times = placed;
         }
 
-        let e2e = link
+        let legs = link
             .filter(|_| times.total() > 0.0)
-            .map(|link| timeline(&link, schedule, cfg, &self.pass_tiles));
-        (times, profiles, runs, e2e)
+            .map(|link| RunLegs::new(link, *schedule, cfg, self.pass_tiles.clone()));
+        (times, profiles, runs, legs)
     }
 }
 
-/// The modeled copy/compute stream timeline of a device-resident run
-/// (DESIGN.md §6.8), built from each pass's per-slab seconds. The field
-/// pair uploads one z-slab at a time; every pass's slab-`k` tile starts as
-/// soon as the slabs it reads have landed, so H2D of slab *k+1* overlaps
-/// compute of slab *k*, partial read-backs overlap both, and downstream
-/// passes begin before upstream passes finish their last slab:
-///
-/// * P1 scalars tile *k* needs only upload slab *k* (stream 0);
-/// * histogram tile *k* needs the *running* scalars (the latest P1 tile so
-///   far) plus slab *k* — re-uploaded per tile when the field is
-///   out-of-core;
-/// * the stencil tile *k* additionally needs its forward halo — the
-///   `max_lag` slices past the slab boundary, i.e. upload slabs up to
-///   *k + span* (stream 1);
-/// * the SSIM FIFO consumes slices in z order, so tile *k* needs the
-///   running value range plus slab *k* (stream 2).
-///
-/// A monolithic run is the one-slab case: one upload leg, the passes one
-/// after another on the compute engine (histograms, stencil and SSIM
-/// behind the scalars), and one read-back leg per pass on its drain stream.
-///
-/// Downstream tiles deliberately consume the **prefix** scalars — the P1
-/// tile covering their own slab, not the final one — modeling the standard
-/// deferred-finalize streaming restructure (raw moments with an
-/// end-of-stream fix-up; see §6.8). Waiting on the *last* P1 tile would
-/// chain every heavy pass behind the complete upload and reduce the
-/// schedule to the one-slab one.
-///
-/// Compute events serialize on the single device's compute engine **in
-/// push order**, so rounds are pushed interleaved by slab (P1[k], hist[k],
-/// stencil[k], SSIM[k], then slab k+1) — pushing one pass's full sweep
-/// first would serialize every later pass behind it. Per-slab D2H events
-/// drain each pass's running partials.
-fn timeline(
-    link: &HostLink,
-    schedule: &SlabSchedule,
-    cfg: &AssessConfig,
-    pass_tiles: &[(PassKind, Vec<f64>)],
-) -> EndToEnd {
-    let SlabSchedule { planes, slabs, .. } = *schedule;
-    // Slab k's upload bytes (even plane split, remainder up front —
-    // matching the contiguous block split in `launch_tiled`).
-    let slab_bytes: Vec<u64> = schedule.slab_bytes().collect();
-    debug_assert_eq!(slab_bytes.iter().sum::<u64>(), schedule.pair_bytes);
-    // The stencil's forward halo, in slabs.
-    let span = cfg.max_lag.div_ceil((planes / slabs).max(1));
+/// One run's copy and compute legs (DESIGN.md §6.8): the per-slab pass
+/// tiles its charges settled to, the slab schedule they stream over and
+/// the host link its copies cross. [`RunLegs::replay`] is the one timeline
+/// builder: onto a fresh [`Timeline`] it gives the run's own
+/// [`EndToEnd`]; onto a device group's resumed timeline it overlaps the run
+/// with its neighbours on the group (§6.12).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RunLegs {
+    link: HostLink,
+    schedule: SlabSchedule,
+    /// The stencil's forward halo, in slabs.
+    halo: usize,
+    /// Per pass, in plan order: its kind, its per-slab compute seconds and
+    /// its result read-back bytes.
+    passes: Vec<(PassKind, Vec<f64>, u64)>,
+}
 
-    // A pass's per-slab durations, if the plan ran it.
-    let tiles_of = |kind: PassKind| -> Option<&[f64]> {
-        pass_tiles
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, v)| v.as_slice())
-    };
+impl RunLegs {
+    /// The legs of a run whose passes settled to `pass_tiles` (per-slab
+    /// seconds, in plan order) under `schedule`, staged over `link`.
+    pub fn new(
+        link: HostLink,
+        schedule: SlabSchedule,
+        cfg: &AssessConfig,
+        pass_tiles: Vec<(PassKind, Vec<f64>)>,
+    ) -> RunLegs {
+        RunLegs {
+            link,
+            halo: cfg
+                .max_lag
+                .div_ceil((schedule.planes / schedule.slabs).max(1)),
+            schedule,
+            passes: pass_tiles
+                .into_iter()
+                .map(|(kind, tiles)| (kind, tiles, d2h_bytes(kind, cfg)))
+                .collect(),
+        }
+    }
 
-    // Copies live on their own streams: a compute tile enqueued on the
-    // stream its input upload used would serialize behind the *whole*
-    // upload queue (CUDA stream FIFO) — exactly the non-overlap this
-    // schedule exists to fix. Cross-stream ordering is done with event
-    // dependencies only.
-    const UPLOAD_STREAM: usize = 8;
-    const REUPLOAD_STREAM: usize = 9; // + pass stream
-    const DRAIN_STREAM: usize = 12; // + pass stream
+    /// The slab schedule the legs stream over.
+    pub fn schedule(&self) -> &SlabSchedule {
+        &self.schedule
+    }
 
-    let mut tl = Timeline::new();
-    let h2d: Vec<_> = (0..slabs)
-        .map(|k| {
-            tl.push(
-                UPLOAD_STREAM,
-                Engine::H2D,
-                link.transfer_s(slab_bytes[k]),
-                &[],
-            )
+    /// The run alone on an idle device: its legs replayed onto a fresh
+    /// timeline.
+    pub fn end_to_end(&self) -> EndToEnd {
+        let mut tl = Timeline::new();
+        self.replay(&mut tl);
+        tl.end_to_end()
+    }
+
+    /// Push the run's legs onto `tl`. The field pair uploads one z-slab at
+    /// a time; every pass's slab-`k` tile starts as soon as the slabs it
+    /// reads have landed, so H2D of slab *k+1* overlaps compute of slab
+    /// *k*, partial read-backs overlap both, and downstream passes begin
+    /// before upstream passes finish their last slab:
+    ///
+    /// * P1 scalars tile *k* needs only upload slab *k* (stream 0);
+    /// * histogram tile *k* needs the *running* scalars (the latest P1 tile
+    ///   so far) plus slab *k* — re-uploaded per tile when the field is
+    ///   out-of-core;
+    /// * the stencil tile *k* additionally needs its forward halo — the
+    ///   `max_lag` slices past the slab boundary, i.e. upload slabs up to
+    ///   *k + span* (stream 1);
+    /// * the SSIM FIFO consumes slices in z order, so tile *k* needs the
+    ///   running value range plus slab *k* (stream 2).
+    ///
+    /// A monolithic run is the one-slab case: one upload leg, the passes
+    /// one after another on the compute engine (histograms, stencil and
+    /// SSIM behind the scalars), and one read-back leg per pass on its
+    /// drain stream.
+    ///
+    /// Downstream tiles deliberately consume the **prefix** scalars — the
+    /// P1 tile covering their own slab, not the final one — modeling the
+    /// standard deferred-finalize streaming restructure (raw moments with
+    /// an end-of-stream fix-up; see §6.8). Waiting on the *last* P1 tile
+    /// would chain every heavy pass behind the complete upload and reduce
+    /// the schedule to the one-slab one.
+    ///
+    /// Compute events serialize on the single device's compute engine **in
+    /// push order**, so rounds are pushed interleaved by slab (P1\[k\],
+    /// hist\[k\], stencil\[k\], SSIM\[k\], then slab k+1) — pushing one pass's
+    /// full sweep first would serialize every later pass behind it.
+    /// Per-slab D2H events drain each pass's running partials, and they
+    /// are pushed last, so the run's last event is a read-back.
+    pub fn replay(&self, tl: &mut Timeline) {
+        let link = &self.link;
+        let schedule = &self.schedule;
+        let slabs = schedule.slabs;
+        // Slab k's upload bytes (even plane split, remainder up front —
+        // matching the contiguous block split in `launch_tiled`).
+        let slab_bytes: Vec<u64> = schedule.slab_bytes().collect();
+        debug_assert_eq!(slab_bytes.iter().sum::<u64>(), schedule.pair_bytes);
+
+        // A pass's per-slab durations and read-back bytes, if the plan ran
+        // it.
+        let pass = |kind: PassKind| -> Option<(&[f64], u64)> {
+            self.passes
+                .iter()
+                .find(|(k, ..)| *k == kind)
+                .map(|(_, v, bytes)| (v.as_slice(), *bytes))
+        };
+
+        // Copies live on their own streams: a compute tile enqueued on the
+        // stream its input upload used would serialize behind the *whole*
+        // upload queue (CUDA stream FIFO) — exactly the non-overlap this
+        // schedule exists to fix. Cross-stream ordering is done with event
+        // dependencies only.
+        const UPLOAD_STREAM: usize = 8;
+        const REUPLOAD_STREAM: usize = 9; // + pass stream
+        const DRAIN_STREAM: usize = 12; // + pass stream
+
+        let h2d: Vec<_> = (0..slabs)
+            .map(|k| {
+                tl.push(
+                    UPLOAD_STREAM,
+                    Engine::H2D,
+                    link.transfer_s(slab_bytes[k]),
+                    &[],
+                )
+            })
+            .collect();
+
+        // Per-tile partial read-back on a dedicated drain stream: tiny
+        // running partials leave the device while later tiles still
+        // compute.
+        let drain = |tl: &mut Timeline, stream, total: u64, events: &[EventId]| {
+            if events.is_empty() {
+                return;
+            }
+            let bytes = (total / events.len() as u64).max(1);
+            for &ev in events {
+                tl.push(
+                    DRAIN_STREAM + stream,
+                    Engine::D2H,
+                    link.transfer_s(bytes),
+                    &[ev],
+                );
+            }
+        };
+
+        // Dependent passes: (kind, stream, forward halo in slabs).
+        struct Sched<'a> {
+            stream: usize,
+            halo: usize,
+            tiles: &'a [f64],
+            d2h_bytes: u64,
+            next: usize,
+            events: Vec<EventId>,
+        }
+        let mut dependents: Vec<Sched> = [
+            (PassKind::P1Hist, 0usize, 0usize),
+            (PassKind::P2Stencil, 1, self.halo),
+            (PassKind::P3Ssim, 2, 0),
+        ]
+        .into_iter()
+        .filter_map(|(kind, stream, halo)| {
+            let (tiles, d2h_bytes) = pass(kind)?;
+            Some(Sched {
+                stream,
+                halo,
+                tiles,
+                d2h_bytes,
+                next: 0,
+                events: Vec::new(),
+            })
         })
         .collect();
 
-    // Per-tile partial read-back on a dedicated drain stream: tiny
-    // running partials leave the device while later tiles still compute.
-    let drain = |tl: &mut Timeline, stream, kind, events: &[zc_gpusim::stream::EventId]| {
-        if events.is_empty() {
-            return;
-        }
-        let bytes = (d2h_bytes(kind, cfg) / events.len() as u64).max(1);
-        for &ev in events {
-            tl.push(
-                DRAIN_STREAM + stream,
-                Engine::D2H,
-                link.transfer_s(bytes),
-                &[ev],
-            );
-        }
-    };
-
-    // Dependent passes: (kind, stream, forward halo in slabs).
-    struct Sched<'a> {
-        kind: PassKind,
-        stream: usize,
-        halo: usize,
-        tiles: &'a [f64],
-        next: usize,
-        events: Vec<zc_gpusim::stream::EventId>,
-    }
-    let mut dependents: Vec<Sched> = [
-        (PassKind::P1Hist, 0usize, 0usize),
-        (PassKind::P2Stencil, 1, span),
-        (PassKind::P3Ssim, 2, 0),
-    ]
-    .into_iter()
-    .filter_map(|(kind, stream, halo)| {
-        Some(Sched {
-            kind,
-            stream,
-            halo,
-            tiles: tiles_of(kind)?,
-            next: 0,
-            events: Vec::new(),
-        })
-    })
-    .collect();
-
-    // Round k: the P1 tile for slab k runs as soon as the slab lands,
-    // then every dependent pass's slab-k tile follows, consuming the
-    // running scalars accumulated so far (`last_p1`).
-    let p1 = tiles_of(PassKind::P1Scalars).unwrap_or_default();
-    let mut p1_next = 0usize;
-    let mut p1_events = Vec::new();
-    let mut last_p1 = None;
-    for k in 0..slabs {
-        while p1_next < p1.len() && slab_of(p1_next, p1.len(), slabs) <= k {
-            let (i, t) = (p1_next, p1[p1_next]);
-            p1_next += 1;
-            if t <= 0.0 {
-                continue;
-            }
-            let ev = tl.push(0, Engine::Compute, t, &[h2d[slab_of(i, p1.len(), slabs)]]);
-            p1_events.push(ev);
-            last_p1 = Some(ev);
-        }
-        for s in dependents.iter_mut() {
-            while s.next < s.tiles.len() && slab_of(s.next, s.tiles.len(), slabs) <= k {
-                let (i, t) = (s.next, s.tiles[s.next]);
-                s.next += 1;
+        // Round k: the P1 tile for slab k runs as soon as the slab lands,
+        // then every dependent pass's slab-k tile follows, consuming the
+        // running scalars accumulated so far (`last_p1`).
+        let (p1, p1_bytes) = pass(PassKind::P1Scalars).unwrap_or_default();
+        let mut p1_next = 0usize;
+        let mut p1_events = Vec::new();
+        let mut last_p1 = None;
+        for k in 0..slabs {
+            while p1_next < p1.len() && slab_of(p1_next, p1.len(), slabs) <= k {
+                let (i, t) = (p1_next, p1[p1_next]);
+                p1_next += 1;
                 if t <= 0.0 {
                     continue;
                 }
-                let slab = slab_of(i, s.tiles.len(), slabs)
-                    .saturating_add(s.halo)
-                    .min(slabs - 1);
-                let mut deps = Vec::with_capacity(2);
-                // All three need a P1 output (running min/max, μₑ,
-                // value range — finalized after the stream drains).
-                if let Some(p1) = last_p1 {
-                    deps.push(p1);
+                let ev = tl.push(0, Engine::Compute, t, &[h2d[slab_of(i, p1.len(), slabs)]]);
+                p1_events.push(ev);
+                last_p1 = Some(ev);
+            }
+            for s in dependents.iter_mut() {
+                while s.next < s.tiles.len() && slab_of(s.next, s.tiles.len(), slabs) <= k {
+                    let (i, t) = (s.next, s.tiles[s.next]);
+                    s.next += 1;
+                    if t <= 0.0 {
+                        continue;
+                    }
+                    let slab = slab_of(i, s.tiles.len(), slabs)
+                        .saturating_add(s.halo)
+                        .min(slabs - 1);
+                    let mut deps = Vec::with_capacity(2);
+                    // All three need a P1 output (running min/max, μₑ,
+                    // value range — finalized after the stream drains).
+                    if let Some(p1) = last_p1 {
+                        deps.push(p1);
+                    }
+                    if schedule.out_of_core() {
+                        // The slab was evicted after the P1 sweep:
+                        // re-upload it (and its halo) on this pass's copy
+                        // stream.
+                        let bytes = slab_bytes[slab_of(i, s.tiles.len(), slabs)..=slab]
+                            .iter()
+                            .sum::<u64>();
+                        deps.push(tl.push(
+                            REUPLOAD_STREAM + s.stream,
+                            Engine::H2D,
+                            link.transfer_s(bytes),
+                            &[],
+                        ));
+                    } else {
+                        deps.push(h2d[slab]);
+                    }
+                    s.events.push(tl.push(s.stream, Engine::Compute, t, &deps));
                 }
-                if schedule.out_of_core() {
-                    // The slab was evicted after the P1 sweep:
-                    // re-upload it (and its halo) on this pass's copy
-                    // stream.
-                    let bytes = slab_bytes[slab_of(i, s.tiles.len(), slabs)..=slab]
-                        .iter()
-                        .sum::<u64>();
-                    deps.push(tl.push(
-                        REUPLOAD_STREAM + s.stream,
-                        Engine::H2D,
-                        link.transfer_s(bytes),
-                        &[],
-                    ));
-                } else {
-                    deps.push(h2d[slab]);
-                }
-                s.events.push(tl.push(s.stream, Engine::Compute, t, &deps));
             }
         }
-    }
-    drain(&mut tl, 0, PassKind::P1Scalars, &p1_events);
-    for s in &dependents {
-        drain(&mut tl, s.stream, s.kind, &s.events);
-    }
-
-    EndToEnd {
-        h2d_s: tl.engine_busy_s(Engine::H2D),
-        d2h_s: tl.engine_busy_s(Engine::D2H),
-        compute_s: tl.engine_busy_s(Engine::Compute),
-        serialized_s: tl.serialized_s(),
-        overlapped_s: tl.makespan_s(),
+        drain(tl, 0, p1_bytes, &p1_events);
+        for s in &dependents {
+            drain(tl, s.stream, s.d2h_bytes, &s.events);
+        }
     }
 }
 
@@ -1339,6 +1383,16 @@ mod tests {
             .iter()
             .map(|&(kind, secs)| (kind, vec![secs / slabs as f64; slabs]))
             .collect()
+    }
+
+    /// The legs of `pass_tiles` alone on an idle device.
+    fn timeline(
+        link: &HostLink,
+        schedule: &SlabSchedule,
+        cfg: &AssessConfig,
+        pass_tiles: &[(PassKind, Vec<f64>)],
+    ) -> EndToEnd {
+        RunLegs::new(*link, *schedule, cfg, pass_tiles.to_vec()).end_to_end()
     }
 
     /// `shape` streamed in `slabs` slabs, device-resident or out-of-core.

@@ -274,8 +274,9 @@ pub fn recommend(
     cfg.validate()
         .map_err(|e| RecommendError::Refused(EngineError::BadConfig(e.to_string())))?;
     let mut engine = Engine::open(FleetSpec::nvlink(1), Scheduler::default(), 0);
+    let plan = AssessPlan::lower(cfg);
     engine
-        .admit_plan(&AssessPlan::lower(cfg), field.shape(), cfg)
+        .admit_plan(&plan, field.shape(), cfg)
         .map_err(RecommendError::Refused)?;
     let reqs: Vec<AssessRequest> = candidates
         .iter()
@@ -290,7 +291,7 @@ pub fn recommend(
         candidates: candidates.len(),
         ..Default::default()
     };
-    let resolved = engine.execute(&reqs, policy.as_ref());
+    let resolved = engine.execute(&reqs, &vec![&plan; reqs.len()], policy.as_ref());
     let mut verdicts = Vec::with_capacity(candidates.len());
     for (spec, r) in candidates.iter().zip(resolved) {
         let name = spec.label();

@@ -143,10 +143,10 @@ fn cache_key_ignores_metric_selection_construction_order() {
         .with(Metric::Psnr);
     let mut engine = Engine::new(FleetSpec::nvlink(1)).unwrap();
     engine.submit(request(forward, 0)).unwrap();
-    let first = engine.drain(0.0, &[]);
+    let first = engine.drain(0.0);
     assert_eq!(first.results[0].cache, CacheOutcome::Miss);
     engine.submit(request(backward, 0)).unwrap();
-    let second = engine.drain(0.0, &[]);
+    let second = engine.drain(0.0);
     assert_eq!(second.results[0].cache, CacheOutcome::Hit);
 }
 
@@ -154,13 +154,13 @@ fn cache_key_ignores_metric_selection_construction_order() {
 fn value_affecting_knobs_are_part_of_the_key() {
     let mut engine = Engine::new(FleetSpec::nvlink(1)).unwrap();
     engine.submit(request(MetricSelection::all(), 0)).unwrap();
-    engine.drain(0.0, &[]);
+    engine.drain(0.0);
     // Same field, same codec, different histogram resolution → the cached
     // PDFs would be wrong, so this must be a miss, not any kind of hit.
     let mut req = request(MetricSelection::all(), 0);
     req.cfg.bins = 64;
     engine.submit(req).unwrap();
-    let batch = engine.drain(0.0, &[]);
+    let batch = engine.drain(0.0);
     assert_eq!(batch.results[0].cache, CacheOutcome::Miss);
 }
 
@@ -181,8 +181,8 @@ fn eviction_never_changes_metric_values() {
         uncached
             .submit(request(MetricSelection::all(), seed))
             .unwrap();
-        let a = tiny.drain(0.0, &[]);
-        let b = uncached.drain(0.0, &[]);
+        let a = tiny.drain(0.0);
+        let b = uncached.drain(0.0);
         let (ma, mb) = match (&a.results[0].outcome, &b.results[0].outcome) {
             (JobOutcome::Done(ma), JobOutcome::Done(mb)) => (ma, mb),
             _ => panic!("seed {seed}: both engines must complete"),
@@ -218,7 +218,7 @@ fn eviction_inside_a_wave_never_weakens_a_partial_hit() {
         .unwrap()
         .with_cache_entries(1);
     tiny.submit(request(narrow, 0)).unwrap();
-    tiny.drain(0.0, &[]);
+    tiny.drain(0.0);
     let mut uncached = Engine::new(FleetSpec::nvlink(1))
         .unwrap()
         .with_cache_entries(0);
@@ -226,7 +226,7 @@ fn eviction_inside_a_wave_never_weakens_a_partial_hit() {
         engine.submit(request(MetricSelection::all(), 1)).unwrap();
         engine.submit(request(MetricSelection::all(), 0)).unwrap();
     }
-    let (a, b) = (tiny.drain(0.0, &[]), uncached.drain(0.0, &[]));
+    let (a, b) = (tiny.drain(0.0), uncached.drain(0.0));
     let outcomes: Vec<_> = a.results.iter().map(|r| r.cache).collect();
     assert_eq!(outcomes, [CacheOutcome::Miss, CacheOutcome::Partial]);
     assert!(
@@ -254,7 +254,7 @@ fn eviction_inside_a_wave_never_weakens_a_partial_hit() {
     }
     // The re-inserted entry holds every section, so a repeat is a full hit.
     tiny.submit(request(MetricSelection::all(), 0)).unwrap();
-    assert_eq!(tiny.drain(0.0, &[]).results[0].cache, CacheOutcome::Hit);
+    assert_eq!(tiny.drain(0.0).results[0].cache, CacheOutcome::Hit);
 }
 
 /// Every metric of a report as exact bits, bar the wall-clock codec
@@ -281,7 +281,7 @@ fn a_batch_of_only_full_hits_generates_no_field() {
             .submit(request(MetricSelection::all(), seed))
             .unwrap();
     }
-    let first = engine.drain(0.0, &[]);
+    let first = engine.drain(0.0);
     assert_eq!(first.cache.fields_generated, 3);
     assert_eq!(first.cache.digests_reused, 0);
 
@@ -290,7 +290,7 @@ fn a_batch_of_only_full_hits_generates_no_field() {
     for (metrics, seed) in [(MetricSelection::all(), 2), (psnr.clone(), 0), (psnr, 2)] {
         engine.submit(request(metrics, seed)).unwrap();
     }
-    let hot = engine.drain(0.0, &[]);
+    let hot = engine.drain(0.0);
     assert!(hot.results.iter().all(|r| r.cache == CacheOutcome::Hit));
     assert_eq!(hot.cache.fields_generated, first.cache.fields_generated);
     assert_eq!(
@@ -326,7 +326,7 @@ fn the_digest_memo_stays_within_the_cache_budget() {
             small.submit(request(MetricSelection::all(), seed)).unwrap();
             cold.submit(request(MetricSelection::all(), seed)).unwrap();
         }
-        let (a, b) = (small.drain(0.0, &[]), cold.drain(0.0, &[]));
+        let (a, b) = (small.drain(0.0), cold.drain(0.0));
         assert!(
             small.remembered_digests() <= 2,
             "{seeds:?}: memo over budget"

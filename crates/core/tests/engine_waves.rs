@@ -105,7 +105,7 @@ fn one_batch_resolves_in_waves_like_one_request_per_batch() {
         .into_iter()
         .map(|req| {
             engine.submit(req).unwrap();
-            result_bits(&engine.drain(0.0, &[]).results[0])
+            result_bits(&engine.drain(0.0).results[0])
         })
         .collect();
     let outcomes: Vec<_> = reference.iter().map(|(c, _)| *c).collect();
@@ -128,7 +128,7 @@ fn one_batch_resolves_in_waves_like_one_request_per_batch() {
             for req in wave_batch() {
                 engine.submit(req).unwrap();
             }
-            let batch = engine.drain(0.0, &[]);
+            let batch = engine.drain(0.0);
             let results: Vec<_> = batch.results.iter().map(result_bits).collect();
             (results, batch.cache.fields_generated)
         };

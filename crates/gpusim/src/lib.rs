@@ -62,5 +62,5 @@ pub use multi::MultiGpuModel;
 pub use occupancy::{occupancy, KernelResources, Limiter, Occupancy};
 pub use sanitizer::{Diag, Hazard, SanitizeReport};
 pub use spec::{CpuSpec, DeviceSpec};
-pub use stream::{EndToEnd, Engine, HostLink, Timeline};
+pub use stream::{EndToEnd, Engine, EngineCursors, HostLink, Timeline};
 pub use trace::{fmt_bytes, fmt_seconds, launch_summary};

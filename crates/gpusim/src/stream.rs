@@ -28,6 +28,11 @@
 //!
 //! Scheduling is greedy in submission order, which is deterministic and
 //! mirrors how a host program actually enqueues work.
+//!
+//! A timeline can also [`Timeline::resume`] from another one's engine
+//! cursors: a device group that runs job after job keeps only its three
+//! cursors between jobs, and each job's streams open no earlier than the
+//! job's release time (`start(e)` then also takes the max with it).
 
 use std::collections::BTreeMap;
 
@@ -75,6 +80,21 @@ pub enum Engine {
     D2H,
 }
 
+impl Engine {
+    /// Position of this engine's cursor in [`EngineCursors`].
+    pub fn index(self) -> usize {
+        match self {
+            Engine::H2D => 0,
+            Engine::Compute => 1,
+            Engine::D2H => 2,
+        }
+    }
+}
+
+/// When each engine is next free, indexed by [`Engine::index`]: the H2D,
+/// compute and D2H cursors.
+pub type EngineCursors = [f64; 3];
+
 /// Handle to a scheduled event, usable as a dependency for later events.
 pub type EventId = usize;
 
@@ -98,13 +118,33 @@ pub struct Event {
 pub struct Timeline {
     events: Vec<Event>,
     stream_cursor: BTreeMap<usize, f64>,
-    engine_cursor: BTreeMap<Engine, f64>,
+    engine_cursor: EngineCursors,
+    /// No event starts before this (0 for a fresh timeline).
+    release_s: f64,
 }
 
 impl Timeline {
     /// An empty timeline.
     pub fn new() -> Self {
         Timeline::default()
+    }
+
+    /// An empty timeline on engines that are next free at `cursors`, whose
+    /// streams open at `release_s`: the next job of a device group that
+    /// keeps its engine cursors between jobs. `resume([0.0; 3], 0.0)` is
+    /// [`Timeline::new`].
+    pub fn resume(cursors: EngineCursors, release_s: f64) -> Self {
+        Timeline {
+            engine_cursor: cursors,
+            release_s,
+            ..Timeline::default()
+        }
+    }
+
+    /// When each engine is next free: the end of the last event pushed on
+    /// it, or where the timeline resumed from.
+    pub fn cursors(&self) -> EngineCursors {
+        self.engine_cursor
     }
 
     /// Enqueue an event on `stream`/`engine` that must start after every
@@ -120,14 +160,14 @@ impl Timeline {
             .stream_cursor
             .get(&stream)
             .copied()
-            .unwrap_or(0.0)
-            .max(self.engine_cursor.get(&engine).copied().unwrap_or(0.0));
+            .unwrap_or(self.release_s)
+            .max(self.engine_cursor[engine.index()]);
         for &d in deps {
             start = start.max(self.events[d].end_s);
         }
         let end = start + duration_s;
         self.stream_cursor.insert(stream, end);
-        self.engine_cursor.insert(engine, end);
+        self.engine_cursor[engine.index()] = end;
         self.events.push(Event {
             stream,
             engine,
@@ -161,6 +201,18 @@ impl Timeline {
             .filter(|e| e.engine == engine)
             .map(|e| e.duration_s)
             .sum()
+    }
+
+    /// The scheduled events folded into per-engine busy seconds, the
+    /// serialized sum and the overlapped makespan.
+    pub fn end_to_end(&self) -> EndToEnd {
+        EndToEnd {
+            h2d_s: self.engine_busy_s(Engine::H2D),
+            d2h_s: self.engine_busy_s(Engine::D2H),
+            compute_s: self.engine_busy_s(Engine::Compute),
+            serialized_s: self.serialized_s(),
+            overlapped_s: self.makespan_s(),
+        }
     }
 }
 
@@ -251,6 +303,35 @@ mod tests {
         // Strictly better than the serialized sum 8.5.
         assert!(tl.makespan_s() < tl.serialized_s());
         assert_eq!(tl.engine_busy_s(Engine::Compute), 6.0);
+    }
+
+    #[test]
+    fn a_resumed_timeline_starts_at_its_cursors_and_release() {
+        let mut first = Timeline::new();
+        first.push(0, Engine::H2D, 1.0, &[]);
+        let c = first.push(0, Engine::Compute, 3.0, &[0]);
+        assert_eq!(first.cursors(), [1.0, 4.0, 0.0]);
+        // The next job's upload overlaps the first one's compute; its
+        // kernel waits for the compute engine; its copy-back for both.
+        let mut next = Timeline::resume(first.cursors(), 0.5);
+        let h = next.push(0, Engine::H2D, 1.0, &[]);
+        let k = next.push(1, Engine::Compute, 1.0, &[h]);
+        let d = next.push(1, Engine::D2H, 0.5, &[k]);
+        assert_eq!(next.events()[h].start_s, 1.0);
+        assert_eq!(next.events()[k].start_s, first.events()[c].end_s);
+        assert_eq!(next.events()[d].start_s, 5.0);
+        assert_eq!(next.cursors(), [2.0, 5.0, 5.5]);
+        // Streams open at the release, not at 0.
+        let mut tl = Timeline::resume([0.0; 3], 2.0);
+        tl.push(3, Engine::D2H, 1.0, &[]);
+        assert_eq!(tl.events()[0].start_s, 2.0);
+        // Resuming from zero is a fresh timeline.
+        let e2e = |mut tl: Timeline| {
+            let a = tl.push(0, Engine::H2D, 1.0, &[]);
+            tl.push(1, Engine::Compute, 2.0, &[a]);
+            tl.end_to_end()
+        };
+        assert_eq!(e2e(Timeline::new()), e2e(Timeline::resume([0.0; 3], 0.0)));
     }
 
     #[test]

@@ -53,6 +53,13 @@ struct Args {
     requests: Option<(u64, usize)>,
 }
 
+/// Largest `--fleet`: every device group holds host-side state, so a huge
+/// count must end in a usage error, not an allocation failure.
+const MAX_FLEET_GPUS: u32 = 4096;
+
+/// Largest `--requests` trace: the trace is generated up front.
+const MAX_TRACE_REQUESTS: usize = 100_000;
+
 const USAGE: &str = "usage: cuzc [options]
   --input <file>          raw binary f32 field (original)
   --shape NXxNYxNZ[xNW]   field dimensions (x fastest-varying)
@@ -78,7 +85,7 @@ const USAGE: &str = "usage: cuzc [options]
   --slabs <n|auto|mono>   slab-tiling policy (overrides the config)
   --demo                  run on built-in synthetic data (no files needed)
   --fleet <gpus>          with --demo: run a mixed-size demo campaign on a
-                          simulated fleet of this many GPUs
+                          simulated fleet of this many GPUs (1-4096)
   --scheduler <policy>    campaign job placement: round-robin (default) or
                           list (cost-model LPT with oversized-job splitting)
   --progressive           campaign prepass: early-exit jobs whose strided
@@ -94,7 +101,7 @@ const USAGE: &str = "usage: cuzc [options]
                           simulated fleet (default 4); exit 6 if the
                           saturated service completed no requests
   --requests <seed>:<count> with --serve-demo: trace seed and length
-                          (default 42:32)";
+                          (default 42:32, at most 100000 requests)";
 
 fn parse_shape(s: &str) -> Result<Shape, String> {
     let dims: Result<Vec<usize>, _> = s.split('x').map(|p| p.parse::<usize>()).collect();
@@ -146,6 +153,11 @@ fn parse_requests(s: &str) -> Result<(u64, usize), String> {
         .ok()
         .filter(|&c| c > 0)
         .ok_or_else(bad)?;
+    if count > MAX_TRACE_REQUESTS {
+        return Err(format!(
+            "requests count {count} over the limit of {MAX_TRACE_REQUESTS}"
+        ));
+    }
     Ok((seed, count))
 }
 
@@ -236,6 +248,11 @@ fn parse_args() -> Result<Args, String> {
                         .filter(|&g| g > 0)
                         .ok_or_else(|| format!("bad fleet size '{v}' (positive GPU count)"))?,
                 );
+                if args.fleet > Some(MAX_FLEET_GPUS) {
+                    return Err(format!(
+                        "fleet size {v} over the limit of {MAX_FLEET_GPUS} GPUs"
+                    ));
+                }
             }
             "--scheduler" => args.scheduler = Some(Scheduler::parse(&val()?)?),
             "--progressive" => args.progressive = true,

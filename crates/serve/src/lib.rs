@@ -7,19 +7,22 @@
 //!
 //! * a **request loop** ([`Server`]): requests arrive (modeled arrival
 //!   times), pass admission, batch up, and drain onto the simulated fleet
-//!   as one shard-scheduled batch per window. Each device group keeps its
-//!   own modeled clock: a batch is placed onto the seconds each group
-//!   still owes, a request completes when the groups its job ran on finish
-//!   their share of the batch, and a full cache hit completes at its drain
-//!   unless the run that filled its entry is still going;
+//!   as one shard-scheduled batch per window. Each device group of the
+//!   engine session keeps one stream timeline — its H2D, compute and D2H
+//!   engine cursors — so a job's upload overlaps the kernels of the job
+//!   ahead of it on the group and its read-backs overlap the kernels of
+//!   the job behind it. A request completes when its own job's result
+//!   gather ends, and a full cache hit completes at its drain unless the
+//!   run that filled its entry is still going;
 //! * **admission control**: structural validation and static plan
 //!   verification happen at [`Server::offer`] time, via the engine (a
 //!   refused request never occupies the queue);
 //! * **per-tenant quotas**: each tenant may hold at most a fixed number of
 //!   queued requests per batch window — one chatty tenant cannot starve
 //!   the rest;
-//! * **backpressure**: when the fleet's modeled backlog (time the latest
-//!   group clock still owes plus the estimated cost of the queue) exceeds an
+//! * **backpressure**: when the fleet's modeled backlog (time until the
+//!   latest group timeline goes idle plus the estimated cost of the queue,
+//!   priced once at admission) exceeds an
 //!   occupancy watermark, [`Server::offer`] returns the typed
 //!   [`ServeError::Saturated`] instead of queueing unboundedly;
 //! * **caching for free**: the engine's content-addressed result cache
@@ -283,7 +286,7 @@ pub struct ServeReport {
     /// Modeled completion time of the last request (seconds).
     pub makespan_s: f64,
     /// Modeled busy seconds per device group over every batch the server
-    /// drained.
+    /// drained: how far each group's stream timeline advanced.
     pub group_busy_s: Vec<f64>,
     /// Fleet utilization: the groups' busy seconds over groups × the span
     /// from first arrival to last completion.
@@ -348,19 +351,11 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// The resident service: an engine session plus the request loop's
-/// admission, quota, and backpressure state.
+/// The resident service: an engine session (which owns the device groups'
+/// timelines and the queue's price) plus the request loop's quota state.
 pub struct Server {
     engine: Engine,
     cfg: ServeConfig,
-    /// Modeled time each device group finishes everything drained so far
-    /// (empty until the first drain).
-    free_at_s: Vec<f64>,
-    /// Modeled busy seconds per device group over every drained batch
-    /// (empty until the first drain).
-    busy_s: Vec<f64>,
-    /// Estimated seconds of the queued (undrained) requests.
-    queued_est_s: f64,
     /// Queued requests per tenant this window.
     tenant_queued: Vec<usize>,
     /// (ticket, tenant, arrival) of queued requests, in ticket order.
@@ -378,20 +373,16 @@ impl Server {
         Ok(Server {
             engine,
             cfg,
-            free_at_s: Vec::new(),
-            busy_s: Vec::new(),
-            queued_est_s: 0.0,
             tenant_queued: Vec::new(),
             queued: Vec::new(),
         })
     }
 
-    /// The modeled backlog at time `now_s`: seconds the latest group clock
-    /// still owes on drained batches plus the predicted seconds of the
-    /// queue.
+    /// The modeled backlog at time `now_s` ([`Engine::backlog_s`]):
+    /// seconds until the latest group timeline goes idle plus the
+    /// predicted seconds of the queue.
     pub fn backlog_s(&self, now_s: f64) -> f64 {
-        let latest = self.free_at_s.iter().copied().fold(0.0, f64::max);
-        (latest - now_s).max(0.0) + self.queued_est_s
+        self.engine.backlog_s(now_s)
     }
 
     /// Offer one request to the service at its arrival time. Quota and
@@ -416,7 +407,6 @@ impl Server {
                 EngineError::Admission(m) => ServeError::Admission(m),
                 EngineError::BadConfig(m) | EngineError::BadFleet(m) => ServeError::BadRequest(m),
             })?;
-        self.queued_est_s += self.engine.estimate_seconds(&req.request);
         self.tenant_queued[tenant] += 1;
         self.queued.push((ticket, req.tenant, req.arrival_s));
         Ok(ticket)
@@ -427,14 +417,13 @@ impl Server {
         self.queued.len() >= self.cfg.batch
     }
 
-    /// Drain the queued batch at modeled time `now_s`: place it onto the
-    /// seconds each group still owes, so a job starts when its group is
-    /// free. Returns (ticket, tenant, arrival, completion, result) per
-    /// queued request, in ticket order: a request completes when its
-    /// result is ready ([`zc_core::engine::JobResult::ready_s`]), so a
-    /// full cache hit completes at `now_s` or when the run it reads does,
-    /// whichever is later. Each group's clock advances by its own busy
-    /// seconds; the window's quota counters reset.
+    /// Drain the queued batch at modeled time `now_s` onto the engine's
+    /// group timelines ([`Engine::drain`]). Returns (ticket, tenant,
+    /// arrival, completion, result) per queued request, in ticket order: a
+    /// request completes when its result is ready
+    /// ([`zc_core::engine::JobResult::ready_s`]), so a full cache hit
+    /// completes at `now_s` or when the run it reads does, whichever is
+    /// later. The window's quota counters reset.
     #[allow(clippy::type_complexity)]
     pub fn drain(
         &mut self,
@@ -443,30 +432,7 @@ impl Server {
         if self.queued.is_empty() {
             return Vec::new();
         }
-        if self.free_at_s.is_empty() {
-            let groups = self.cfg.fleet.groups() as usize;
-            self.free_at_s = vec![0.0; groups];
-            self.busy_s = vec![0.0; groups];
-        }
-        let owed: Vec<f64> = self
-            .free_at_s
-            .iter()
-            .map(|&free| (free - now_s).max(0.0))
-            .collect();
-        let batch = self.engine.drain(now_s, &owed);
-        for ((clock, total), &busy) in self
-            .free_at_s
-            .iter_mut()
-            .zip(&mut self.busy_s)
-            .zip(&batch.fleet.busy_s)
-        {
-            // An idle group keeps its clock: a batch of full hits moves none.
-            if busy > 0.0 {
-                *clock = clock.max(now_s) + busy;
-                *total += busy;
-            }
-        }
-        self.queued_est_s = 0.0;
+        let batch = self.engine.drain(now_s);
         self.tenant_queued.clear();
         let queued = std::mem::take(&mut self.queued);
         queued
@@ -560,7 +526,7 @@ impl Server {
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         let first_arrival = trace.requests.first().map(|r| r.arrival_s).unwrap_or(0.0);
         let span = (last_completion - first_arrival).max(f64::EPSILON);
-        let group_busy_s = self.busy_s.clone();
+        let group_busy_s = self.engine.group_busy_s();
         let utilization = if group_busy_s.is_empty() {
             0.0
         } else {
@@ -720,7 +686,7 @@ mod tests {
         let ready = first[0].3;
         assert!(ready > 0.0);
         assert_eq!(first[1].3, ready);
-        let clocks = server.free_at_s.clone();
+        let clocks = server.engine.group_free_at_s();
         // Repeats drained while the miss still runs complete when it does;
         // repeats drained after it complete at their drain time. Neither
         // batch moves a clock.
@@ -733,7 +699,7 @@ mod tests {
                 assert_eq!(result.cache, CacheOutcome::Hit);
                 assert_eq!(completion, now.max(ready));
             }
-            assert_eq!(server.free_at_s, clocks);
+            assert_eq!(server.engine.group_free_at_s(), clocks);
             assert_eq!(server.backlog_s(now), (ready - now).max(0.0));
         }
     }
@@ -754,7 +720,7 @@ mod tests {
                     assert!(completion >= arrival && completion >= now, "{gpus} GPUs");
                     last_completion = last_completion.max(completion);
                 }
-                for (before, &after) in clocks.iter_mut().zip(&server.free_at_s) {
+                for (before, after) in clocks.iter_mut().zip(server.engine.group_free_at_s()) {
                     assert!(after >= *before, "{gpus} GPUs: clock {before} -> {after}");
                     *before = after;
                 }
@@ -768,7 +734,7 @@ mod tests {
             let report = Server::new(cfg).unwrap().run_trace(&trace);
             assert_eq!(report.makespan_s.to_bits(), last_completion.to_bits());
             assert!(report.utilization > 0.0 && report.utilization <= 1.0);
-            assert_eq!(report.group_busy_s, server.busy_s);
+            assert_eq!(report.group_busy_s, server.engine.group_busy_s());
         }
     }
 

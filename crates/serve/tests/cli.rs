@@ -334,6 +334,26 @@ fn serve_demo_rejects_bad_arguments() {
     let out = cuzc().args(["--requests", "7:16"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--serve-demo"));
+    // A trace or a fleet too large to allocate is a one-line usage error,
+    // not an aborted allocation.
+    for (args, needle) in [
+        (
+            ["--requests", "42:18446744073709551615"],
+            "requests count 18446744073709551615 over the limit of 100000",
+        ),
+        (["--requests", "42:100001"], "over the limit of 100000"),
+        (
+            ["--fleet", "4294967295"],
+            "fleet size 4294967295 over the limit of 4096 GPUs",
+        ),
+        (["--fleet", "4097"], "over the limit of 4096 GPUs"),
+    ] {
+        let out = cuzc().arg("--serve-demo").args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    }
 }
 
 #[test]
