@@ -154,6 +154,20 @@ pub struct JobRecord {
     pub attempts: u32,
 }
 
+impl JobMetrics {
+    /// Seconds the job occupies its device group: its overlapped stream
+    /// makespan (upload, compute and drain), or its modeled compute
+    /// seconds on a host executor, which has no stream.
+    pub fn span_s(&self) -> f64 {
+        span_s(self.e2e.as_ref(), self.modeled_seconds)
+    }
+}
+
+/// [`JobMetrics::span_s`] of any run's end-to-end legs and modeled seconds.
+pub(crate) fn span_s(e2e: Option<&EndToEnd>, modeled_seconds: f64) -> f64 {
+    e2e.map_or(modeled_seconds, |e| e.overlapped_s)
+}
+
 impl JobRecord {
     /// The metrics, if the job completed.
     pub fn metrics(&self) -> Option<&JobMetrics> {

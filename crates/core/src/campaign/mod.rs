@@ -40,7 +40,7 @@ pub(crate) mod shard;
 
 pub use job::{FieldRef, JobMetrics, JobOutcome, JobRecord, JobSpec};
 pub use recover::{RecoveryPolicy, RecoveryReport};
-pub(crate) use report::gather_s;
+pub(crate) use report::{gather_s, part_s};
 pub use report::{CampaignReport, EngineBusy, FleetUtilization, PatternTotals};
 pub use shard::{FleetSpec, LinkKind, Scheduler, ShardPlan};
 
@@ -240,20 +240,7 @@ impl CampaignSpec {
             .iter()
             .map(|fleet| {
                 let (records, shard) = engine.place(&priced, fleet, &[]);
-                // A fleet carrying a live fault plan aggregates through the
-                // chaos replay; a null (or absent) plan takes the fault-free
-                // path — same bits, no simulation.
-                match fleet.faults.as_ref().filter(|p| !p.is_null()) {
-                    Some(faults) => recover::aggregate_with_faults(
-                        records,
-                        fleet,
-                        &self.cfg,
-                        &shard,
-                        &self.recovery,
-                        faults,
-                    ),
-                    None => Ok(CampaignReport::aggregate(records, fleet, &self.cfg, &shard)),
-                }
+                recover::replay(records, fleet, &self.cfg, &shard, &self.recovery)
             })
             .collect()
     }

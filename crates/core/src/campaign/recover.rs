@@ -1,11 +1,13 @@
-//! Fault recovery: the chaos simulation that replays a campaign's shard
-//! plan against a [`zc_gpusim::FaultPlan`] and recovers from what breaks.
+//! The campaign replay: the one booking of a campaign's jobs onto a
+//! fleet's device groups, and its recovery from what a
+//! [`zc_gpusim::FaultPlan`] breaks.
 //!
 //! The campaign engine executes every job's *functional* work exactly once
 //! (host-parallel, fleet-independent) and models fleets afterwards; this
-//! module keeps that shape. Recovery is a deterministic discrete-event
-//! replay of the shard plan at `(job, part)` granularity over per-group
-//! clocks: injected faults never touch metric values — a retried job's
+//! module keeps that shape. The replay is a deterministic discrete-event
+//! walk of the shard plan at `(job, part)` granularity over per-group
+//! clocks. A healthy fleet is the replay in which nothing strikes. Injected
+//! faults never touch metric values — a retried job's
 //! numbers are bit-identical to its fault-free numbers — they only change
 //! *when* device groups are busy, *which* group finally hosts each part,
 //! and the attempt/retry bookkeeping. That is exactly the invariant the
@@ -36,7 +38,7 @@
 //!    while the device time its attempts burned stays on the clocks.
 
 use super::job::{JobOutcome, JobRecord};
-use super::report::{gather_s, CampaignReport};
+use super::report::{gather_s, makespan, part_s, CampaignReport, EngineBusy};
 use super::shard::{FleetSpec, ShardPlan};
 use super::CampaignError;
 use crate::config::AssessConfig;
@@ -111,216 +113,52 @@ pub struct RecoveryReport {
     pub completion: f64,
 }
 
-/// One attempt's nominal price, fixed by the fault draw before any death
-/// interrupt is applied.
-struct AttemptPrice {
-    /// Seconds the group is occupied.
-    busy_s: f64,
-    /// Scale on the job's end-to-end engine legs this attempt executed
-    /// (share × executed fraction; flapped legs carry their own extras).
-    eng_scale: f64,
-    /// Fraction of the part's field bytes this attempt read.
-    byte_frac: f64,
-    /// Extra (h2d, d2h) seconds from flap re-pricing, already share-scaled.
-    flap_extra: (f64, f64),
-    /// Whether the attempt completes the part.
-    succeeds: bool,
-}
-
-/// Aggregate job records into a campaign report under a fault plan: replay
-/// the shard plan through the fault/recovery simulation, then rebuild the
-/// fleet utilization from the simulated clocks. With a null plan this is
-/// bit-identical to [`CampaignReport::aggregate`] (same charges, same
-/// floating-point accumulation order) — the equivalence the chaos tier
-/// asserts.
-pub(crate) fn aggregate_with_faults(
-    records: Vec<JobRecord>,
+/// Book a campaign's job records onto `fleet`'s device groups under the
+/// shard plan: the one campaign fleet booking.
+///
+/// Each part of each completed job holds its group for [`part_s`]. A
+/// healthy fleet (no fault plan, or a null one) is one replay in which
+/// every draw is [`FaultDraw::None`] and no group dies; its report carries
+/// no recovery accounting. A live fault plan is replayed a second time
+/// against that fault-free makespan, which places its deaths and prices its
+/// inflation. Injected faults never touch a completed job's values.
+pub(crate) fn replay(
+    mut jobs: Vec<JobRecord>,
     fleet: &FleetSpec,
     cfg: &AssessConfig,
     plan: &ShardPlan,
     policy: &RecoveryPolicy,
-    faults: &FaultPlan,
 ) -> Result<CampaignReport, CampaignError> {
-    let base = CampaignReport::aggregate(records, fleet, cfg, plan);
-    let horizon = base.fleet.makespan_s;
-    let groups = fleet.groups() as usize;
     let gather_s = gather_s(fleet, cfg);
-    let watchdog_s = fleet.executor().inner.sim.dev.watchdog_timeout_s;
-    let death_at: Vec<Option<f64>> = (0..groups as u32)
-        .map(|g| faults.death_frac(g).map(|f| f * horizon))
-        .collect();
-
-    let mut clocks = vec![0.0f64; groups];
-    let mut alive = vec![true; groups];
-    let mut rec = RecoveryReport {
-        fault_free_makespan_s: horizon,
-        ..Default::default()
-    };
-    // Engine extras from faulted/partial attempts; the completed jobs'
-    // baseline legs are absorbed whole (same order as the fault-free
-    // aggregate) so a null plan reproduces its bits exactly.
-    let (mut h2d_x, mut compute_x, mut d2h_x) = (0.0f64, 0.0f64, 0.0f64);
-    let mut extra_bytes = 0.0f64; // partial / orphaned attempt reads
-    let mut jobs = base.jobs;
-    let mut lost: Vec<(usize, String)> = Vec::new();
-
-    for (ji, record) in jobs.iter_mut().enumerate() {
-        let Some(m) = record.metrics() else {
-            record.attempts = 1; // the failed host-side attempt
-            continue;
-        };
-        let span = m
-            .e2e
-            .as_ref()
-            .map(|e| e.overlapped_s)
-            .unwrap_or(m.modeled_seconds);
-        let e2e = m.e2e;
-        let job_bytes = m.assessed_bytes as f64;
-        let mut job_attempts = 0u32;
-        let mut done_shares: Vec<f64> = Vec::new();
-        let mut fatal: Option<String> = None;
-        'parts: for (pi, &(g0, share)) in plan.shares_of(record.spec.id).iter().enumerate() {
-            let mut g = g0 as usize;
-            let mut retries_used = 0u32;
-            loop {
-                // Discover deaths: a group whose clock reached its death
-                // instant is gone for good.
-                for h in 0..groups {
-                    if alive[h] && death_at[h].is_some_and(|d| clocks[h] >= d) {
-                        alive[h] = false;
-                    }
-                }
-                if !alive[g] {
-                    g = match least_loaded_alive(&clocks, &alive) {
-                        Some(h) => {
-                            rec.reschedules += 1;
-                            h
-                        }
-                        None => {
-                            return Err(CampaignError::AllDevicesDead {
-                                groups: groups as u32,
-                            })
-                        }
-                    };
-                }
-                let key = ((record.spec.id as u64) << 16)
-                    | ((pi as u64 & 0xFF) << 8)
-                    | (job_attempts as u64 & 0xFF);
-                let draw = faults.attempt_fault(g as u32, key);
-                let price = price_attempt(&draw, share, span, e2e.as_ref(), gather_s, watchdog_s);
-                job_attempts += 1;
-                rec.attempts += 1;
-                let start = clocks[g];
-                // A death inside the attempt's span interrupts it: the
-                // group dies mid-flight, the partial work is lost, and the
-                // part moves to a survivor without consuming a retry.
-                let killed = death_at[g]
-                    .filter(|&d| alive[g] && d < start + price.busy_s)
-                    .map(|d| {
-                        let t = if price.busy_s > 0.0 {
-                            ((d - start) / price.busy_s).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        };
-                        (d, t)
-                    });
-                if let Some((d, t)) = killed {
-                    // The placement step above will count the reschedule
-                    // when it re-places this part off the dead group.
-                    clocks[g] = d;
-                    alive[g] = false;
-                    if let Some(e) = e2e.as_ref() {
-                        h2d_x += t * price.eng_scale * e.h2d_s;
-                        compute_x += t * price.eng_scale * e.compute_s;
-                        d2h_x += t * price.eng_scale * e.d2h_s;
-                    }
-                    extra_bytes += t * price.byte_frac * job_bytes;
-                    continue;
-                }
-                clocks[g] += price.busy_s;
-                if price.succeeds {
-                    if let FaultDraw::LinkFlap { .. } = draw {
-                        rec.link_flaps += 1;
-                        h2d_x += price.flap_extra.0;
-                        d2h_x += price.flap_extra.1;
-                    }
-                    done_shares.push(share);
-                    continue 'parts;
-                }
-                // Transient or hang: charge what ran, then retry (or give
-                // the job up).
-                match draw {
-                    FaultDraw::Transient { .. } => {
-                        if let Some(e) = e2e.as_ref() {
-                            h2d_x += price.eng_scale * e.h2d_s;
-                            compute_x += price.eng_scale * e.compute_s;
-                            d2h_x += price.eng_scale * e.d2h_s;
-                        }
-                        extra_bytes += price.byte_frac * job_bytes;
-                    }
-                    FaultDraw::Hang => rec.watchdog_trips += 1,
-                    _ => unreachable!("only transients and hangs fail without a death"),
-                }
-                retries_used += 1;
-                if retries_used > policy.max_retries {
-                    fatal = Some(format!(
-                        "chaos: part {pi} exhausted {} retries (last fault on group {g})",
-                        policy.max_retries
-                    ));
-                    break 'parts;
-                }
-                rec.retries += 1;
-                // Re-place the retry where the list scheduler would: the
-                // least-loaded surviving group, with the exponential
-                // backoff charged on that group's timeline.
-                for h in 0..groups {
-                    if alive[h] && death_at[h].is_some_and(|d| clocks[h] >= d) {
-                        alive[h] = false;
-                    }
-                }
-                g = least_loaded_alive(&clocks, &alive).ok_or(CampaignError::AllDevicesDead {
-                    groups: groups as u32,
-                })?;
-                let backoff = policy.backoff_s(retries_used);
-                clocks[g] += backoff;
-                rec.backoff_s += backoff;
-            }
+    // A null plan: every draw is `FaultDraw::None` and no group dies.
+    let healthy = FaultPlan::chaos(0, 0);
+    let live = fleet.faults.filter(|p| !p.is_null());
+    let mut booked = Replay::new(fleet, gather_s, &healthy, 0.0).book(&jobs, plan, policy)?;
+    let horizon = makespan(&booked.clocks);
+    if let Some(faults) = &live {
+        booked = Replay::new(fleet, gather_s, faults, horizon).book(&jobs, plan, policy)?;
+        for (job, &attempts) in jobs.iter_mut().zip(&booked.attempts) {
+            job.attempts = attempts;
         }
-        record.attempts = job_attempts.max(1);
-        if let Some(msg) = fatal {
-            // The successful sibling parts' device work is already on the
-            // clocks; account their engine legs and field reads as extras
-            // since the job no longer contributes baseline charges.
-            if let Some(e) = e2e.as_ref() {
-                for s in &done_shares {
-                    h2d_x += s * e.h2d_s;
-                    compute_x += s * e.compute_s;
-                    d2h_x += s * e.d2h_s;
-                }
-            }
-            for s in &done_shares {
-                extra_bytes += s * job_bytes;
-            }
-            rec.lost_jobs += 1;
-            lost.push((ji, msg));
+        for (ji, msg) in booked.lost.drain(..) {
+            jobs[ji].outcome = JobOutcome::Failed(msg);
         }
     }
-    for (ji, msg) in lost {
-        jobs[ji].outcome = JobOutcome::Failed(msg);
-    }
 
-    // Rebuild the aggregate from the simulated clocks. Baseline charges
-    // (counters, engine legs, payload, exact assessed bytes) fold over the
-    // *surviving* completed jobs in job order — the fold the fault-free
-    // aggregate uses too — then the fault extras land on top.
-    let mut report = CampaignReport::from_busy_clocks(jobs, fleet, plan, clocks, gather_s);
+    // Baseline charges (counters, engine legs, payload, exact assessed
+    // bytes) fold over the surviving completed jobs in job order; the
+    // extras of failed, interrupted and flapped attempts land on top.
+    let mut report = CampaignReport::from_busy_clocks(jobs, fleet, plan, booked.clocks, gather_s);
     let summary = &mut report.fleet;
-    summary.engines.h2d_s += h2d_x;
-    summary.engines.compute_s += compute_x;
-    summary.engines.d2h_s += d2h_x;
-    summary.assessed_bytes += extra_bytes as u64;
+    summary.engines.h2d_s += booked.extra.h2d_s;
+    summary.engines.compute_s += booked.extra.compute_s;
+    summary.engines.d2h_s += booked.extra.d2h_s;
+    summary.assessed_bytes += booked.extra_bytes as u64;
+    if live.is_none() {
+        return Ok(report);
+    }
     let makespan_s = summary.makespan_s;
-
+    let mut rec = booked.rec;
     let completed = report.completed() as u64;
     let runnable = completed + rec.lost_jobs;
     rec.completion = if runnable > 0 {
@@ -328,16 +166,228 @@ pub(crate) fn aggregate_with_faults(
     } else {
         1.0
     };
+    rec.fault_free_makespan_s = horizon;
     rec.makespan_inflation = if horizon > 0.0 {
         (makespan_s - horizon) / horizon
     } else {
         0.0
     };
-    rec.dead_devices = (0..groups as u32)
-        .filter(|&g| death_at[g as usize].is_some_and(|d| d <= makespan_s))
+    rec.dead_devices = (0..booked.death_at.len() as u32)
+        .filter(|&g| booked.death_at[g as usize].is_some_and(|d| d <= makespan_s))
         .collect();
     report.recovery = Some(rec);
     Ok(report)
+}
+
+/// One replay of a shard plan under one fault plan: the device groups'
+/// clocks, and what failed, interrupted and flapped attempts burned on top
+/// of the completed jobs' own legs.
+struct Replay<'a> {
+    faults: &'a FaultPlan,
+    gather_s: f64,
+    watchdog_s: f64,
+    /// When each group dies, if it does.
+    death_at: Vec<Option<f64>>,
+    clocks: Vec<f64>,
+    alive: Vec<bool>,
+    /// Engine legs of failed, interrupted and lost attempts, and the extra
+    /// transfer legs of flapped ones.
+    extra: EngineBusy,
+    /// Field bytes those attempts read.
+    extra_bytes: f64,
+    /// Execution attempts per job record.
+    attempts: Vec<u32>,
+    /// Jobs lost to retry exhaustion, with why.
+    lost: Vec<(usize, String)>,
+    rec: RecoveryReport,
+}
+
+impl<'a> Replay<'a> {
+    /// A replay of `faults` on `fleet`, whose deaths strike at their
+    /// fractions of `horizon`.
+    fn new(fleet: &FleetSpec, gather_s: f64, faults: &'a FaultPlan, horizon: f64) -> Self {
+        let groups = fleet.groups();
+        Replay {
+            faults,
+            gather_s,
+            watchdog_s: fleet.executor().inner.sim.dev.watchdog_timeout_s,
+            death_at: (0..groups)
+                .map(|g| faults.death_frac(g).map(|f| f * horizon))
+                .collect(),
+            clocks: vec![0.0; groups as usize],
+            alive: vec![true; groups as usize],
+            extra: EngineBusy::default(),
+            extra_bytes: 0.0,
+            attempts: Vec::new(),
+            lost: Vec::new(),
+            rec: RecoveryReport::default(),
+        }
+    }
+
+    /// Replay every completed job's parts in job order.
+    fn book(
+        mut self,
+        jobs: &[JobRecord],
+        plan: &ShardPlan,
+        policy: &RecoveryPolicy,
+    ) -> Result<Self, CampaignError> {
+        for (ji, record) in jobs.iter().enumerate() {
+            let Some(m) = record.metrics() else {
+                self.attempts.push(1); // the failed host-side attempt
+                continue;
+            };
+            let span = m.span_s();
+            let e2e = m.e2e.as_ref();
+            let job_bytes = m.assessed_bytes as f64;
+            let mut job_attempts = 0u32;
+            let mut done_shares: Vec<f64> = Vec::new();
+            let mut fatal: Option<String> = None;
+            'parts: for (pi, &(g0, share)) in plan.shares_of(record.spec.id).iter().enumerate() {
+                let mut g = g0 as usize;
+                let mut retries_used = 0u32;
+                loop {
+                    self.discover_deaths();
+                    if !self.alive[g] {
+                        g = self.survivor()?;
+                        self.rec.reschedules += 1;
+                    }
+                    let key = ((record.spec.id as u64) << 16)
+                        | ((pi as u64 & 0xFF) << 8)
+                        | (job_attempts as u64 & 0xFF);
+                    let draw = self.faults.attempt_fault(g as u32, key);
+                    let (busy_s, frac) = self.price_attempt(&draw, share, span, e2e);
+                    job_attempts += 1;
+                    self.rec.attempts += 1;
+                    let start = self.clocks[g];
+                    // A death inside the attempt's span interrupts it: the
+                    // group dies mid-flight, the partial work is lost, and
+                    // the part moves to a survivor without consuming a
+                    // retry (the placement step above counts it).
+                    let killed = self.death_at[g]
+                        .filter(|&d| self.alive[g] && d < start + busy_s)
+                        .map(|d| {
+                            let t = if busy_s > 0.0 {
+                                ((d - start) / busy_s).clamp(0.0, 1.0)
+                            } else {
+                                0.0
+                            };
+                            (d, t)
+                        });
+                    if let Some((d, t)) = killed {
+                        self.clocks[g] = d;
+                        self.alive[g] = false;
+                        self.burn(e2e, t * frac, t * frac * job_bytes);
+                        continue;
+                    }
+                    self.clocks[g] += busy_s;
+                    match draw {
+                        FaultDraw::None => {}
+                        FaultDraw::LinkFlap { factor } => {
+                            self.rec.link_flaps += 1;
+                            // Flapped legs surcharge the copy engines only.
+                            if let Some(e) = e2e {
+                                let copies = EndToEnd {
+                                    compute_s: 0.0,
+                                    ..*e
+                                };
+                                self.extra.absorb(share * (factor.max(1.0) - 1.0), &copies);
+                            }
+                        }
+                        FaultDraw::Transient { .. } => self.burn(e2e, frac, frac * job_bytes),
+                        FaultDraw::Hang => self.rec.watchdog_trips += 1,
+                    }
+                    if matches!(draw, FaultDraw::None | FaultDraw::LinkFlap { .. }) {
+                        done_shares.push(share);
+                        continue 'parts;
+                    }
+                    // Transient or hang: what ran is charged; retry (or
+                    // give the job up).
+                    retries_used += 1;
+                    if retries_used > policy.max_retries {
+                        fatal = Some(format!(
+                            "chaos: part {pi} exhausted {} retries (last fault on group {g})",
+                            policy.max_retries
+                        ));
+                        break 'parts;
+                    }
+                    self.rec.retries += 1;
+                    // Re-place the retry on a survivor, with the
+                    // exponential backoff charged on that group's timeline.
+                    self.discover_deaths();
+                    g = self.survivor()?;
+                    let backoff = policy.backoff_s(retries_used);
+                    self.clocks[g] += backoff;
+                    self.rec.backoff_s += backoff;
+                }
+            }
+            self.attempts.push(job_attempts.max(1));
+            if let Some(msg) = fatal {
+                // The successful sibling parts' device work is already on
+                // the clocks; the job no longer contributes baseline
+                // charges, so their legs and reads become extras.
+                for s in done_shares {
+                    self.burn(e2e, s, s * job_bytes);
+                }
+                self.rec.lost_jobs += 1;
+                self.lost.push((ji, msg));
+            }
+        }
+        Ok(self)
+    }
+
+    /// Mark every group whose clock reached its death instant dead.
+    fn discover_deaths(&mut self) {
+        for (h, alive) in self.alive.iter_mut().enumerate() {
+            if *alive && self.death_at[h].is_some_and(|d| self.clocks[h] >= d) {
+                *alive = false;
+            }
+        }
+    }
+
+    /// The group a displaced part or a retry moves to: the one placement
+    /// rule of the replay.
+    fn survivor(&self) -> Result<usize, CampaignError> {
+        least_loaded_alive(&self.clocks, &self.alive).ok_or(CampaignError::AllDevicesDead {
+            groups: self.clocks.len() as u32,
+        })
+    }
+
+    /// Book `scale` of a job's engine legs and `bytes` of field reads that
+    /// no completed job accounts for.
+    fn burn(&mut self, e2e: Option<&EndToEnd>, scale: f64, bytes: f64) {
+        if let Some(e) = e2e {
+            self.extra.absorb(scale, e);
+        }
+        self.extra_bytes += bytes;
+    }
+
+    /// Price one attempt of a part of `share` of a job spanning `span`
+    /// seconds under its fault draw: the seconds it holds its group and the
+    /// fraction of the job's engine legs and field bytes it ran.
+    fn price_attempt(
+        &self,
+        draw: &FaultDraw,
+        share: f64,
+        span: f64,
+        e2e: Option<&EndToEnd>,
+    ) -> (f64, f64) {
+        match *draw {
+            FaultDraw::None => (part_s(share, span, self.gather_s), share),
+            // Died mid-flight: the group was busy (and streaming field
+            // bytes) for the executed fraction; no result, no gather.
+            FaultDraw::Transient { abort_frac } => {
+                (abort_frac * (share * span), abort_frac * share)
+            }
+            // The launch never progresses; the device is held until the
+            // modeled watchdog reclaims it. No bytes move.
+            FaultDraw::Hang => (self.watchdog_s, 0.0),
+            // The transfer legs re-price; host executors have none to flap.
+            FaultDraw::LinkFlap { factor } => {
+                let span = e2e.map_or(span, |e| e.repriced_transfers(factor).overlapped_s);
+                (part_s(share, span, self.gather_s), share)
+            }
+        }
+    }
 }
 
 /// The list scheduler's greedy placement rule over the survivors: least
@@ -348,65 +398,4 @@ fn least_loaded_alive(clocks: &[f64], alive: &[bool]) -> Option<usize> {
             .partial_cmp(&clocks[b])
             .unwrap_or(std::cmp::Ordering::Equal)
     })
-}
-
-/// Price one attempt under its fault draw. The clean-path charge is the
-/// *identical expression* the fault-free aggregate uses
-/// (`share * span + gather_s`) so a null plan replays its bits.
-fn price_attempt(
-    draw: &FaultDraw,
-    share: f64,
-    span: f64,
-    e2e: Option<&EndToEnd>,
-    gather_s: f64,
-    watchdog_s: f64,
-) -> AttemptPrice {
-    match *draw {
-        FaultDraw::None => AttemptPrice {
-            busy_s: share * span + gather_s,
-            eng_scale: share,
-            byte_frac: share,
-            flap_extra: (0.0, 0.0),
-            succeeds: true,
-        },
-        FaultDraw::Transient { abort_frac } => AttemptPrice {
-            // Died mid-flight: the group was busy (and streaming field
-            // bytes) for the executed fraction; no result, no gather.
-            busy_s: abort_frac * (share * span),
-            eng_scale: abort_frac * share,
-            byte_frac: abort_frac * share,
-            flap_extra: (0.0, 0.0),
-            succeeds: false,
-        },
-        FaultDraw::Hang => AttemptPrice {
-            // The launch never progresses; the device is held until the
-            // modeled watchdog reclaims it. No bytes move.
-            busy_s: watchdog_s,
-            eng_scale: 0.0,
-            byte_frac: 0.0,
-            flap_extra: (0.0, 0.0),
-            succeeds: false,
-        },
-        FaultDraw::LinkFlap { factor } => {
-            let (busy, extra) = match e2e {
-                Some(e) => {
-                    let r = e.repriced_transfers(factor);
-                    let f = factor.max(1.0) - 1.0;
-                    (
-                        share * r.overlapped_s + gather_s,
-                        (share * f * e.h2d_s, share * f * e.d2h_s),
-                    )
-                }
-                // Host executors have no transfer legs to flap.
-                None => (share * span + gather_s, (0.0, 0.0)),
-            };
-            AttemptPrice {
-                busy_s: busy,
-                eng_scale: share,
-                byte_frac: share,
-                flap_extra: extra,
-                succeeds: true,
-            }
-        }
-    }
 }

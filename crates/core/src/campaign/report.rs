@@ -64,10 +64,11 @@ pub struct EngineBusy {
 }
 
 impl EngineBusy {
-    pub(super) fn absorb(&mut self, e: &zc_gpusim::EndToEnd) {
-        self.h2d_s += e.h2d_s;
-        self.compute_s += e.compute_s;
-        self.d2h_s += e.d2h_s;
+    /// Add `scale` of each of a job's engine legs.
+    pub(super) fn absorb(&mut self, scale: f64, e: &zc_gpusim::EndToEnd) {
+        self.h2d_s += scale * e.h2d_s;
+        self.compute_s += scale * e.compute_s;
+        self.d2h_s += scale * e.d2h_s;
     }
 
     fn fraction(&self, busy: f64) -> f64 {
@@ -155,46 +156,26 @@ pub(crate) fn gather_s(fleet: &FleetSpec, cfg: &AssessConfig) -> f64 {
     fleet.link.model(fleet.gpus).link.transfer_s(bytes)
 }
 
-impl CampaignReport {
-    /// Aggregate job records into the campaign report under a shard plan.
-    ///
-    /// A job's busy contribution to a group is its *overlapped stream
-    /// makespan* (upload + compute + drain — the whole span the device
-    /// group is occupied; falls back to compute-only for host executors),
-    /// scaled by the group's share of the job when the scheduler split it
-    /// along its slabs, plus the per-part result gather.
-    pub(crate) fn aggregate(
-        jobs: Vec<JobRecord>,
-        fleet: &FleetSpec,
-        cfg: &AssessConfig,
-        plan: &ShardPlan,
-    ) -> CampaignReport {
-        let groups = fleet.groups() as usize;
-        let gather_s = gather_s(fleet, cfg);
-        let mut busy_s = vec![0.0f64; groups];
-        for r in &jobs {
-            if let Some(m) = r.metrics() {
-                let span = m
-                    .e2e
-                    .as_ref()
-                    .map(|e| e.overlapped_s)
-                    .unwrap_or(m.modeled_seconds);
-                for &(g, share) in plan.shares_of(r.spec.id) {
-                    busy_s[g as usize] += share * span + gather_s;
-                }
-            }
-        }
-        CampaignReport::from_busy_clocks(jobs, fleet, plan, busy_s, gather_s)
-    }
+/// Modeled seconds one part of a job holds its device group: its `share`
+/// of the job's `span_s` (see [`super::JobMetrics::span_s`]) plus the
+/// part's own result gather.
+pub(crate) fn part_s(share: f64, span_s: f64, gather_s: f64) -> f64 {
+    share * span_s + gather_s
+}
 
+/// The busiest group's seconds.
+pub(super) fn makespan(busy_s: &[f64]) -> f64 {
+    busy_s.iter().copied().fold(0.0, f64::max)
+}
+
+impl CampaignReport {
     /// Fold the completed jobs and the device groups' busy clocks into a
     /// report: counter totals, engine legs, payload and assessed bytes
     /// accumulate over the completed jobs in job order; the makespan,
     /// utilization, throughput and prediction error derive from the
     /// clocks. The prediction books what the clocks book: each group's
-    /// plan load plus one `gather_s` per part placed on it. The fault-free
-    /// aggregate and the recovery replay both end here; the replay then
-    /// adds its fault extras on top.
+    /// plan load plus one `gather_s` per part placed on it. The campaign
+    /// replay ([`super::recover`]) and the engine's drain both end here.
     pub(crate) fn from_busy_clocks(
         jobs: Vec<JobRecord>,
         fleet: &FleetSpec,
@@ -212,14 +193,14 @@ impl CampaignReport {
             if let Some(m) = r.metrics() {
                 totals.absorb(&m.runs);
                 if let Some(e2e) = &m.e2e {
-                    engines.absorb(e2e);
+                    engines.absorb(1.0, e2e);
                 }
                 completed += 1;
                 payload_bytes += r.spec.field.shape().len() as u64 * 4;
                 assessed_bytes += m.assessed_bytes;
             }
         }
-        let makespan_s = busy_s.iter().copied().fold(0.0, f64::max);
+        let makespan_s = makespan(&busy_s);
         let (utilization, jobs_per_sec, assessed_gbs) = if makespan_s > 0.0 {
             (
                 busy_s.iter().sum::<f64>() / (groups as f64 * makespan_s),

@@ -48,13 +48,8 @@ impl CostCalibration {
         let Ok(a) = executor.run_plan(&plan, &orig, &dec, cfg) else {
             return Self::identity();
         };
-        // The same span the campaign aggregate charges a device group for:
-        // the overlapped stream makespan, compute-only as the fallback.
-        let actual = a
-            .e2e
-            .as_ref()
-            .map(|e| e.overlapped_s)
-            .unwrap_or(a.modeled_seconds);
+        // The same span the campaign replay charges a device group for.
+        let actual = crate::campaign::job::span_s(a.e2e.as_ref(), a.modeled_seconds);
         let link = fleet.link.model(fleet.gpus_per_job);
         let est = estimate_job_cost(&plan, orig.shape(), cfg, fleet.gpus_per_job, &link).seconds;
         if actual.is_finite() && actual > 0.0 && est > 0.0 {

@@ -85,8 +85,8 @@ pub use cache::{field_digest, CacheKey, CacheStats, CfgKey, Lookup, ResultCache}
 pub use calibrate::CostCalibration;
 
 use crate::campaign::{
-    gather_s, job, CampaignReport, FieldRef, FleetSpec, FleetUtilization, JobOutcome, JobRecord,
-    JobSpec, Scheduler, ShardPlan,
+    gather_s, job, part_s, CampaignReport, FieldRef, FleetSpec, FleetUtilization, JobOutcome,
+    JobRecord, JobSpec, Scheduler, ShardPlan,
 };
 use crate::config::AssessConfig;
 use crate::exec::{Assessment, Confidence, Executor, MultiCuZc, PatternTimes};
@@ -539,7 +539,7 @@ impl Engine {
                 occupancy.push(match &r.outcome {
                     JobOutcome::Done(m) => Some(Occupancy {
                         legs: r.legs,
-                        span_s: m.e2e.map_or(m.modeled_seconds, |e| e.overlapped_s),
+                        span_s: m.span_s(),
                         gather_s: gather_s(&self.fleet, &req.cfg),
                     }),
                     JobOutcome::Failed(_) => None,
@@ -572,7 +572,8 @@ impl Engine {
                     (parts, _) => parts
                         .iter()
                         .map(|&(g, share)| {
-                            self.groups[g as usize].hold(now_s, share * occ.span_s + occ.gather_s)
+                            self.groups[g as usize]
+                                .hold(now_s, part_s(share, occ.span_s, occ.gather_s))
                         })
                         .fold(now_s, f64::max),
                 }

@@ -18,8 +18,10 @@
 //!   and the campaign still completes everything.
 
 use zc_compress::{CompressorSpec, ErrorBound};
-use zc_core::campaign::{CampaignReport, CampaignSpec, FleetSpec, PatternTotals, Scheduler};
-use zc_core::AssessConfig;
+use zc_core::campaign::{
+    CampaignReport, CampaignSpec, FieldRef, FleetSpec, PatternTotals, Scheduler,
+};
+use zc_core::{AssessConfig, TilingPolicy};
 use zc_data::{AppDataset, GenOptions};
 use zc_gpusim::FaultPlan;
 
@@ -41,6 +43,22 @@ fn spec(fleet: FleetSpec) -> CampaignSpec {
         fleet,
     );
     s.scheduler = Scheduler::List;
+    s
+}
+
+/// Two of the test campaign's fields plus one 8-step Nyx time-series hog,
+/// tiled into 8 slabs: the hog costs more than a balanced group's share, so
+/// the list scheduler splits it into slab parts.
+fn split_spec(fleet: FleetSpec) -> CampaignSpec {
+    let mut s = spec(fleet);
+    s.cfg.tiling = TilingPolicy::Slabs(8);
+    s.fields.truncate(2);
+    s.fields.push(FieldRef::timeseries(
+        AppDataset::Nyx,
+        0,
+        GenOptions::scaled(16),
+        8,
+    ));
     s
 }
 
@@ -127,29 +145,46 @@ fn harmless_plan_replays_the_fault_free_bits() {
     // Non-null plan (device 63 is doomed) on a 4-group fleet where device
     // 63 does not exist: the chaos replay runs but injects nothing, so it
     // must reproduce the fault-free aggregation bit for bit — clocks,
-    // engines, counters, bytes, everything.
-    let golden = fault_free(4);
-    let chaos = spec(FleetSpec::nvlink(4).with_faults(FaultPlan::chaos(7, 0).with_dead_device(63)))
-        .run()
-        .unwrap();
-    let r = chaos.recovery.as_ref().expect("chaos replay ran");
-    assert_eq!(r.retries, 0);
-    assert_eq!(r.reschedules, 0);
-    assert_eq!(r.lost_jobs, 0);
-    assert!(r.dead_devices.is_empty());
-    assert_eq!(r.completion, 1.0);
-    assert_eq!(r.makespan_inflation, 0.0);
-    for (a, b) in golden.fleet.busy_s.iter().zip(&chaos.fleet.busy_s) {
-        assert_eq!(a.to_bits(), b.to_bits(), "zero-fault busy must be golden");
+    // engines, counters, bytes, everything — whole jobs and slab parts
+    // alike. Each part is one attempt; a healthy job reads one attempt.
+    for splits in [false, true] {
+        let ctx = if splits { "split parts" } else { "whole jobs" };
+        let make = if splits { split_spec } else { spec };
+        let healthy = make(FleetSpec::nvlink(4));
+        let (costs, splittable) = healthy.job_costs();
+        let shard = Scheduler::List.plan(&costs, &splittable, 4);
+        let parts: usize = (0..costs.len()).map(|j| shard.shares_of(j).len()).sum();
+        assert_eq!(parts > costs.len(), splits, "{ctx}: parts {parts}");
+        let golden = healthy.run().unwrap();
+        for job in &golden.jobs {
+            assert_eq!(job.attempts, 1, "{ctx}: healthy job {}", job.spec.id);
+        }
+        let plan = FaultPlan::chaos(7, 0).with_dead_device(63);
+        let chaos = make(FleetSpec::nvlink(4).with_faults(plan)).run().unwrap();
+        let r = chaos.recovery.as_ref().expect("chaos replay ran");
+        assert_eq!(r.attempts, parts as u64, "{ctx}: one attempt per part");
+        assert_eq!(r.retries, 0);
+        assert_eq!(r.reschedules, 0);
+        assert_eq!(r.lost_jobs, 0);
+        assert!(r.dead_devices.is_empty());
+        assert_eq!(r.completion, 1.0);
+        assert_eq!(r.makespan_inflation, 0.0);
+        for (a, b) in golden.fleet.busy_s.iter().zip(&chaos.fleet.busy_s) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{ctx}: zero-fault busy must be golden"
+            );
+        }
+        assert_eq!(
+            golden.fleet.makespan_s.to_bits(),
+            chaos.fleet.makespan_s.to_bits()
+        );
+        assert_eq!(golden.fleet.assessed_bytes, chaos.fleet.assessed_bytes);
+        assert_eq!(golden.fleet.engines, chaos.fleet.engines);
+        assert_eq!(golden.totals, chaos.totals);
+        assert_golden_metrics(&chaos, &golden, ctx);
     }
-    assert_eq!(
-        golden.fleet.makespan_s.to_bits(),
-        chaos.fleet.makespan_s.to_bits()
-    );
-    assert_eq!(golden.fleet.assessed_bytes, chaos.fleet.assessed_bytes);
-    assert_eq!(golden.fleet.engines, chaos.fleet.engines);
-    assert_eq!(golden.totals, chaos.totals);
-    assert_golden_metrics(&chaos, &golden, "harmless plan");
 }
 
 #[test]

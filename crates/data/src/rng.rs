@@ -94,18 +94,6 @@ impl Rng64 {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal with given mean and standard deviation.
-    #[inline]
-    pub fn normal_ms(&mut self, mean: f64, sd: f64) -> f64 {
-        mean + sd * self.normal()
-    }
-
-    /// Log-normal with the underlying normal's parameters.
-    #[inline]
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal_ms(mu, sigma).exp()
-    }
-
     /// Uniform integer in `[0, n)`.
     #[inline]
     pub fn below(&mut self, n: usize) -> usize {
@@ -168,14 +156,6 @@ mod tests {
         let var = sum2 / n as f64 - mean * mean;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn lognormal_is_positive() {
-        let mut r = Rng64::new(5);
-        for _ in 0..1000 {
-            assert!(r.lognormal(0.0, 2.0) > 0.0);
-        }
     }
 
     #[test]

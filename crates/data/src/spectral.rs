@@ -130,17 +130,6 @@ pub struct GrfSpec {
     pub k_min: f64,
 }
 
-impl GrfSpec {
-    /// Kolmogorov-like turbulence spectrum.
-    pub fn kolmogorov(seed: u64) -> Self {
-        GrfSpec {
-            seed,
-            alpha: -11.0 / 3.0,
-            k_min: 1.0,
-        }
-    }
-}
-
 /// Synthesize a real Gaussian random field with spectrum `P(k) ∝ k^α`.
 ///
 /// Works on the smallest power-of-two bounding grid and crops to `shape`;
@@ -278,7 +267,11 @@ mod tests {
     #[test]
     fn grf_is_deterministic_normalized_and_finite() {
         let shape = zc_tensor::Shape::d3(20, 20, 12);
-        let spec = GrfSpec::kolmogorov(5);
+        let spec = GrfSpec {
+            seed: 5,
+            alpha: -11.0 / 3.0,
+            k_min: 1.0,
+        };
         let a = gaussian_random_field(&spec, shape);
         let b = gaussian_random_field(&spec, shape);
         assert_eq!(a.as_slice(), b.as_slice());

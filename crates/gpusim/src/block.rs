@@ -223,16 +223,6 @@ impl BlockCtx {
         }
     }
 
-    /// Charge `n` coalesced 4-byte global lane writes in one accounting op
-    /// (the batched form of [`BlockCtx::g_write`]).
-    #[inline]
-    pub fn charge_lane_writes(&mut self, n: u64) {
-        self.counters.global_write_bytes += 4 * n;
-        if let Some(s) = &mut self.san {
-            s.tally.global_write_bytes += 4 * n;
-        }
-    }
-
     /// Charge `n` shared-memory word accesses in one accounting op (the
     /// batched form of [`BlockCtx::sh_read`]/[`BlockCtx::sh_write`]).
     #[inline]
@@ -528,12 +518,10 @@ mod tests {
             a.counters.global_read_bytes += 4;
             a.counters.shared_accesses += 1;
             a.counters.shuffles += 1;
-            a.counters.global_write_bytes += 4;
         }
         b.charge_lane_reads(37);
         b.charge_shared(37);
         b.charge_shuffles(37);
-        b.charge_lane_writes(37);
         assert_eq!(a.counters, b.counters);
     }
 

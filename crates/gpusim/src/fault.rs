@@ -19,7 +19,11 @@
 //!   deterministic timeline instant and never returns; everything still
 //!   assigned to it must be rescheduled onto the survivors.
 //!
-//! Every decision is a pure function of `(seed, device, attempt key)`
+//! The plan's unit is the *device group*, the fleet's shard target:
+//! campaign recovery draws faults and deaths by group index, so a ganged
+//! group of several devices fails as one.
+//!
+//! Every decision is a pure function of `(seed, group, attempt key)`
 //! hashed through SplitMix64, so the same seed replays the same faults
 //! bit-for-bit — the property the chaos test tier pins. All knobs are
 //! integers (per-mille rates, microsecond timeouts) so the plan stays
@@ -37,12 +41,12 @@ fn mix(v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hash a `(seed, channel, device, key)` tuple into 64 uniform bits. Each
+/// Hash a `(seed, channel, group, key)` tuple into 64 uniform bits. Each
 /// fault channel draws from its own stream so e.g. raising the hang rate
 /// never changes *which* attempts take transient faults.
 #[inline]
-fn draw(seed: u64, channel: u64, device: u32, key: u64) -> u64 {
-    mix(mix(seed ^ channel.wrapping_mul(0xA076_1D64_78BD_642F)) ^ mix(key) ^ (device as u64) << 32)
+fn draw(seed: u64, channel: u64, group: u32, key: u64) -> u64 {
+    mix(mix(seed ^ channel.wrapping_mul(0xA076_1D64_78BD_642F)) ^ mix(key) ^ (group as u64) << 32)
 }
 
 /// Uniform fraction in `[0, 1)` from 53 hashed bits.
@@ -96,10 +100,10 @@ pub struct FaultPlan {
     pub hang_permille: u32,
     /// Per-attempt link-flap probability, in per-mille.
     pub flap_permille: u32,
-    /// Per-device permanent-death probability, in per-mille; a doomed
-    /// device dies at a deterministic fraction of the fault-free makespan.
+    /// Per-group permanent-death probability, in per-mille; a doomed
+    /// group dies at a deterministic fraction of the fault-free makespan.
     pub death_permille: u32,
-    /// Explicitly doomed devices (bit *i* dooms device group *i*) — the
+    /// Explicitly doomed groups (bit *i* dooms device group *i*) — the
     /// test- and demo-friendly way to stage a specific degraded-mode
     /// scenario on top of (or instead of) the seeded `death_permille` draw.
     pub death_mask: u64,
@@ -131,15 +135,18 @@ impl FaultPlan {
         self
     }
 
-    /// Add seeded permanent device deaths at `rate_permille` per device.
+    /// Add seeded permanent deaths at `rate_permille` per device group.
     pub fn with_deaths(mut self, rate_permille: u32) -> Self {
         self.death_permille = rate_permille.min(1000);
         self
     }
 
-    /// Doom a specific device group (in addition to any seeded deaths).
-    pub fn with_dead_device(mut self, device: u32) -> Self {
-        self.death_mask |= 1u64 << device.min(63);
+    /// Doom device group `group` (in addition to any seeded deaths). The
+    /// mask holds groups 0–63; a higher index leaves the plan unchanged.
+    pub fn with_dead_device(mut self, group: u32) -> Self {
+        if let Some(bit) = 1u64.checked_shl(group) {
+            self.death_mask |= bit;
+        }
         self
     }
 
@@ -152,31 +159,32 @@ impl FaultPlan {
             && self.death_mask == 0
     }
 
-    /// The fault (if any) striking one execution attempt on `device`.
+    /// The fault (if any) striking one execution attempt on device group
+    /// `group`.
     /// `key` must be unique per (job part, attempt) — the campaign's
     /// recovery engine derives it from the job id, part index and attempt
     /// ordinal — so retries re-roll instead of replaying the same fault.
     ///
     /// Hangs outrank transients outrank flaps: a hung launch never gets
     /// far enough to observe a slow link.
-    pub fn attempt_fault(&self, device: u32, key: u64) -> FaultDraw {
+    pub fn attempt_fault(&self, group: u32, key: u64) -> FaultDraw {
         if self.hang_permille > 0
-            && draw(self.seed, CH_HANG, device, key) % 1000 < self.hang_permille as u64
+            && draw(self.seed, CH_HANG, group, key) % 1000 < self.hang_permille as u64
         {
             return FaultDraw::Hang;
         }
         if self.transient_permille > 0
-            && draw(self.seed, CH_TRANSIENT, device, key) % 1000 < self.transient_permille as u64
+            && draw(self.seed, CH_TRANSIENT, group, key) % 1000 < self.transient_permille as u64
         {
             return FaultDraw::Transient {
-                abort_frac: frac01(draw(self.seed, CH_ABORT_FRAC, device, key)),
+                abort_frac: frac01(draw(self.seed, CH_ABORT_FRAC, group, key)),
             };
         }
         if self.flap_permille > 0
-            && draw(self.seed, CH_FLAP, device, key) % 1000 < self.flap_permille as u64
+            && draw(self.seed, CH_FLAP, group, key) % 1000 < self.flap_permille as u64
         {
             // Flapped legs cost 1.5–4× their healthy price.
-            let f = frac01(draw(self.seed, CH_FLAP_FACTOR, device, key));
+            let f = frac01(draw(self.seed, CH_FLAP_FACTOR, group, key));
             return FaultDraw::LinkFlap {
                 factor: 1.5 + 2.5 * f,
             };
@@ -184,19 +192,19 @@ impl FaultPlan {
         FaultDraw::None
     }
 
-    /// When (as a fraction of the fault-free campaign makespan) `device`
-    /// permanently dies, or `None` if it survives the whole campaign.
-    /// Seeded deaths strike at a deterministic per-`(seed, device)` instant
-    /// inside the campaign; masked devices are dead on arrival (fraction
+    /// When (as a fraction of the fault-free campaign makespan) device
+    /// group `group` permanently dies, or `None` if it survives the whole
+    /// campaign. Seeded deaths strike at a deterministic per-`(seed, group)`
+    /// instant inside the campaign; masked groups are dead on arrival (fraction
     /// `0.0`) — the way to stage a degraded-mode scenario that does not
     /// depend on how far the clocks happen to run.
-    pub fn death_frac(&self, device: u32) -> Option<f64> {
-        if device < 64 && self.death_mask & (1u64 << device) != 0 {
+    pub fn death_frac(&self, group: u32) -> Option<f64> {
+        if group < 64 && self.death_mask & (1u64 << group) != 0 {
             return Some(0.0);
         }
         (self.death_permille > 0
-            && draw(self.seed, CH_DEATH, device, 0) % 1000 < self.death_permille as u64)
-            .then(|| frac01(draw(self.seed, CH_DEATH_AT, device, 0)))
+            && draw(self.seed, CH_DEATH, group, 0) % 1000 < self.death_permille as u64)
+            .then(|| frac01(draw(self.seed, CH_DEATH_AT, group, 0)))
     }
 }
 
@@ -280,6 +288,15 @@ mod tests {
             let f = p.death_frac(device).expect("1000‰ dooms every device");
             assert!((0.0..1.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn a_group_past_the_mask_dooms_nothing() {
+        // The mask holds groups 0–63; group 100 must not doom group 63.
+        assert!(FaultPlan::chaos(1, 0).with_dead_device(100).is_null());
+        let last = FaultPlan::chaos(1, 0).with_dead_device(63);
+        assert_eq!(last.death_mask, 1 << 63);
+        assert_eq!(last.death_frac(63), Some(0.0));
     }
 
     #[test]

@@ -86,18 +86,6 @@ impl<T: Copy + Default> Lanes<T> {
         })
     }
 
-    /// `__shfl_sync` broadcast: every masked lane receives lane `src`'s
-    /// value.
-    pub fn shfl_broadcast(&self, mask: u32, src: usize) -> Self {
-        Lanes::from_fn(|i| {
-            if mask & (1 << i) != 0 {
-                self.0[src]
-            } else {
-                self.0[i]
-            }
-        })
-    }
-
     /// Combine two lane vectors elementwise.
     pub fn zip_with(&self, other: &Self, mut f: impl FnMut(T, T) -> T) -> Self {
         Lanes::from_fn(|i| f(self.0[i], other.0[i]))
@@ -200,11 +188,5 @@ mod tests {
         assert_eq!(b, (1u32 << 25) - 1);
         let b2 = ballot(0xFF, |i| i % 2 == 0);
         assert_eq!(b2, 0b01010101);
-    }
-
-    #[test]
-    fn broadcast_spreads_one_lane() {
-        let l = iota().shfl_broadcast(FULL, 5);
-        assert!((0..WARP).all(|i| l.lane(i) == 5.0));
     }
 }

@@ -156,11 +156,6 @@ impl<T: Element> Tensor<T> {
         })
     }
 
-    /// Pointwise difference `self - other` (the compression-error field).
-    pub fn error_field(&self, other: &Tensor<T>) -> Result<Tensor<T>, ShapeError> {
-        self.zip_map(other, |a, b| a - b)
-    }
-
     /// True if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| v.is_non_finite())
@@ -249,14 +244,6 @@ mod tests {
             a.zip_map(&b, |x, y| x + y).unwrap_err(),
             ShapeError::ShapeMismatch
         );
-    }
-
-    #[test]
-    fn error_field_is_pointwise_difference() {
-        let a = ramp();
-        let b = a.map(|v| v + 0.5);
-        let e = a.error_field(&b).unwrap();
-        assert!(e.iter().all(|&v| (v + 0.5).abs() < 1e-6));
     }
 
     #[test]
