@@ -75,7 +75,6 @@ fn main() {
         .flat_map(|&link| {
             gpu_counts.iter().map(move |&gpus| FleetSpec {
                 gpus,
-                gpus_per_job: 1,
                 link,
                 faults: None,
             })

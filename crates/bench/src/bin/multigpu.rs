@@ -1,6 +1,6 @@
 //! §VI future work — multi-GPU scaling: the assessment time of a
 //! full-metric cuZC run over K devices, priced by the same
-//! `DevicePlacement` that ganged `MultiCuZc` runs use: each device re-runs
+//! `DevicePlacement` that `MultiCuZc` runs use: each device re-runs
 //! its share of the full-shape grid, pattern 2/3 exchange halo slabs with
 //! their neighbours, and every pattern ends in a ring all-reduce.
 

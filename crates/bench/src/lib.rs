@@ -12,7 +12,7 @@
 //! * `table2` — the runtime profile (Regs/TB, SMem/TB, Iters/thread, TB/SM),
 //! * `ablation` — design-choice ablations (FIFO, fusion, cube size, window),
 //! * `multigpu` — the §VI future-work multi-GPU scaling, priced by the
-//!   device placement ganged `MultiCuZc` runs use.
+//!   device placement `MultiCuZc` runs use.
 //!
 //! Beyond the paper, `campaign` and `chaos` write `BENCH_campaign.json`
 //! and `BENCH_chaos.json` (modeled fleet throughput, fault recovery).

@@ -149,8 +149,9 @@ pub struct JobRecord {
     pub group: u32,
     /// Result.
     pub outcome: JobOutcome,
-    /// Execution attempts across the job's shard parts (1 on a fault-free
-    /// fleet; retries after injected device faults raise it).
+    /// Execution attempts across the job's shard parts: one per part on a
+    /// fault-free fleet (1 for a job that failed before the device);
+    /// retries and reschedules after injected device faults raise it.
     pub attempts: u32,
 }
 

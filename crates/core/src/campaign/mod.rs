@@ -4,9 +4,10 @@
 //! This module owns the campaign *description* layer: the spec types
 //! ([`CampaignSpec`], [`FieldRef`], [`FleetSpec`], [`Scheduler`]), the job
 //! cross product, and the report/aggregation types. Execution belongs to
-//! [`crate::engine`]: a campaign runs as one cache-off
-//! [`crate::engine::Engine`] batch, the same drain the resident `zc-serve`
-//! service feeds.
+//! [`crate::engine`]: a campaign's jobs run once through a cache-off
+//! [`crate::engine::Engine`] session's executor — the steps of the drain
+//! the resident `zc-serve` service feeds — and are then booked onto each
+//! fleet by the campaign replay.
 //!
 //! Z-checker's original production shape (Di et al., IJHPCA 2017) is not
 //! "assess one field": it is "assess a whole archive of fields under every
@@ -45,7 +46,7 @@ pub use report::{CampaignReport, EngineBusy, FleetUtilization, PatternTotals};
 pub use shard::{FleetSpec, LinkKind, Scheduler, ShardPlan};
 
 use crate::config::AssessConfig;
-use crate::engine::{job_cost, AssessRequest, Engine, Priced};
+use crate::engine::{job_cost, AssessRequest, Engine};
 use crate::plan::AssessPlan;
 use crate::recommend::ProgressivePolicy;
 use zc_compress::CompressorSpec;
@@ -159,13 +160,8 @@ impl CampaignSpec {
     /// Execute the campaign's jobs **once** and aggregate the outcomes
     /// under each of several fleets — the fleet-size sweep a capacity
     /// planner asks for ("how does this archive scale at 1/2/4/8 GPUs?")
-    /// without re-running the functional work per fleet.
-    ///
-    /// Per-job modeled times transfer between fleets only when the job
-    /// executor is identical, so every fleet must share `self.fleet`'s
-    /// `gpus_per_job`, and (when jobs are ganged, i.e. `gpus_per_job > 1`,
-    /// which makes the intra-group link part of the job model) its link
-    /// kind as well.
+    /// without re-running the functional work per fleet. Every device group
+    /// is one device, so every fleet shares one job model.
     pub fn run_on_fleets(
         &self,
         fleets: &[FleetSpec],
@@ -176,22 +172,9 @@ impl CampaignSpec {
             .map_err(|e| CampaignError::BadConfig(e.to_string()))?;
         for fleet in fleets {
             fleet.validate().map_err(CampaignError::BadFleet)?;
-            if fleet.gpus_per_job != self.fleet.gpus_per_job {
-                return Err(CampaignError::BadFleet(format!(
-                    "fleet sweep must share gpus_per_job (campaign: {}, fleet: {})",
-                    self.fleet.gpus_per_job, fleet.gpus_per_job
-                )));
-            }
-            if self.fleet.gpus_per_job > 1 && fleet.link != self.fleet.link {
-                return Err(CampaignError::BadFleet(
-                    "ganged jobs embed the link in the job model; \
-                     fleet sweep must share the link kind"
-                        .into(),
-                ));
-            }
         }
         // One cache-off engine batch: the functional work runs once, then
-        // is placed per fleet.
+        // is booked per fleet.
         let mut engine = Engine::open(self.fleet, self.scheduler, 0);
         let plan = AssessPlan::lower(&self.cfg);
         // Admission: one verdict per field (jobs sharing a field share a
@@ -222,25 +205,33 @@ impl CampaignSpec {
                 self.progressive.as_ref(),
             )
             .into_iter();
-        let mut priced = Priced::default();
-        for job in jobs {
-            let outcome = match &refused[job.field_index] {
-                Some(msg) => JobOutcome::Failed(msg.clone()),
-                None => {
-                    executed
-                        .next()
-                        .expect("one result per admitted job")
-                        .outcome
+        // The replay books each record's group and attempts per fleet.
+        let records: Vec<JobRecord> = jobs
+            .into_iter()
+            .map(|spec| {
+                let outcome = match &refused[spec.field_index] {
+                    Some(msg) => JobOutcome::Failed(msg.clone()),
+                    None => {
+                        executed
+                            .next()
+                            .expect("one result per admitted job")
+                            .outcome
+                    }
+                };
+                JobRecord {
+                    spec,
+                    group: 0,
+                    outcome,
+                    attempts: 0,
                 }
-            };
-            let price = job_cost(&plan, job.field.shape(), &self.cfg, &self.fleet);
-            priced.push(job, outcome, price);
-        }
+            })
+            .collect();
+        let (costs, splittable) = self.job_costs();
         fleets
             .iter()
             .map(|fleet| {
-                let (records, shard) = engine.place(&priced, fleet, &[]);
-                recover::replay(records, fleet, &self.cfg, &shard, &self.recovery)
+                let shard = self.scheduler.plan(&costs, &splittable, fleet.groups());
+                recover::replay(records.clone(), fleet, &self.cfg, &shard, &self.recovery)
             })
             .collect()
     }
@@ -254,7 +245,7 @@ impl CampaignSpec {
         let plan = AssessPlan::lower(&self.cfg);
         self.jobs()
             .iter()
-            .map(|j| job_cost(&plan, j.field.shape(), &self.cfg, &self.fleet))
+            .map(|j| job_cost(&plan, j.field.shape(), &self.cfg))
             .unzip()
     }
 }
@@ -314,9 +305,6 @@ mod tests {
         let mut spec = tiny_spec(2);
         spec.fleet.gpus = 0;
         assert!(matches!(spec.run(), Err(CampaignError::BadFleet(_))));
-        let mut spec = tiny_spec(4);
-        spec.fleet.gpus_per_job = 3; // does not divide 4
-        assert!(matches!(spec.run(), Err(CampaignError::BadFleet(_))));
     }
 
     #[test]
@@ -340,16 +328,6 @@ mod tests {
         assert_eq!(direct.fleet.jobs_per_sec, reports[1].fleet.jobs_per_sec);
         assert_eq!(direct.fleet.busy_s, reports[1].fleet.busy_s);
         assert_eq!(direct.totals, reports[1].totals);
-    }
-
-    #[test]
-    fn fleet_sweep_rejects_mismatched_gang_size() {
-        let spec = tiny_spec(1);
-        let bad = [FleetSpec::nvlink(4).ganged(2)];
-        assert!(matches!(
-            spec.run_on_fleets(&bad),
-            Err(CampaignError::BadFleet(_))
-        ));
     }
 
     #[test]

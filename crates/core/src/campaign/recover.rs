@@ -116,10 +116,11 @@ pub struct RecoveryReport {
 /// Book a campaign's job records onto `fleet`'s device groups under the
 /// shard plan: the one campaign fleet booking.
 ///
-/// Each part of each completed job holds its group for [`part_s`]. A
-/// healthy fleet (no fault plan, or a null one) is one replay in which
-/// every draw is [`FaultDraw::None`] and no group dies; its report carries
-/// no recovery accounting. A live fault plan is replayed a second time
+/// Each part of each completed job holds its group for [`part_s`], and
+/// each record gets its primary group and its booked attempts. A healthy
+/// fleet (no fault plan, or a null one) is one replay in which every draw
+/// is [`FaultDraw::None`] and no group dies; its report carries no
+/// recovery accounting. A live fault plan is replayed a second time
 /// against that fault-free makespan, which places its deaths and prices its
 /// inflation. Injected faults never touch a completed job's values.
 pub(crate) fn replay(
@@ -137,12 +138,13 @@ pub(crate) fn replay(
     let horizon = makespan(&booked.clocks);
     if let Some(faults) = &live {
         booked = Replay::new(fleet, gather_s, faults, horizon).book(&jobs, plan, policy)?;
-        for (job, &attempts) in jobs.iter_mut().zip(&booked.attempts) {
-            job.attempts = attempts;
-        }
         for (ji, msg) in booked.lost.drain(..) {
             jobs[ji].outcome = JobOutcome::Failed(msg);
         }
+    }
+    for (i, (job, &attempts)) in jobs.iter_mut().zip(&booked.attempts).enumerate() {
+        job.group = plan.group_of(i);
+        job.attempts = attempts;
     }
 
     // Baseline charges (counters, engine legs, payload, exact assessed
@@ -210,7 +212,7 @@ impl<'a> Replay<'a> {
         Replay {
             faults,
             gather_s,
-            watchdog_s: fleet.executor().inner.sim.dev.watchdog_timeout_s,
+            watchdog_s: fleet.executor().sim.dev.watchdog_timeout_s,
             death_at: (0..groups)
                 .map(|g| faults.death_frac(g).map(|f| f * horizon))
                 .collect(),

@@ -175,7 +175,7 @@ impl CampaignReport {
     /// utilization, throughput and prediction error derive from the
     /// clocks. The prediction books what the clocks book: each group's
     /// plan load plus one `gather_s` per part placed on it. The campaign
-    /// replay ([`super::recover`]) and the engine's drain both end here.
+    /// replay ([`super::recover`]) ends here.
     pub(crate) fn from_busy_clocks(
         jobs: Vec<JobRecord>,
         fleet: &FleetSpec,

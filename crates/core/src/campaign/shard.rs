@@ -1,11 +1,10 @@
 //! Fleet description and the static shard plan.
 //!
-//! Sharding policy: the fleet's `gpus` devices are partitioned into
-//! `gpus / gpus_per_job` fixed device groups; a [`Scheduler`] assigns the
-//! campaign jobs to groups *statically* before anything runs. Both
-//! policies are pure functions of their inputs — no load feedback, no work
-//! stealing — so a campaign schedules identically on every run and at
-//! every host worker count:
+//! Sharding policy: each of the fleet's `gpus` devices is one device group,
+//! a shard target; a [`Scheduler`] assigns the campaign jobs to groups
+//! *statically* before anything runs. Both policies are pure functions of
+//! their inputs — no load feedback, no work stealing — so a campaign
+//! schedules identically on every run and at every host worker count:
 //!
 //! * [`Scheduler::RoundRobin`] — the original cost-blind assignment,
 //!   `group = id % groups`. Balance degrades when job costs vary.
@@ -16,13 +15,17 @@
 //!   the least-loaded group. The result is never predicted-worse than
 //!   round-robin: the scheduler prices both plans and keeps the better one.
 //!
+//! Split parts are how one job spreads over several devices; the
+//! grid-partitioned [`crate::exec::MultiCuZc`] is the paper's §VI
+//! executor, not a fleet option.
+//!
 //! A resident service places each batch onto groups still busy with
 //! earlier ones: [`Scheduler::plan_onto`] takes the seconds each group
 //! still owes, list scheduling starts from those loads, and both plans are
 //! compared by when their last group finishes. A campaign owes nothing,
 //! and zero owed seconds reproduce [`Scheduler::plan`] bit for bit.
 
-use crate::exec::{CuZc, MultiCuZc};
+use crate::exec::CuZc;
 use zc_gpusim::{FaultPlan, MultiGpuModel};
 
 /// Interconnect family of the simulated fleet.
@@ -52,16 +55,13 @@ impl LinkKind {
     }
 }
 
-/// The simulated GPU fleet a campaign runs on.
+/// The simulated GPU fleet a campaign runs on: `gpus` devices, each one
+/// device group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Total simulated devices.
     pub gpus: u32,
-    /// Devices ganged per job (1 = every job is single-GPU; >1 runs each
-    /// job as a [`MultiCuZc`] over one device group). Must divide `gpus`.
-    pub gpus_per_job: u32,
-    /// Interconnect family (drives intra-group halo/all-reduce costs and
-    /// the per-job result-gather cost).
+    /// Interconnect family (drives the per-job result-gather cost).
     pub link: LinkKind,
     /// Seeded device-fault injection (`None` = the fleet never fails —
     /// the original, fault-free model). With a plan, the campaign engine
@@ -71,30 +71,22 @@ pub struct FleetSpec {
 }
 
 impl FleetSpec {
-    /// Single-GPU-per-job fleet over NVLink.
+    /// Fleet over NVLink.
     pub fn nvlink(gpus: u32) -> Self {
         FleetSpec {
             gpus,
-            gpus_per_job: 1,
             link: LinkKind::NvLink,
             faults: None,
         }
     }
 
-    /// Single-GPU-per-job fleet over PCIe.
+    /// Fleet over PCIe.
     pub fn pcie(gpus: u32) -> Self {
         FleetSpec {
             gpus,
-            gpus_per_job: 1,
             link: LinkKind::Pcie,
             faults: None,
         }
-    }
-
-    /// Gang `per_job` devices per job.
-    pub fn ganged(mut self, per_job: u32) -> Self {
-        self.gpus_per_job = per_job;
-        self
     }
 
     /// Inject the given fault plan into this fleet.
@@ -108,30 +100,17 @@ impl FleetSpec {
         if self.gpus == 0 {
             return Err("fleet needs at least one GPU".into());
         }
-        if self.gpus_per_job == 0 {
-            return Err("gpus_per_job must be >= 1".into());
-        }
-        if !self.gpus.is_multiple_of(self.gpus_per_job) {
-            return Err(format!(
-                "gpus_per_job {} must divide fleet size {}",
-                self.gpus_per_job, self.gpus
-            ));
-        }
         Ok(())
     }
 
-    /// Number of independent device groups (shard targets).
+    /// Number of independent device groups (shard targets): one per device.
     pub fn groups(&self) -> u32 {
-        (self.gpus / self.gpus_per_job).max(1)
+        self.gpus
     }
 
-    /// The per-group executor: a [`MultiCuZc`] over `gpus_per_job` devices
-    /// (degenerates to plain [`CuZc`] modeling at 1).
-    pub fn executor(&self) -> MultiCuZc {
-        MultiCuZc {
-            link: self.link.model(self.gpus_per_job),
-            inner: CuZc::default(),
-        }
+    /// The per-group executor: one device.
+    pub fn executor(&self) -> CuZc {
+        CuZc::default()
     }
 }
 
@@ -224,15 +203,9 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Deterministic round-robin with unit job costs: job `i` runs whole
-    /// on group `i % groups`.
-    pub fn round_robin(jobs: usize, groups: u32) -> ShardPlan {
-        ShardPlan::round_robin_priced(&vec![1.0; jobs], groups)
-    }
-
-    /// Round-robin assignment priced under per-job predicted costs — the
-    /// same placement as [`ShardPlan::round_robin`], with the predicted
-    /// per-group load recorded for makespan comparison.
+    /// Round-robin assignment priced under per-job predicted costs: job
+    /// `i` runs whole on group `i % groups`, with the predicted per-group
+    /// load recorded for makespan comparison.
     pub fn round_robin_priced(costs: &[f64], groups: u32) -> ShardPlan {
         assert!(groups >= 1, "shard plan needs at least one group");
         let mut predicted_busy = vec![0.0f64; groups as usize];
@@ -356,7 +329,7 @@ impl ShardPlan {
     }
 
     /// Predicted busy seconds per group under the costs this plan was
-    /// built from (unit costs for [`ShardPlan::round_robin`]).
+    /// built from.
     pub fn predicted_busy(&self) -> &[f64] {
         &self.predicted_busy
     }
@@ -385,15 +358,6 @@ impl ShardPlan {
         }
         busy.into_iter().fold(0.0, f64::max)
     }
-
-    /// Jobs assigned to each group (by primary group).
-    pub fn per_group_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.groups as usize];
-        for i in 0..self.assignments.len() {
-            counts[self.group_of(i) as usize] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -402,17 +366,21 @@ mod tests {
 
     #[test]
     fn round_robin_is_balanced_and_deterministic() {
-        let plan = ShardPlan::round_robin(10, 4);
-        assert_eq!(plan, ShardPlan::round_robin(10, 4));
-        assert_eq!(plan.per_group_counts(), vec![3, 3, 2, 2]);
+        let plan = Scheduler::RoundRobin.plan(&[1.0; 10], &[1; 10], 4);
+        assert_eq!(plan, Scheduler::RoundRobin.plan(&[1.0; 10], &[1; 10], 4));
+        // Unit costs: each group's predicted load is its job count.
+        assert_eq!(plan.predicted_busy(), [3.0, 3.0, 2.0, 2.0]);
         assert_eq!(plan.group_of(0), 0);
         assert_eq!(plan.group_of(5), 1);
     }
 
     #[test]
     fn empty_plan_is_fine() {
-        let plan = ShardPlan::round_robin(0, 8);
-        assert_eq!(plan.per_group_counts(), vec![0; 8]);
+        for scheduler in [Scheduler::RoundRobin, Scheduler::List] {
+            let plan = scheduler.plan(&[], &[], 8);
+            assert_eq!(plan.predicted_busy(), [0.0; 8]);
+            assert_eq!(plan.predicted_makespan(), 0.0);
+        }
     }
 
     #[test]
@@ -615,15 +583,6 @@ mod tests {
     fn fleet_validation() {
         assert!(FleetSpec::nvlink(4).validate().is_ok());
         assert!(FleetSpec::nvlink(0).validate().is_err());
-        assert!(FleetSpec::nvlink(4).ganged(2).validate().is_ok());
-        assert!(FleetSpec::nvlink(4).ganged(3).validate().is_err());
-        assert!(FleetSpec::nvlink(4).ganged(0).validate().is_err());
-        assert_eq!(FleetSpec::nvlink(8).ganged(2).groups(), 4);
-    }
-
-    #[test]
-    fn ganged_executor_uses_group_size() {
-        let ex = FleetSpec::pcie(8).ganged(4).executor();
-        assert_eq!(ex.link.gpus, 4);
+        assert_eq!(FleetSpec::nvlink(8).groups(), 8);
     }
 }

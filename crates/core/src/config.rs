@@ -19,7 +19,7 @@
 //! abs_bound = 1e-3
 //! ```
 
-use crate::metrics::{Metric, MetricSelection, Pattern};
+use crate::metrics::MetricSelection;
 use std::fmt;
 use zc_compress::{CompressorSpec, ErrorBound};
 
@@ -62,6 +62,23 @@ pub enum TilingPolicy {
     Monolithic,
     /// Request this many slabs (clamped to the field's tileable extent).
     Slabs(usize),
+}
+
+impl TilingPolicy {
+    /// Parse a policy: `auto`, `mono` or `monolithic`, or a slab count
+    /// `N ≥ 1` — one grammar for the ini's `tiling` key and the CLI.
+    pub fn parse(s: &str) -> Result<TilingPolicy, ConfigError> {
+        match s.trim() {
+            "auto" => Ok(TilingPolicy::Auto),
+            "mono" | "monolithic" => Ok(TilingPolicy::Monolithic),
+            n => match n.parse::<usize>() {
+                Ok(v) if v > 0 => Ok(TilingPolicy::Slabs(v)),
+                _ => Err(ConfigError::Invalid(format!(
+                    "tiling '{s}' (auto, mono, monolithic or a slab count >= 1)"
+                ))),
+            },
+        }
+    }
 }
 
 /// Full assessment configuration.
@@ -232,18 +249,10 @@ pub fn parse(text: &str) -> Result<RunConfig, ConfigError> {
                 cfg.executor = ExecutorKind::parse(value)
                     .ok_or_else(|| ConfigError::Unknown(format!("executor '{value}'")))?;
             }
-            ("assess", "metrics") => {
-                cfg.assess.metrics = parse_metrics(value)?;
-            }
+            ("assess", "metrics") => cfg.assess.metrics = MetricSelection::parse(value)?,
             ("assess", "bins") => cfg.assess.bins = int(value)?,
             ("assess", "max_lag") => cfg.assess.max_lag = int(value)?,
-            ("assess", "tiling") => {
-                cfg.assess.tiling = match value {
-                    "auto" => TilingPolicy::Auto,
-                    "monolithic" => TilingPolicy::Monolithic,
-                    n => TilingPolicy::Slabs(int(n)?),
-                };
-            }
+            ("assess", "tiling") => cfg.assess.tiling = TilingPolicy::parse(value)?,
             ("ssim", "window") => cfg.assess.ssim.window = int(value)?,
             ("ssim", "step") => cfg.assess.ssim.step = int(value)?,
             ("ssim", "k1") => cfg.assess.ssim.k1 = num(value)?,
@@ -315,27 +324,10 @@ pub fn parse(text: &str) -> Result<RunConfig, ConfigError> {
     Ok(cfg)
 }
 
-fn parse_metrics(value: &str) -> Result<MetricSelection, ConfigError> {
-    match value {
-        "all" => return Ok(MetricSelection::all()),
-        "pattern1" => return Ok(MetricSelection::pattern(Pattern::GlobalReduction)),
-        "pattern2" => return Ok(MetricSelection::pattern(Pattern::Stencil)),
-        "pattern3" => return Ok(MetricSelection::pattern(Pattern::SlidingWindow)),
-        _ => {}
-    }
-    let mut sel = MetricSelection::none();
-    for item in value.split(',') {
-        let item = item.trim();
-        let m = Metric::from_key(item)
-            .ok_or_else(|| ConfigError::Unknown(format!("metric '{item}'")))?;
-        sel = sel.with(m);
-    }
-    Ok(sel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metric;
 
     #[test]
     fn defaults_match_paper_settings() {
@@ -475,6 +467,32 @@ mod tests {
             parse("[ssim]\nwindow = 8\nstep = 9\n"),
             Err(ConfigError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn ini_takes_the_cli_spellings() {
+        assert_eq!(
+            parse("[assess]\ntiling = mono\n").unwrap().assess.tiling,
+            TilingPolicy::Monolithic
+        );
+        let c = parse("[assess]\nmetrics = psnr,, ssim,\n").unwrap();
+        assert_eq!(
+            c.assess.metrics,
+            MetricSelection::parse("ssim,psnr").unwrap()
+        );
+        assert!(matches!(
+            parse("[assess]\nmetrics = ,\n"),
+            Err(ConfigError::Invalid(_))
+        ));
+        // A typo lists every known key, as on the command line.
+        match parse("[assess]\nmetrics = psnr, pnsr\n") {
+            Err(e @ ConfigError::Unknown(_)) => {
+                let msg = e.to_string();
+                assert!(msg.starts_with("unknown metric 'pnsr'"), "{msg}");
+                assert!(msg.contains("autocorr") && msg.contains("ssim"), "{msg}");
+            }
+            other => panic!("expected an unknown metric, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! A self-check of the job pricer: one probe job's measured span over its
 //! prediction.
 //!
-//! [`estimate_job_cost`] prices a job through the simulator's own cost
-//! function — the kernels' declared launches, `gpu_time`, the multi-device
-//! placement and the stream timeline — so its prediction is charged
-//! exactly as the run will be, and no production path corrects it. (One
-//! uniform factor could not correct a per-job error anyway: the SSIM share
-//! of a job's time differs from job to job.) [`CostCalibration::probe`]
+//! The job pricer ([`crate::plan::estimate_job_cost`] on one device) prices
+//! a job through the simulator's own cost function — the kernels' declared
+//! launches, `gpu_time` and the stream timeline — so its prediction is
+//! charged exactly as the run will be, and no production path corrects it.
+//! (One uniform factor could not correct a per-job error anyway: the SSIM
+//! share of a job's time differs from job to job.) [`CostCalibration::probe`]
 //! measures the ratio on a small deterministic field pair, as a check that
 //! the pricer tracks the modeled executor: its scale sits at 1.
 
 use crate::campaign::FleetSpec;
 use crate::config::AssessConfig;
 use crate::exec::Executor;
-use crate::plan::{estimate_job_cost, AssessPlan};
+use crate::plan::AssessPlan;
 use zc_tensor::{Shape, Tensor};
 
 /// The ratio of the modeled executor's measured span to the job pricer's
@@ -50,8 +50,7 @@ impl CostCalibration {
         };
         // The same span the campaign replay charges a device group for.
         let actual = crate::campaign::job::span_s(a.e2e.as_ref(), a.modeled_seconds);
-        let link = fleet.link.model(fleet.gpus_per_job);
-        let est = estimate_job_cost(&plan, orig.shape(), cfg, fleet.gpus_per_job, &link).seconds;
+        let (est, _) = super::job_cost(&plan, orig.shape(), cfg);
         if actual.is_finite() && actual > 0.0 && est > 0.0 {
             CostCalibration {
                 scale: actual / est,
@@ -75,7 +74,7 @@ mod tests {
     fn probe_finds_the_prediction_matches_its_run() {
         // One cost model: the monolithic probe's measured span is its
         // predicted one, up to the histogram's special-op bound.
-        for fleet in [FleetSpec::nvlink(2), FleetSpec::pcie(4).ganged(2)] {
+        for fleet in [FleetSpec::nvlink(2), FleetSpec::pcie(4)] {
             let cal = CostCalibration::probe(&fleet, &AssessConfig::default());
             assert!((cal.scale - 1.0).abs() <= 0.01, "scale {}", cal.scale);
             assert_eq!(cal.apply(2.0), 2.0 * cal.scale);

@@ -35,14 +35,13 @@
 //!    earlier than its job's result gather ends, nor than the cached
 //!    result it read (see [`JobResult::ready_s`]).
 //!
-//! A campaign is one such batch on a cache-off session:
+//! A campaign runs steps 1–5 on a cache-off session:
 //! [`crate::campaign::CampaignSpec::run_on_fleets`] admits each field once,
-//! runs the admitted jobs through steps 1–5 as one batch (with the
-//! progressive prepass ahead of each plan when the spec carries a policy),
-//! then prices and places the records under each fleet of its sweep —
-//! through the fault replay when a fleet carries a live fault plan. A job
-//! refused at admission skips execution but keeps its failed, priced
-//! record.
+//! runs the admitted jobs through them as one batch (with the progressive
+//! prepass ahead of each plan when the spec carries a policy), then prices
+//! the jobs and books their records onto each fleet of its sweep through
+//! the campaign replay. A job refused at admission skips execution but
+//! keeps its failed, priced record.
 //!
 //! Jobs are priced by [`estimate_job_cost`]: each pass's declared launches
 //! through the simulator's own cost function and the stream timeline, so
@@ -84,18 +83,16 @@ use cache::merge_sections;
 pub use cache::{field_digest, CacheKey, CacheStats, CfgKey, Lookup, ResultCache};
 pub use calibrate::CostCalibration;
 
-use crate::campaign::{
-    gather_s, job, part_s, CampaignReport, FieldRef, FleetSpec, FleetUtilization, JobOutcome,
-    JobRecord, JobSpec, Scheduler, ShardPlan,
-};
+use crate::campaign::{gather_s, job, part_s, FieldRef, FleetSpec, JobOutcome, Scheduler};
 use crate::config::AssessConfig;
-use crate::exec::{Assessment, Confidence, Executor, MultiCuZc, PatternTimes};
+use crate::exec::{Assessment, Confidence, CuZc, Executor, PatternTimes};
 use crate::plan::{estimate_job_cost, verify, AssessPlan, BackendCaps, PassKind, RunLegs};
 use crate::recommend::ProgressivePolicy;
 use crate::report::AnalysisReport;
 use groups::GroupTimeline;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use zc_compress::CompressorSpec;
+use zc_gpusim::MultiGpuModel;
 use zc_tensor::{Shape, Tensor};
 
 /// Default result-cache capacity (entries).
@@ -196,40 +193,32 @@ pub struct JobResult {
 }
 
 /// What one [`Engine::drain`] returns: per-ticket results in submission
-/// order plus fleet-level accounting over the work that actually ran.
+/// order plus how far the batch's executed work advanced each group.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
     /// One result per drained ticket, in ticket order.
     pub results: Vec<JobResult>,
-    /// Modeled fleet utilization of the batch's *executed* jobs (full
-    /// cache hits occupy no device time and are excluded). `busy_s` is how
-    /// far each group's stream timeline advanced in this batch: from the
-    /// drain, or from where the group's earlier work ended if that is
-    /// later, to where this batch's work on it ends.
-    pub fleet: FleetUtilization,
+    /// How far each group's stream timeline advanced in this batch: from
+    /// the drain, or from where the group's earlier work ended if that is
+    /// later, to where this batch's work on it ends. Full cache hits
+    /// occupy no device time.
+    pub busy_s: Vec<f64>,
     /// Cumulative cache counters after the batch.
     pub cache: CacheStats,
 }
 
-/// Predicted seconds and split limit (resolved slab count)
-/// of running `plan` on a field of `shape` on one device group of `fleet`
-/// — the one pricing rule behind shard plans, [`Engine::submit`] (and so
-/// [`Engine::backlog_s`]) and [`crate::campaign::CampaignSpec::job_costs`].
-pub(crate) fn job_cost(
-    plan: &AssessPlan,
-    shape: Shape,
-    cfg: &AssessConfig,
-    fleet: &FleetSpec,
-) -> (f64, usize) {
-    let link = fleet.link.model(fleet.gpus_per_job);
-    let est = estimate_job_cost(plan, shape, cfg, fleet.gpus_per_job, &link);
+/// Predicted seconds and split limit (resolved slab count) of running
+/// `plan` on a field of `shape` on one device — the one pricing rule behind
+/// shard plans, [`Engine::submit`] (and so [`Engine::backlog_s`]) and
+/// [`crate::campaign::CampaignSpec::job_costs`]. A device group is one
+/// device, so no interconnect enters the price.
+pub(crate) fn job_cost(plan: &AssessPlan, shape: Shape, cfg: &AssessConfig) -> (f64, usize) {
+    let est = estimate_job_cost(plan, shape, cfg, 1, &MultiGpuModel::nvlink(1));
     (est.seconds, est.slabs)
 }
 
 /// How one request of a batch resolved.
 pub(crate) struct Resolved {
-    /// Index of the request's field among the batch's distinct fields.
-    field_index: usize,
     cache: CacheOutcome,
     pub(crate) outcome: JobOutcome,
     pub(crate) report: Option<AnalysisReport>,
@@ -274,29 +263,6 @@ enum Source {
     Batch(usize),
     /// An earlier drain did; the entry is ready at this modeled time.
     Ready(f64),
-}
-
-/// Jobs that occupied the device, priced for placement: one record per
-/// job, in ticket order, with its predicted cost and split limit.
-#[derive(Default)]
-pub(crate) struct Priced {
-    records: Vec<JobRecord>,
-    costs: Vec<f64>,
-    splittable: Vec<usize>,
-}
-
-impl Priced {
-    /// Append a job with its [`job_cost`]; placement assigns its group.
-    pub(crate) fn push(&mut self, spec: JobSpec, outcome: JobOutcome, price: (f64, usize)) {
-        self.records.push(JobRecord {
-            spec,
-            group: 0,
-            outcome,
-            attempts: 1,
-        });
-        self.costs.push(price.0);
-        self.splittable.push(price.1);
-    }
 }
 
 /// Provenance → content: the digest each recently generated field hashed
@@ -357,7 +323,7 @@ impl DigestMemo {
 pub struct Engine {
     fleet: FleetSpec,
     scheduler: Scheduler,
-    executor: MultiCuZc,
+    executor: CuZc,
     caps: BackendCaps,
     cache: ResultCache,
     memo: DigestMemo,
@@ -452,8 +418,8 @@ impl Engine {
     }
 
     /// How far each device group's timeline advanced over every drain:
-    /// the sum of the batches' [`BatchReport::fleet`] `busy_s` (empty
-    /// before the first drain).
+    /// the sum of the batches' [`BatchReport::busy_s`] (empty before the
+    /// first drain).
     pub fn group_busy_s(&self) -> Vec<f64> {
         self.groups.iter().map(|g| g.busy_s).collect()
     }
@@ -490,7 +456,7 @@ impl Engine {
             .map_err(|e| EngineError::BadConfig(e.to_string()))?;
         let plan = AssessPlan::lower(&req.cfg);
         self.admit_plan(&plan, req.field.shape(), &req.cfg)?;
-        let price = job_cost(&plan, req.field.shape(), &req.cfg, &self.fleet);
+        let price = job_cost(&plan, req.field.shape(), &req.cfg);
         let ticket = JobTicket(self.next_ticket);
         self.next_ticket += 1;
         self.pending_s += price.0;
@@ -514,28 +480,24 @@ impl Engine {
             std::mem::take(&mut self.pending_plans).into_iter().unzip();
         let resolved = self.execute(&reqs, &plans.iter().collect::<Vec<_>>(), None);
         let mut results: Vec<JobResult> = Vec::with_capacity(reqs.len());
-        // Per result: the priced job behind it (`None` for a full hit), the
-        // cached result it read, and the key it was absorbed under.
+        // Per result: the executed job behind it (`None` for a full hit),
+        // the cached result it read, and the key it was absorbed under.
         let mut links = Vec::with_capacity(reqs.len());
-        let mut priced = Priced::default();
-        // Per priced job: how it occupies its groups (`None` if it failed).
+        // Per executed job: its price, and how it occupies its groups
+        // (`None` if it failed).
+        let (mut costs, mut splittable) = (Vec::new(), Vec::new());
         let mut occupancy = Vec::new();
-        let mut cfg = None;
         for (((ticket, req), price), r) in tickets.into_iter().zip(reqs).zip(prices).zip(resolved) {
-            let job = (r.cache != CacheOutcome::Hit).then_some(priced.records.len());
+            let job = (r.cache != CacheOutcome::Hit).then_some(costs.len());
             links.push((job, r.source, r.absorbed));
             if job.is_some() {
-                let spec = JobSpec {
-                    id: priced.records.len(),
-                    field_index: r.field_index,
-                    field: req.field.clone(),
-                    compressor: req.compressor,
-                };
                 // A miss ran the plan it was priced with at submit.
-                let price = match &r.residual {
-                    Some(plan) => job_cost(plan, req.field.shape(), &req.cfg, &self.fleet),
+                let (cost, slabs) = match &r.residual {
+                    Some(plan) => job_cost(plan, req.field.shape(), &req.cfg),
                     None => price,
                 };
+                costs.push(cost);
+                splittable.push(slabs);
                 occupancy.push(match &r.outcome {
                     JobOutcome::Done(m) => Some(Occupancy {
                         legs: r.legs,
@@ -544,8 +506,6 @@ impl Engine {
                     }),
                     JobOutcome::Failed(_) => None,
                 });
-                priced.push(spec, r.outcome.clone(), price);
-                cfg.get_or_insert(req.cfg);
             }
             results.push(JobResult {
                 ticket,
@@ -557,7 +517,9 @@ impl Engine {
         }
         let before = self.group_free_at_s();
         let owed: Vec<f64> = before.iter().map(|&free| (free - now_s).max(0.0)).collect();
-        let (records, shard) = self.place(&priced, &self.fleet, &owed);
+        let shard = self
+            .scheduler
+            .plan_onto(&costs, &splittable, self.fleet.groups(), &owed);
         // Ticket order: a whole job replays its legs onto its group's
         // timeline; a split job's parts each hold their group.
         let ends: Vec<f64> = occupancy
@@ -589,8 +551,6 @@ impl Engine {
                 advance
             })
             .collect();
-        let gather = gather_s(&self.fleet, &cfg.unwrap_or_default());
-        let agg = CampaignReport::from_busy_clocks(records, &self.fleet, &shard, busy_s, gather);
         // A source is an earlier wave's request, so it has a lower index
         // and its ready time is final by the time a reader needs it.
         for (i, (job, source, absorbed)) in links.into_iter().enumerate() {
@@ -608,7 +568,7 @@ impl Engine {
         }
         BatchReport {
             results,
-            fleet: agg.fleet,
+            busy_s,
             cache: self.cache_stats(),
         }
     }
@@ -716,7 +676,6 @@ impl Engine {
                             0,
                         );
                         resolved[i] = Some(Resolved {
-                            field_index: field_of[i],
                             cache: CacheOutcome::Hit,
                             outcome: JobOutcome::Done(Box::new(m)),
                             report: Some(report),
@@ -828,7 +787,6 @@ impl Engine {
                     Err(msg) => (JobOutcome::Failed(msg), None),
                 };
                 resolved[i] = Some(Resolved {
-                    field_index: field_of[i],
                     cache,
                     outcome,
                     report,
@@ -845,30 +803,6 @@ impl Engine {
             .into_iter()
             .map(|r| r.expect("every request resolves in some wave"))
             .collect()
-    }
-
-    /// Step 7's placement: shard a drained batch's priced jobs over
-    /// `fleet`'s groups, which still owe `owed_s`, with the session's
-    /// scheduler.
-    pub(crate) fn place(
-        &self,
-        priced: &Priced,
-        fleet: &FleetSpec,
-        owed_s: &[f64],
-    ) -> (Vec<JobRecord>, ShardPlan) {
-        let shard =
-            self.scheduler
-                .plan_onto(&priced.costs, &priced.splittable, fleet.groups(), owed_s);
-        let records = priced
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| JobRecord {
-                group: shard.group_of(i),
-                ..r.clone()
-            })
-            .collect();
-        (records, shard)
     }
 }
 
@@ -919,7 +853,7 @@ mod tests {
         assert_eq!(m1.modeled_seconds, 0.0);
         assert_eq!(m1.assessed_bytes, 0);
         assert!(m0.assessed_bytes > 0);
-        assert_eq!(batch1.fleet.makespan_s, 0.0);
+        assert_eq!(batch1.busy_s, [0.0, 0.0]);
     }
 
     #[test]
@@ -936,7 +870,7 @@ mod tests {
         busy_group_0(&mut list);
         list.submit(request(MetricSelection::all())).unwrap();
         let batch = list.drain(0.0);
-        let busy = batch.fleet.busy_s.clone();
+        let busy = batch.busy_s.clone();
         assert_eq!(busy[0], 0.0);
         assert!(busy[1] > 0.0);
         // Alone on an idle group, the job is ready when its gather ends:
@@ -954,7 +888,7 @@ mod tests {
             list.submit(request(MetricSelection::all())).unwrap();
             let hit = list.drain(now);
             assert_eq!(hit.results[0].cache, CacheOutcome::Hit);
-            assert_eq!(hit.fleet.makespan_s, 0.0);
+            assert_eq!(hit.busy_s, [0.0, 0.0]);
             assert_eq!(hit.results[0].ready_s, now.max(busy[1]));
             assert_eq!(list.group_free_at_s(), [1.0, busy[1]]);
         }
@@ -967,7 +901,7 @@ mod tests {
         // of the shifted sums.
         let ready = batch.results[0].ready_s;
         assert!((ready - (1.0 + busy[1])).abs() <= 1e-12, "{ready}");
-        assert_eq!(batch.fleet.busy_s, [ready - 1.0, 0.0]);
+        assert_eq!(batch.busy_s, [ready - 1.0, 0.0]);
     }
 
     #[test]
@@ -1020,7 +954,7 @@ mod tests {
             .collect();
         assert_eq!(r[0].ready_s, alone[0]);
         assert!(r[1].ready_s < alone[0] + alone[1]);
-        assert_eq!(batch.fleet.busy_s, [r[1].ready_s]);
+        assert_eq!(batch.busy_s, [r[1].ready_s]);
     }
 
     #[test]

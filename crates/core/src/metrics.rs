@@ -1,6 +1,7 @@
 //! The metric registry — every assessment metric cuZ-Checker supports and
 //! its computational-pattern classification (the paper's Table I).
 
+use crate::config::ConfigError;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -267,6 +268,34 @@ impl MetricSelection {
     /// True when nothing is enabled.
     pub fn is_empty(&self) -> bool {
         self.enabled.is_empty()
+    }
+
+    /// Parse a selection: `all`, `pattern1` to `pattern3`, or a comma list
+    /// of [`Metric::key`]s (empty items skipped) — one grammar for the ini's
+    /// `metrics` key and the CLI. An unknown key lists every known key; an
+    /// empty selection is refused.
+    pub fn parse(spec: &str) -> Result<MetricSelection, ConfigError> {
+        match spec.trim() {
+            "all" => return Ok(MetricSelection::all()),
+            "pattern1" => return Ok(MetricSelection::pattern(Pattern::GlobalReduction)),
+            "pattern2" => return Ok(MetricSelection::pattern(Pattern::Stencil)),
+            "pattern3" => return Ok(MetricSelection::pattern(Pattern::SlidingWindow)),
+            _ => {}
+        }
+        let mut sel = MetricSelection::none();
+        for key in spec.split(',').map(str::trim).filter(|k| !k.is_empty()) {
+            let m = Metric::from_key(key).ok_or_else(|| {
+                let known: Vec<&str> = Metric::ALL.iter().map(|m| m.key()).collect();
+                ConfigError::Unknown(format!("metric '{key}' (known: {})", known.join(", ")))
+            })?;
+            sel = sel.with(m);
+        }
+        if sel.is_empty() {
+            return Err(ConfigError::Invalid(format!(
+                "metrics '{spec}' select nothing"
+            )));
+        }
+        Ok(sel)
     }
 }
 

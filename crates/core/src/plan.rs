@@ -722,7 +722,7 @@ pub(crate) fn gpu_prepass_charge(sim: &GpuSim, sampled: u64, stride: usize) -> (
 /// the `link.gpus` devices `link` connects, re-pricing compute on the
 /// per-device grid share and charging halo-exchange plus all-reduce
 /// communication (the paper's §VI multi-GPU extension). This is the one
-/// multi-GPU cost model: ganged executors, the job pricer
+/// multi-GPU cost model: [`crate::exec::MultiCuZc`] runs, the job pricer
 /// ([`DevicePlacement::price_job`]) and the full-shape figures all price
 /// through [`DevicePlacement::pattern_times`].
 #[derive(Clone, Copy, Debug)]

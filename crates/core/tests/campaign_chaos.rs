@@ -146,7 +146,7 @@ fn harmless_plan_replays_the_fault_free_bits() {
     // 63 does not exist: the chaos replay runs but injects nothing, so it
     // must reproduce the fault-free aggregation bit for bit — clocks,
     // engines, counters, bytes, everything — whole jobs and slab parts
-    // alike. Each part is one attempt; a healthy job reads one attempt.
+    // alike. Each part is one attempt, healthy or not.
     for splits in [false, true] {
         let ctx = if splits { "split parts" } else { "whole jobs" };
         let make = if splits { split_spec } else { spec };
@@ -157,7 +157,12 @@ fn harmless_plan_replays_the_fault_free_bits() {
         assert_eq!(parts > costs.len(), splits, "{ctx}: parts {parts}");
         let golden = healthy.run().unwrap();
         for job in &golden.jobs {
-            assert_eq!(job.attempts, 1, "{ctx}: healthy job {}", job.spec.id);
+            assert_eq!(
+                job.attempts as usize,
+                shard.shares_of(job.spec.id).len(),
+                "{ctx}: healthy job {}",
+                job.spec.id
+            );
         }
         let plan = FaultPlan::chaos(7, 0).with_dead_device(63);
         let chaos = make(FleetSpec::nvlink(4).with_faults(plan)).run().unwrap();
@@ -183,6 +188,9 @@ fn harmless_plan_replays_the_fault_free_bits() {
         assert_eq!(golden.fleet.assessed_bytes, chaos.fleet.assessed_bytes);
         assert_eq!(golden.fleet.engines, chaos.fleet.engines);
         assert_eq!(golden.totals, chaos.totals);
+        for (jc, jg) in chaos.jobs.iter().zip(&golden.jobs) {
+            assert_eq!(jc.attempts, jg.attempts, "{ctx}: job {}", jc.spec.id);
+        }
         assert_golden_metrics(&chaos, &golden, ctx);
     }
 }

@@ -239,13 +239,6 @@ impl AppDataset {
             synthesize_evolving(kind, self.field_seed(index, opts), shape, range, Some(0.04));
         Field { name, data }
     }
-
-    /// Generate every field of the dataset.
-    pub fn generate_all(self, opts: &GenOptions) -> Vec<Field> {
-        (0..self.field_count())
-            .map(|i| self.generate_field(i, opts))
-            .collect()
-    }
 }
 
 /// Lazily enumerate `(dataset, field_index, field_name)` across a set of
@@ -361,7 +354,8 @@ mod tests {
     fn all_fields_finite_at_small_scale() {
         let opts = GenOptions::scaled(48);
         for ds in AppDataset::ALL_EXTENDED {
-            for f in ds.generate_all(&opts) {
+            for i in 0..ds.field_count() {
+                let f = ds.generate_field(i, &opts);
                 assert!(!f.data.has_non_finite(), "{} {}", ds.name(), f.name);
             }
         }

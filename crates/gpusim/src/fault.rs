@@ -19,9 +19,8 @@
 //!   deterministic timeline instant and never returns; everything still
 //!   assigned to it must be rescheduled onto the survivors.
 //!
-//! The plan's unit is the *device group*, the fleet's shard target:
-//! campaign recovery draws faults and deaths by group index, so a ganged
-//! group of several devices fails as one.
+//! The plan's unit is the device, the fleet's shard target: campaign
+//! recovery draws faults and deaths by device (group) index.
 //!
 //! Every decision is a pure function of `(seed, group, attempt key)`
 //! hashed through SplitMix64, so the same seed replays the same faults

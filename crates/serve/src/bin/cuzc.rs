@@ -22,7 +22,7 @@ use zc_core::campaign::{CampaignSpec, FieldRef, FleetSpec, RecoveryPolicy, Sched
 use zc_core::config::{parse, RunConfig, TilingPolicy};
 use zc_core::exec::make_executor_with_device_mem;
 use zc_core::io::{read_raw, write_pgm_slice, Endianness};
-use zc_core::metrics::{Metric, MetricSelection};
+use zc_core::metrics::MetricSelection;
 use zc_core::output::{autocorr_csv, histogram_csv, scalars_csv};
 use zc_core::plan::{AssessPlan, BackendCaps, SlabSchedule};
 use zc_core::recommend::{ProgressivePolicy, QualityCriteria};
@@ -66,7 +66,8 @@ const USAGE: &str = "usage: cuzc [options]
   --decompressed <file>   raw binary f32 field to assess against
   --config <file>         run configuration (Z-checker ini dialect)
   --metrics <key,key,...> assess only these metrics (overrides the config
-                          selection; keys as in the report, e.g. psnr,ssim)
+                          selection; keys as in the report, e.g. psnr,ssim,
+                          or all, pattern1, pattern2, pattern3)
   --big-endian            input files are big-endian
   --csv-dir <dir>         also write scalars/pdf/autocorr CSVs there
   --pgm <file>            also write a mid-depth PGM slice of the input
@@ -161,40 +162,6 @@ fn parse_requests(s: &str) -> Result<(u64, usize), String> {
     Ok((seed, count))
 }
 
-/// Parse a `--slabs` policy: `auto`, `mono[lithic]`, or a slab count.
-fn parse_slabs(s: &str) -> Result<TilingPolicy, String> {
-    match s {
-        "auto" => Ok(TilingPolicy::Auto),
-        "mono" | "monolithic" => Ok(TilingPolicy::Monolithic),
-        n => match n.parse::<usize>() {
-            Ok(v) if v > 0 => Ok(TilingPolicy::Slabs(v)),
-            _ => Err(format!("bad slab policy '{s}' (n, auto, or mono)")),
-        },
-    }
-}
-
-/// Parse a `--metrics` list of comma-separated [`Metric::key`] names into a
-/// selection. An unknown key lists every valid key in the error.
-fn parse_metrics(spec: &str) -> Result<MetricSelection, String> {
-    let mut sel = MetricSelection::none();
-    for key in spec.split(',').map(str::trim).filter(|k| !k.is_empty()) {
-        match Metric::from_key(key) {
-            Some(m) => sel = sel.with(m),
-            None => {
-                let known: Vec<&str> = Metric::ALL.iter().map(|m| m.key()).collect();
-                return Err(format!(
-                    "unknown metric '{key}' (known: {})",
-                    known.join(", ")
-                ));
-            }
-        }
-    }
-    if sel.is_empty() {
-        return Err("--metrics needs at least one metric key".to_string());
-    }
-    Ok(sel)
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         input: None,
@@ -238,7 +205,9 @@ fn parse_args() -> Result<Args, String> {
             "--verify" => args.verify = true,
             "--explain-plan" => args.explain_plan = true,
             "--device-mem" => args.device_mem = Some(parse_size(&val()?)?),
-            "--slabs" => args.slabs = Some(parse_slabs(&val()?)?),
+            "--slabs" => {
+                args.slabs = Some(TilingPolicy::parse(&val()?).map_err(|e| e.to_string())?)
+            }
             "--demo" => args.demo = true,
             "--fleet" => {
                 let v = val()?;
@@ -285,7 +254,7 @@ fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
     let mut run = load_config(&args)?;
     if let Some(spec) = &args.metrics {
-        run.assess.metrics = parse_metrics(spec)?;
+        run.assess.metrics = MetricSelection::parse(spec).map_err(|e| e.to_string())?;
     }
     if let Some(policy) = args.slabs {
         run.assess.tiling = policy;

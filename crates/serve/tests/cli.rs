@@ -223,6 +223,25 @@ fn unknown_metric_key_lists_all_known_keys() {
 }
 
 #[test]
+fn metrics_flag_takes_the_ini_spellings() {
+    let out = cuzc()
+        .args(["--demo", "--metrics", "all"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    // pattern1 keeps the global reductions and drops the window metrics.
+    let out = cuzc()
+        .args(["--demo", "--metrics", "pattern1"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("psnr"), "{stdout}");
+    assert!(!stdout.contains("ssim"), "{stdout}");
+}
+
+#[test]
 fn fleet_flag_runs_the_demo_campaign() {
     let out = cuzc()
         .args(["--demo", "--fleet", "4", "--scheduler", "list"])
