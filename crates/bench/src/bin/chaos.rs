@@ -15,9 +15,10 @@
 //!    at most 50% inflation. Completed-job metrics must equal the
 //!    fault-free golden bits under every plan.
 //! 2. **Mixed faults** — hangs (watchdog trips) and link flaps on top of
-//!    transients; everything still completes or fails typed.
+//!    transients; everything still completes or fails typed, within one
+//!    watchdog timeout.
 //! 3. **Degraded mode** — one device dead on arrival; the survivors absorb
-//!    its load and lose nothing.
+//!    its load, lose nothing, and inflate the makespan at most 50%.
 //!
 //! The whole sweep runs twice and must replay bit-identically. Emits
 //! `BENCH_chaos.json` at the repo root (hand-rolled JSON, no serde).
@@ -303,6 +304,14 @@ fn main() {
         "the mixed plan must trip the watchdog"
     );
     assert!(mr.link_flaps > 0, "the mixed plan must flap a link");
+    // Hangs are reclaimed at a deadline priced from the part, so the whole
+    // mixed campaign ends before a single watchdog timeout would.
+    let watchdog_s = healthy.executor().sim.dev.watchdog_timeout_s;
+    assert!(
+        mixed.fleet.makespan_s < watchdog_s,
+        "mixed faults take {} s, over one {watchdog_s} s watchdog timeout",
+        mixed.fleet.makespan_s
+    );
     println!(
         "\nmixed faults (50‰ transient, 150‰ hang, 300‰ flap): completion {:.1}%, {} watchdog trips, {} flaps, makespan {:+.1}%",
         mr.completion * 100.0,
@@ -321,6 +330,11 @@ fn main() {
         "a dead-on-arrival device never works"
     );
     assert_eq!(degraded.completed(), golden.completed());
+    assert!(
+        dr.makespan_inflation <= 0.5,
+        "the survivors must absorb a dead device's part within 50%: {}",
+        dr.makespan_inflation
+    );
     println!(
         "degraded mode (device 0 dead): completion {:.1}%, {} reschedules, makespan {:+.1}%",
         dr.completion * 100.0,
@@ -330,7 +344,7 @@ fn main() {
 
     let out = format!(
         "{{\n  \"scale\": {scale},\n  \"gpus\": {GPUS},\n  \"jobs\": {n_jobs},\n  \"max_retries\": {},\n  \"spread\": \"mean +/- 2 standard errors over seeds {FIRST_SEED}..{}\",\n  \"fault_free\": [\n{}\n  ],\n  \"transient_sweep\": [\n{}\n  ],\n  \"separated\": [{}],\n  \"gated_seeds_over_50pct_inflation\": [{}],\n  \"mixed_faults\": [\n{}\n  ],\n  \"degraded_mode\": [\n{}\n  ]\n}}\n",
-        RecoveryPolicy::default().max_retries,
+        RecoveryPolicy::MAX_RETRIES,
         FIRST_SEED + SEEDS,
         recovery_json(0, golden),
         sweep_json.join(",\n"),

@@ -151,7 +151,7 @@ pub struct JobRecord {
     pub outcome: JobOutcome,
     /// Execution attempts across the job's shard parts: one per part on a
     /// fault-free fleet (1 for a job that failed before the device);
-    /// retries and reschedules after injected device faults raise it.
+    /// retries, interrupted attempts and split pieces raise it.
     pub attempts: u32,
 }
 

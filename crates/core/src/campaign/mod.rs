@@ -71,8 +71,8 @@ pub struct CampaignSpec {
     /// early-exits (metrics marked subsampled) if the policy already
     /// decides its verdict.
     pub progressive: Option<ProgressivePolicy>,
-    /// Retry/backoff policy for injected device faults — consulted only
-    /// when the fleet carries a non-null [`zc_gpusim::FaultPlan`].
+    /// Retry/backoff policy for injected device faults (fixed constants),
+    /// applied only when the fleet carries a non-null [`zc_gpusim::FaultPlan`].
     pub recovery: RecoveryPolicy,
 }
 
@@ -231,7 +231,7 @@ impl CampaignSpec {
             .iter()
             .map(|fleet| {
                 let shard = self.scheduler.plan(&costs, &splittable, fleet.groups());
-                recover::replay(records.clone(), fleet, &self.cfg, &shard, &self.recovery)
+                recover::replay(records.clone(), fleet, &self.cfg, &shard, &costs)
             })
             .collect()
     }

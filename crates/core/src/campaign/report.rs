@@ -171,9 +171,10 @@ pub(super) fn makespan(busy_s: &[f64]) -> f64 {
 impl CampaignReport {
     /// Fold the completed jobs and the device groups' busy clocks into a
     /// report: counter totals, engine legs, payload and assessed bytes
-    /// accumulate over the completed jobs in job order; the makespan,
-    /// utilization, throughput and prediction error derive from the
-    /// clocks. The prediction books what the clocks book: each group's
+    /// accumulate over the completed jobs in job order, on top of the last
+    /// argument's engine legs and bytes, which no completed job accounts
+    /// for; the makespan, utilization, throughput and prediction error
+    /// derive from the clocks. The prediction books what the clocks book: each group's
     /// plan load plus one `gather_s` per part placed on it. The campaign
     /// replay ([`super::recover`]) ends here.
     pub(crate) fn from_busy_clocks(
@@ -182,13 +183,12 @@ impl CampaignReport {
         plan: &ShardPlan,
         busy_s: Vec<f64>,
         gather_s: f64,
+        (mut engines, mut assessed_bytes): (EngineBusy, u64),
     ) -> CampaignReport {
         let groups = busy_s.len();
         let mut totals = PatternTotals::default();
-        let mut engines = EngineBusy::default();
         let mut completed = 0usize;
         let mut payload_bytes = 0u64;
-        let mut assessed_bytes = 0u64;
         for r in &jobs {
             if let Some(m) = r.metrics() {
                 totals.absorb(&m.runs);

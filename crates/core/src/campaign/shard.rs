@@ -157,8 +157,8 @@ impl Scheduler {
     /// Build the shard plan onto groups that still owe `owed_s[g]` seconds
     /// of earlier work (one entry per group, or `&[]` for an idle fleet). List
     /// scheduling starts each group's load at what it owes and keeps
-    /// round-robin when that finishes sooner, comparing
-    /// [`ShardPlan::predicted_finish`] for both. Nothing owed reproduces
+    /// round-robin when that finishes sooner, comparing when the last group
+    /// finishes under each (`max(owed + load)`). Nothing owed reproduces
     /// the idle-fleet plan bit for bit.
     pub fn plan_onto(
         self,
@@ -186,11 +186,6 @@ impl Scheduler {
     }
 }
 
-/// Seconds group `g` still owes (`&[]` is an idle fleet).
-pub(crate) fn owed(owed_s: &[f64], g: usize) -> f64 {
-    owed_s.get(g).copied().unwrap_or(0.0)
-}
-
 /// The static job → device-group assignment. Each job maps to one or more
 /// `(group, share)` parts; shares sum to 1 per job (a job split along its
 /// slab tiling contributes `share × cost` of load to each group it lands
@@ -206,7 +201,7 @@ impl ShardPlan {
     /// Round-robin assignment priced under per-job predicted costs: job
     /// `i` runs whole on group `i % groups`, with the predicted per-group
     /// load recorded for makespan comparison.
-    pub fn round_robin_priced(costs: &[f64], groups: u32) -> ShardPlan {
+    fn round_robin_priced(costs: &[f64], groups: u32) -> ShardPlan {
         assert!(groups >= 1, "shard plan needs at least one group");
         let mut predicted_busy = vec![0.0f64; groups as usize];
         let assignments = costs
@@ -280,7 +275,7 @@ impl ShardPlan {
         for (i, share, seconds) in pieces {
             // Adding zero owed seconds is exact, so an idle fleet compares
             // the bare loads.
-            let free_at = |g: usize| owed(owed_s, g) + load[g];
+            let free_at = |g: usize| owed_s.get(g).unwrap_or(&0.0) + load[g];
             let least = (0..load.len())
                 .min_by(|&a, &b| {
                     free_at(a)
@@ -341,11 +336,11 @@ impl ShardPlan {
 
     /// Predicted finish of the last group when group `g` first works off
     /// the `owed_s[g]` seconds it still owes: `max(owed + load)`.
-    pub fn predicted_finish(&self, owed_s: &[f64]) -> f64 {
+    fn predicted_finish(&self, owed_s: &[f64]) -> f64 {
         self.predicted_busy
             .iter()
             .enumerate()
-            .map(|(g, &busy)| owed(owed_s, g) + busy)
+            .map(|(g, &busy)| owed_s.get(g).unwrap_or(&0.0) + busy)
             .fold(0.0, f64::max)
     }
 

@@ -15,7 +15,8 @@
 //!   assessed bytes once per executed attempt, so a flaky fleet is
 //!   measurably busier than a healthy one doing the same work.
 //! * **Degraded mode** — a dead device's load reshards onto the survivors
-//!   and the campaign still completes everything.
+//!   (on arrival or mid-attempt) and the campaign still completes
+//!   everything.
 
 use zc_compress::{CompressorSpec, ErrorBound};
 use zc_core::campaign::{
@@ -267,8 +268,9 @@ fn hangs_trip_the_watchdog_and_flaps_reprice_transfers() {
     let r = chaos.recovery.as_ref().expect("chaos replay ran");
     assert!(r.watchdog_trips > 0, "15% hang rate must trip the watchdog");
     assert!(r.link_flaps > 0, "30% flap rate must flap");
-    // A watchdog trip holds the device for the full modeled timeout — far
-    // longer than any scale-32 job — so the makespan visibly inflates.
+    // A watchdog trip holds the device until the part's deadline — twice
+    // its priced hold — and the part then retries, so the makespan
+    // inflates.
     assert!(chaos.fleet.makespan_s > golden.fleet.makespan_s);
     // Flapped legs surcharge the copy engines, never compute.
     assert!(chaos.fleet.engines.h2d_s > golden.fleet.engines.h2d_s);
@@ -294,6 +296,34 @@ fn dead_device_reshards_onto_survivors_and_completes() {
     // Three groups now carry four groups' load.
     assert!(chaos.fleet.makespan_s >= golden.fleet.makespan_s);
     assert_golden_metrics(&chaos, &golden, "degraded mode");
+}
+
+#[test]
+fn a_death_mid_attempt_stops_its_group_and_reshards_the_rest() {
+    // A seeded death strikes inside the campaign, while group 0 is still
+    // running an attempt: the attempt is lost, the group's clock stops at
+    // the death instant, and its part and the parts still routed there
+    // move to the survivors.
+    let golden = fault_free(4);
+    let plan = FaultPlan::chaos(2, 0).with_deaths(300);
+    let chaos = spec(FleetSpec::nvlink(4).with_faults(plan)).run().unwrap();
+    let r = chaos.recovery.as_ref().expect("chaos replay ran");
+    assert_eq!(r.dead_devices, vec![0], "seed 2 dooms group 0 only");
+    assert_eq!(r.lost_jobs, 0, "a death consumes no retry");
+    assert!(r.reschedules > 0, "the interrupted part moved");
+    assert_eq!(r.completion, 1.0);
+    for &g in &r.dead_devices {
+        let frac = plan.death_frac(g).expect("a dead group was doomed");
+        assert!(frac > 0.0, "group {g} was not dead on arrival");
+        assert_eq!(
+            chaos.fleet.busy_s[g as usize].to_bits(),
+            (frac * r.fault_free_makespan_s).to_bits(),
+            "group {g} works until it dies, and not after"
+        );
+    }
+    // The interrupted attempt's partial reads count on top of the work.
+    assert!(chaos.fleet.assessed_bytes > golden.fleet.assessed_bytes);
+    assert_golden_metrics(&chaos, &golden, "mid-attempt death");
 }
 
 #[test]

@@ -171,7 +171,7 @@ fn retry_exhaustion_loses_jobs_but_never_the_campaign() {
     for (job, msg) in report.failures() {
         assert!(msg.contains("retries"), "failure names the cause: {msg}");
         // First attempt plus the full retry budget, per part.
-        assert_eq!(job.attempts, 1 + spec.recovery.max_retries);
+        assert_eq!(job.attempts, 1 + RecoveryPolicy::MAX_RETRIES);
     }
     let r = report.recovery.as_ref().expect("chaos replay ran");
     assert_eq!(r.lost_jobs, 2);

@@ -9,9 +9,11 @@
 //! * **transient launch faults** — an attempt dies mid-flight (an ECC trip,
 //!   an Xid launch error); the device was busy for a deterministic fraction
 //!   of the attempt before the fault struck, then the work is lost;
-//! * **hangs** — the attempt never completes; the modeled watchdog
-//!   ([`crate::DeviceSpec::watchdog_timeout_s`], the TDR-style timer every
-//!   real driver arms) trips after its timeout and the device is reclaimed;
+//! * **hangs** — the attempt never completes; a watchdog reclaims the
+//!   device. The campaign's deadline for a hung attempt is a small multiple
+//!   of the attempt's priced hold, capped by
+//!   [`crate::DeviceSpec::watchdog_timeout_s`] (the TDR-style timer every
+//!   real driver arms);
 //! * **link flaps** — the attempt completes, but its H2D/D2H legs ran over
 //!   a degraded link and are re-priced by a deterministic factor
 //!   ([`crate::EndToEnd::repriced_transfers`]);
@@ -25,7 +27,7 @@
 //! Every decision is a pure function of `(seed, group, attempt key)`
 //! hashed through SplitMix64, so the same seed replays the same faults
 //! bit-for-bit — the property the chaos test tier pins. All knobs are
-//! integers (per-mille rates, microsecond timeouts) so the plan stays
+//! integers (per-mille rates, a doomed-device bit mask) so the plan stays
 //! `Copy + Eq` and can ride inside fleet specs without poisoning their
 //! equality.
 
@@ -74,8 +76,8 @@ pub enum FaultDraw {
         /// Fraction of the nominal attempt span executed before the fault.
         abort_frac: f64,
     },
-    /// The attempt hangs; the device is reclaimed only when the modeled
-    /// watchdog trips, and no work survives.
+    /// The attempt hangs; the device is reclaimed only when the watchdog
+    /// trips, and no work survives.
     Hang,
     /// The attempt completes, but its transfer legs ran over a flapping
     /// link and cost `factor`× their nominal time.
@@ -161,8 +163,9 @@ impl FaultPlan {
     /// The fault (if any) striking one execution attempt on device group
     /// `group`.
     /// `key` must be unique per (job part, attempt) — the campaign's
-    /// recovery engine derives it from the job id, part index and attempt
-    /// ordinal — so retries re-roll instead of replaying the same fault.
+    /// recovery engine derives it from the job id and the attempt ordinal,
+    /// which is unique per job — so retries re-roll instead of replaying
+    /// the same fault.
     ///
     /// Hangs outrank transients outrank flaps: a hung launch never gets
     /// far enough to observe a slow link.

@@ -36,8 +36,8 @@ pub struct DeviceSpec {
     /// working set exceeds this must be assessed out-of-core (slab-tiled).
     pub mem_bytes: u64,
     /// Modeled watchdog (TDR-style) timeout in seconds: a hung launch
-    /// occupies the device for exactly this long before the driver
-    /// reclaims it — what a [`crate::fault::FaultDraw::Hang`] charges on
+    /// occupies the device at most this long before the driver reclaims
+    /// it — the cap on what a [`crate::fault::FaultDraw::Hang`] charges on
     /// the campaign timeline.
     pub watchdog_timeout_s: f64,
 }
