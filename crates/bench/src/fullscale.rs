@@ -6,11 +6,12 @@
 //! runs are re-modeled at the full shape ([`full_run`]): the measured
 //! volume-linear counters are extrapolated, the grid is the one the kernels
 //! declare for the full shape ([`traffic::plane_grid`],
-//! [`traffic::ssim_grid`]), and a GPU run is priced by the one placement
-//! cost model, [`DevicePlacement`], at one device.
+//! [`traffic::ssim_grid`]), and a GPU run is priced on one device by
+//! [`pattern_times`]. The §VI multi-GPU figure prices whole jobs over
+//! several devices ([`spread_s`]).
 
 use zc_core::exec::{PatternProfile, PatternRun};
-use zc_core::plan::{estimate_job_cost, DevicePlacement};
+use zc_core::plan::{estimate_job_cost, pattern_times, price_job};
 use zc_core::{AssessConfig, AssessPlan, Pattern};
 use zc_gpusim::cost::CpuModel;
 use zc_gpusim::{Counters, GpuSim, MultiGpuModel};
@@ -43,7 +44,15 @@ pub fn scale_counters(c: &Counters, ratio: f64) -> Counters {
 /// runs.
 pub fn full_profiles(shape: Shape, cfg: &AssessConfig) -> Vec<PatternProfile> {
     let plan = AssessPlan::lower(cfg);
-    estimate_job_cost(&plan, shape, cfg, 1, &MultiGpuModel::nvlink(1)).profiles
+    price_job(&GpuSim::v100(), &plan, shape, cfg).profiles
+}
+
+/// The modeled seconds of a full-metric cuZC job on a field of `shape`
+/// spread over `link.gpus` devices: the slowest of its plane-range parts,
+/// each gathered over `link.link` ([`estimate_job_cost`]).
+pub fn spread_s(shape: Shape, cfg: &AssessConfig, link: MultiGpuModel) -> f64 {
+    let plan = AssessPlan::lower(cfg);
+    estimate_job_cost(&plan, shape, cfg, link.gpus, &link).seconds
 }
 
 /// One pattern run as it would be at the full shape: counters scale by
@@ -70,7 +79,7 @@ pub fn full_run(
 }
 
 /// Re-model one pattern run at the full shape ([`full_run`]): a GPU run
-/// is priced by [`DevicePlacement`] on one device, a CPU run on the Xeon
+/// is priced by [`pattern_times`] on one device, a CPU run on the Xeon
 /// model.
 pub fn remodel_full(
     run: &PatternRun,
@@ -84,12 +93,7 @@ pub fn remodel_full(
     if run.resources.is_none() {
         return cpu.time(&run.counters).total_s;
     }
-    DevicePlacement {
-        link: MultiGpuModel::nvlink(1),
-        sim,
-    }
-    .pattern_times(&[run], full_shape, cfg)
-    .total()
+    pattern_times(sim, &[run]).total()
 }
 
 #[cfg(test)]
@@ -208,8 +212,8 @@ mod tests {
 
     #[test]
     fn one_device_placement_is_the_full_shape_remodel() {
-        // A one-device placement over either link prices a full-shape run
-        // bit-identically to the launch model on its occupancy and grid.
+        // One device prices a full-shape run bit-identically to the launch
+        // model on its occupancy and grid, run by run or all runs at once.
         let gen = GenOptions::scaled_xy(8);
         let cfg = AssessConfig::default();
         let sim = GpuSim::v100();
@@ -241,35 +245,20 @@ mod tests {
                 })
                 .sum();
             assert_eq!(remodeled.to_bits(), launch_model.to_bits(), "{}", ds.name());
-            for link in [MultiGpuModel::nvlink(1), MultiGpuModel::pcie(1)] {
-                let placed = DevicePlacement { link, sim: &sim }
-                    .pattern_times(&full_runs, full, &cfg)
-                    .total();
-                assert_eq!(placed.to_bits(), remodeled.to_bits(), "{}", ds.name());
-            }
+            let together = pattern_times(&sim, &full_runs).total();
+            assert_eq!(together.to_bits(), remodeled.to_bits(), "{}", ds.name());
         }
     }
 
     #[test]
     fn full_nyx_scales_sublinearly_and_pcie_never_beats_nvlink() {
-        let gen = GenOptions::scaled_xy(8);
         let cfg = AssessConfig::default();
-        let sim = GpuSim::v100();
-        let (scaled, full) = (AppDataset::Nyx.shape(&gen), AppDataset::Nyx.full_shape());
-        let runs: Vec<PatternRun> = scaled_runs(AppDataset::Nyx, &gen, &cfg)
-            .iter()
-            .map(|r| full_run(r, scaled, full, &cfg))
-            .collect();
-        let time = |link: MultiGpuModel| {
-            DevicePlacement { link, sim: &sim }
-                .pattern_times(&runs, full, &cfg)
-                .total()
-        };
-        let single = time(MultiGpuModel::nvlink(1));
+        let full = AppDataset::Nyx.full_shape();
+        let single = spread_s(full, &cfg, MultiGpuModel::nvlink(1));
         let mut prev = single;
         for g in [2u32, 4, 8] {
-            let nv = time(MultiGpuModel::nvlink(g));
-            let pcie = time(MultiGpuModel::pcie(g));
+            let nv = spread_s(full, &cfg, MultiGpuModel::nvlink(g));
+            let pcie = spread_s(full, &cfg, MultiGpuModel::pcie(g));
             assert!(nv < prev, "{g} GPUs {nv} !< {prev}");
             let efficiency = single / (g as f64 * nv);
             assert!(efficiency <= 1.0, "{g} GPUs: efficiency {efficiency}");

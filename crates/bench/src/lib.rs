@@ -11,8 +11,9 @@
 //! * `fig12` — per-pattern speedups,
 //! * `table2` — the runtime profile (Regs/TB, SMem/TB, Iters/thread, TB/SM),
 //! * `ablation` — design-choice ablations (FIFO, fusion, cube size, window),
-//! * `multigpu` — the §VI future-work multi-GPU scaling, priced by the
-//!   device placement `MultiCuZc` runs use.
+//! * `multigpu` — the §VI future-work multi-GPU scaling: a full-shape job
+//!   over n devices priced as n plane-range parts
+//!   ([`fullscale::spread_s`]).
 //!
 //! Beyond the paper, `campaign` and `chaos` write `BENCH_campaign.json`
 //! and `BENCH_chaos.json` (modeled fleet throughput, fault recovery).
@@ -28,11 +29,12 @@
 //! per-pattern counters are volume-extrapolated (they are exactly linear in
 //! element count up to halo effects), the grid is the one the kernels
 //! declare for the full shape (`zc_kernels::traffic`), and each GPU run is
-//! priced by the one-device `DevicePlacement`. Figures therefore reflect the
+//! priced on one device (`zc_core::plan::pattern_times`). Figures therefore reflect the
 //! paper's actual dataset geometries (which drive the Table II effects)
 //! at a small fraction of the simulation cost. `--scale 1` runs the real
-//! thing end-to-end. Table II itself needs no functional pass: it prints
-//! the job pricer's profile of the declared full-shape launches.
+//! thing end-to-end. Table II and the multi-GPU figure need no functional
+//! pass: they read the job pricer's fold of the declared full-shape
+//! launches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

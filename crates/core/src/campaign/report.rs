@@ -149,11 +149,9 @@ pub struct CampaignReport {
 }
 
 /// Modeled seconds to gather one completed job's results from its device
-/// group over the fleet's link: the scalar set, the autocorrelation series
-/// and the three histograms.
+/// group over the fleet's link ([`crate::plan::gather_s`]).
 pub(crate) fn gather_s(fleet: &FleetSpec, cfg: &AssessConfig) -> f64 {
-    let bytes = (19 + cfg.max_lag as u64 + 3 * cfg.bins as u64) * 8;
-    fleet.link.model(fleet.gpus).link.transfer_s(bytes)
+    crate::plan::gather_s(&fleet.link.host_link(), cfg)
 }
 
 /// Modeled seconds one part of a job holds its device group: its `share`

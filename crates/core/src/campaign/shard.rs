@@ -15,9 +15,9 @@
 //!   the least-loaded group. The result is never predicted-worse than
 //!   round-robin: the scheduler prices both plans and keeps the better one.
 //!
-//! Split parts are how one job spreads over several devices; the
-//! grid-partitioned [`crate::exec::MultiCuZc`] is the paper's §VI
-//! executor, not a fleet option.
+//! Split parts are how a campaign spreads one job over several devices.
+//! The paper's §VI model of that spread, a job over n devices as n
+//! plane-range parts, is [`crate::plan::estimate_job_cost`].
 //!
 //! A resident service places each batch onto groups still busy with
 //! earlier ones: [`Scheduler::plan_onto`] takes the seconds each group
@@ -26,7 +26,7 @@
 //! and zero owed seconds reproduce [`Scheduler::plan`] bit for bit.
 
 use crate::exec::CuZc;
-use zc_gpusim::{FaultPlan, MultiGpuModel};
+use zc_gpusim::{FaultPlan, HostLink, MultiGpuModel};
 
 /// Interconnect family of the simulated fleet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +43,14 @@ impl LinkKind {
         match self {
             LinkKind::NvLink => MultiGpuModel::nvlink(gpus),
             LinkKind::Pcie => MultiGpuModel::pcie(gpus),
+        }
+    }
+
+    /// The link between the fleet's devices.
+    pub fn host_link(self) -> HostLink {
+        match self {
+            LinkKind::NvLink => HostLink::nvlink(),
+            LinkKind::Pcie => HostLink::pcie(),
         }
     }
 

@@ -1,10 +1,9 @@
 //! Executors — the "execution model + module coordinator" of Fig. 2.
 //!
-//! Five implementations of one [`Executor`] contract. An executor supplies
+//! Four implementations of one [`Executor`] contract. An executor supplies
 //! only how it runs and prices *one* pass ([`Executor::run_pass`]), plus
-//! optional hooks: its host↔device link, its device capacity, a
-//! [`crate::plan::DevicePlacement`] policy (the multi-GPU case) and its
-//! price for the subsample prepass. Ordering, dependency resolution,
+//! optional hooks: its host↔device link, its device capacity and its price
+//! for the subsample prepass. Ordering, dependency resolution,
 //! counter merging, profile construction and [`Assessment`] assembly live
 //! once in [`crate::plan::PlanRunner`], and the trait's provided methods
 //! (`run_plan`, `run_plan_seeded`, `assess`, `prepass`) are written once:
@@ -15,30 +14,26 @@
 //! | [`OmpZc`] | multithreaded CPU baseline "ompZC" | zc-par threads + Xeon cost model |
 //! | [`MoZc`] | metric-oriented GPU baseline "moZC" | per-metric kernels on `zc-gpusim` |
 //! | [`CuZc`] | the paper's pattern-oriented "cuZC" | fused pattern kernels on `zc-gpusim` |
-//! | [`MultiCuZc`] | §VI multi-GPU extension | the [`CuZc`] backend + device placement |
 //!
-//! All five produce the same metric *values* (to floating-point reduction
+//! All four produce the same metric *values* (to floating-point reduction
 //! tolerance); they differ in the counted work and the modeled time — which
 //! is exactly what Figs. 10–12 compare.
 
 pub mod cpu_ref;
 mod cuzc;
 mod mozc;
-mod multigpu;
 mod ompzc;
 mod serial;
 
 pub use cuzc::CuZc;
 pub use mozc::MoZc;
-pub use multigpu::MultiCuZc;
 pub use ompzc::OmpZc;
 pub use serial::SerialZc;
 
 use crate::config::{AssessConfig, ExecutorKind};
 use crate::metrics::Pattern;
 use crate::plan::{
-    subsample_scan, AssessPlan, DevicePlacement, Pass, PassCtx, PassExecution, PlanRunner,
-    PrepassRun, RunLegs,
+    subsample_scan, AssessPlan, Pass, PassCtx, PassExecution, PlanRunner, PrepassRun, RunLegs,
 };
 use crate::report::AnalysisReport;
 use std::fmt;
@@ -292,8 +287,7 @@ impl std::error::Error for AssessError {}
 /// An executor supplies [`Executor::name`] and [`Executor::run_pass`] —
 /// "given this pass, produce its output and the launches it cost" — and
 /// may override the hooks that describe its platform: [`Executor::transfer`],
-/// [`Executor::device_capacity`], [`Executor::placement`] and
-/// [`Executor::prepass_charge`]. Everything else is provided once:
+/// [`Executor::device_capacity`] and [`Executor::prepass_charge`]. Everything else is provided once:
 /// [`Executor::run_plan`] and [`Executor::run_plan_seeded`] drive the
 /// [`PlanRunner`], [`Executor::assess`] is "lower, then run the plan", and
 /// [`Executor::prepass`] is the shared subsample scan plus the executor's
@@ -317,12 +311,6 @@ pub trait Executor {
     /// Field pairs larger than this are assessed out-of-core: the slab
     /// resolution forces enough tiles that the resident window fits.
     fn device_capacity(&self) -> Option<u64> {
-        None
-    }
-
-    /// The multi-device placement policy the runner re-prices the modeled
-    /// times under (`None` = one device or host).
-    fn placement(&self) -> Option<DevicePlacement<'_>> {
         None
     }
 

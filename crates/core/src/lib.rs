@@ -13,8 +13,8 @@
 //!   executor;
 //! * [`exec`] — the execution models / module coordinator: the serial
 //!   reference, the multithreaded-CPU `ompZC`, the metric-oriented GPU
-//!   `moZC`, the pattern-oriented GPU `cuZC`, and its multi-device
-//!   placement `MultiCuZc` — each an [`exec::Executor`];
+//!   `moZC` and the pattern-oriented GPU `cuZC` — each an
+//!   [`exec::Executor`];
 //! * [`report`] — the analysis report (every metric value);
 //! * [`campaign`] — sharded multi-field batch assessment over the
 //!   simulated multi-GPU fleet (catalog × compressor sweep → aggregate
@@ -68,7 +68,7 @@ pub use engine::{
     AssessRequest, BatchReport, CacheOutcome, CacheStats, CostCalibration, Engine, EngineError,
     JobResult, JobTicket, ResultCache,
 };
-pub use exec::{Assessment, CuZc, Executor, MoZc, MultiCuZc, OmpZc, PatternProfile, SerialZc};
+pub use exec::{Assessment, CuZc, Executor, MoZc, OmpZc, PatternProfile, SerialZc};
 pub use metrics::{Metric, MetricSelection, Pattern};
 pub use plan::{AssessPlan, PassKind, PlanRunner};
 pub use report::AnalysisReport;

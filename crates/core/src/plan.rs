@@ -12,8 +12,7 @@
 //!    the metrics it serves.
 //! 2. An [`Executor`] knows how to execute *one* pass ("run this pass,
 //!    return partials + counters"). [`SerialZc`], [`OmpZc`], [`MoZc`] and
-//!    [`CuZc`] supply little more than that; [`MultiCuZc`] runs the
-//!    [`CuZc`] passes and adds a [`DevicePlacement`] policy.
+//!    [`CuZc`] supply little more than that.
 //! 3. [`PlanRunner`] owns everything else an executor needs:
 //!    ordering, dependency resolution, counter merging, [`PatternRun`] /
 //!    [`PatternProfile`] construction, the modeled stream timeline
@@ -33,7 +32,6 @@
 //! [`OmpZc`]: crate::exec::OmpZc
 //! [`MoZc`]: crate::exec::MoZc
 //! [`CuZc`]: crate::exec::CuZc
-//! [`MultiCuZc`]: crate::exec::MultiCuZc
 
 pub mod verify;
 pub use verify::{
@@ -588,8 +586,7 @@ fn slab_of(i: usize, tiles: usize, slabs: usize) -> usize {
 /// scheduler ranks and balances jobs on [`CostEstimate::seconds`].
 #[derive(Clone, Debug)]
 pub struct CostEstimate {
-    /// Predicted per-pass compute seconds, in plan order (after any
-    /// multi-device re-pricing).
+    /// Predicted per-pass compute seconds, in plan order.
     pub pass_seconds: Vec<(PassKind, f64)>,
     /// Predicted overlapped end-to-end makespan: the pass seconds pushed
     /// through the same stream-timeline model the executors report `e2e`
@@ -603,8 +600,14 @@ pub struct CostEstimate {
     pub slabs: usize,
 }
 
-/// Predict one job's assessment cost on `gpus` V100s joined by `link`
-/// ([`DevicePlacement::price_job`]).
+/// Predict one job's assessment cost over `gpus` V100s joined by `link`,
+/// the one multi-device model. The job is cut into its [`plane_parts`],
+/// one per device. Each part is priced on its own device by [`price_job`]
+/// as a run over its own planes plus the halo planes its plan reads past
+/// them, then gathers its results over the link ([`gather_s`]); the
+/// estimate is the slowest part's. A job that is one part (one device, or
+/// a field of one plane) is the one-device price of the whole job: its
+/// results stay on its device, and whoever books it charges the gather.
 pub fn estimate_job_cost(
     plan: &AssessPlan,
     shape: Shape,
@@ -613,14 +616,154 @@ pub fn estimate_job_cost(
     link: &MultiGpuModel,
 ) -> CostEstimate {
     let sim = GpuSim::v100();
-    DevicePlacement {
-        link: MultiGpuModel {
-            gpus: gpus.max(1),
-            ..*link
-        },
-        sim: &sim,
+    let parts: Vec<PlanePart> = plane_parts(plan, shape, cfg, gpus).collect();
+    if parts.len() == 1 {
+        return price_job(&sim, plan, shape, cfg);
     }
-    .price_job(plan, shape, cfg)
+    let gather = gather_s(&link.link, cfg);
+    parts
+        .iter()
+        .map(|part| {
+            // The full x–y extent over the part's own and halo planes (a
+            // 4-D field's planes stack along z).
+            let planes = part.hi - part.lo + part.halo;
+            let mut est = price_job(&sim, plan, Shape::d3(shape.nx(), shape.ny(), planes), cfg);
+            est.seconds += gather;
+            est
+        })
+        .max_by(|a, b| a.seconds.total_cmp(&b.seconds))
+        .expect("a job has at least one part")
+}
+
+/// One device's part of a job spread over several: a contiguous range of
+/// the field's planes (z-planes × w, as slabs count them) and the halo
+/// planes past the range that its plan reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanePart {
+    /// First plane of the range.
+    pub lo: usize,
+    /// One past the range's last plane.
+    pub hi: usize,
+    /// Planes past `hi` the part reads: `max_lag` for the stencil,
+    /// `window − 1` for SSIM (the larger one the plan runs), clipped at
+    /// the field's last plane.
+    pub halo: usize,
+}
+
+/// Cut a job over `gpus` devices into contiguous plane-range parts, as the
+/// runner splits slabs ([`slab_ranges`]: even planes, the remainder up
+/// front). A field has at most one part per plane.
+pub fn plane_parts(
+    plan: &AssessPlan,
+    shape: Shape,
+    cfg: &AssessConfig,
+    gpus: u32,
+) -> impl Iterator<Item = PlanePart> {
+    let planes = (shape.nz() * shape.nw()).max(1);
+    let reach = plan
+        .passes()
+        .iter()
+        .map(|p| match p.kind {
+            PassKind::P2Stencil => cfg.max_lag,
+            PassKind::P3Ssim => cfg.ssim.window.saturating_sub(1),
+            _ => 0,
+        })
+        .max()
+        .unwrap_or(0);
+    slab_ranges(planes, gpus as usize).map(move |(lo, hi)| PlanePart {
+        lo,
+        hi,
+        halo: reach.min(planes - hi),
+    })
+}
+
+/// Modeled seconds to gather one job's results (or one part's) over
+/// `link`: the scalar set, the autocorrelation series and the three
+/// histograms.
+pub fn gather_s(link: &HostLink, cfg: &AssessConfig) -> f64 {
+    let bytes = (19 + cfg.max_lag as u64 + 3 * cfg.bins as u64) * 8;
+    link.transfer_s(bytes)
+}
+
+/// Predict one job's assessment cost on one device of `sim` with the one
+/// cost model its run is charged by: every pass's declared launches
+/// ([`PassKind::launches`] — exact counters and grids from the field shape
+/// and the configuration) are priced by the simulator's [`gpu_time`] and
+/// overlapped through the stream timeline over the slab schedule the
+/// device's memory forces — the same fold and timeline code
+/// [`PlanRunner::run`] applies to executed launches.
+pub fn price_job(
+    sim: &GpuSim,
+    plan: &AssessPlan,
+    shape: Shape,
+    cfg: &AssessConfig,
+) -> CostEstimate {
+    let capacity = Some(sim.dev.mem_bytes);
+    // An unplaceable job is priced as one (out-of-core) slab.
+    let schedule = SlabSchedule::resolve(plan, shape, cfg, capacity)
+        .unwrap_or_else(|_| SlabSchedule::one_slab(shape, capacity));
+    let slabs = schedule.slabs;
+    let mut charges = Charges::new();
+    for pass in plan.passes() {
+        let launches: Vec<PassLaunch> = pass
+            .kind
+            .launches(shape, cfg)
+            .iter()
+            .map(|l| PassLaunch::declared(sim, l))
+            .collect();
+        if launches.is_empty() {
+            continue;
+        }
+        // Each launch tiles as the simulator tiles it — `slabs`
+        // contiguous block ranges, at most one per block — with its
+        // seconds split evenly over its tiles.
+        let mut tiles = Vec::new();
+        for l in &launches {
+            let n = slabs.clamp(1, l.grid_blocks);
+            fold_slab_seconds(&mut tiles, slabs, (0..n).map(|_| l.seconds / n as f64));
+        }
+        charges.add(pass.kind, &launches, tiles);
+    }
+    // The staging link is PCIe regardless of the fleet's interconnect —
+    // matching `CuZc::transfer`, so predictions share a basis with the
+    // per-job `e2e` the report aggregates.
+    let (times, profiles, _, legs) = charges.settle(Some(HostLink::pcie()), cfg, &schedule);
+    CostEstimate {
+        pass_seconds: charges
+            .pass_tiles
+            .iter()
+            .map(|(kind, tiles)| (*kind, tiles.iter().sum()))
+            .collect(),
+        seconds: legs.map_or(times.total(), |l| l.end_to_end().overlapped_s),
+        profiles,
+        slabs,
+    }
+}
+
+/// Price merged per-pattern runs on one device of `sim`: each run costs
+/// its own launch model on its own grid. The full-shape figures re-model
+/// scaled runs through this.
+pub fn pattern_times(sim: &GpuSim, runs: &[PatternRun]) -> PatternTimes {
+    let mut times = PatternTimes::default();
+    for run in runs {
+        let Some(res) = run.resources else { continue };
+        let occ = occupancy(&sim.dev, &res);
+        let t = gpu_time(
+            &sim.dev,
+            &sim.calib,
+            &run.counters,
+            &occ,
+            run.grid_blocks.max(1),
+            run.class,
+        );
+        match run.pattern {
+            Pattern::GlobalReduction => times.p1 += t.total_s,
+            Pattern::Stencil => times.p2 += t.total_s,
+            Pattern::SlidingWindow => times.p3 += t.total_s,
+            Pattern::CompressionMeta => {}
+        }
+    }
+    times
 }
 
 /// The strided-subsample pattern-1 prepass result (progressive
@@ -716,130 +859,6 @@ pub fn subsample_scan(orig: &Tensor<f32>, dec: &Tensor<f32>, stride: usize) -> P
 pub(crate) fn gpu_prepass_charge(sim: &GpuSim, sampled: u64, stride: usize) -> (Counters, f64) {
     let launch = traffic::p1_gather(sampled, stride);
     (launch.counters, PassLaunch::declared(sim, &launch).seconds)
-}
-
-/// A device-placement policy: grid-partition every pattern's launches over
-/// the `link.gpus` devices `link` connects, re-pricing compute on the
-/// per-device grid share and charging halo-exchange plus all-reduce
-/// communication (the paper's §VI multi-GPU extension). This is the one
-/// multi-GPU cost model: [`crate::exec::MultiCuZc`] runs, the job pricer
-/// ([`DevicePlacement::price_job`]) and the full-shape figures all price
-/// through [`DevicePlacement::pattern_times`].
-#[derive(Clone, Copy, Debug)]
-pub struct DevicePlacement<'a> {
-    /// Device count and inter-device interconnect.
-    pub link: MultiGpuModel,
-    /// The per-device simulator (cost calibration + device spec).
-    pub sim: &'a GpuSim,
-}
-
-impl DevicePlacement<'_> {
-    /// Predict one job's assessment cost with the one cost model its run
-    /// is charged by: every pass's declared launches ([`PassKind::launches`]
-    /// — exact counters and grids from the field shape and the
-    /// configuration) are priced by the simulator's [`gpu_time`], re-priced
-    /// per pattern by [`Self::pattern_times`] when this placement spans
-    /// more than one device, and overlapped through the stream timeline
-    /// over the slab schedule the device's memory forces — the same fold,
-    /// placement and timeline code [`PlanRunner::run`] applies to executed
-    /// launches.
-    pub fn price_job(&self, plan: &AssessPlan, shape: Shape, cfg: &AssessConfig) -> CostEstimate {
-        let capacity = Some(self.sim.dev.mem_bytes);
-        // An unplaceable job is priced as one (out-of-core) slab.
-        let schedule = SlabSchedule::resolve(plan, shape, cfg, capacity)
-            .unwrap_or_else(|_| SlabSchedule::one_slab(shape, capacity));
-        let slabs = schedule.slabs;
-        let mut charges = Charges::new();
-        for pass in plan.passes() {
-            let launches: Vec<PassLaunch> = pass
-                .kind
-                .launches(shape, cfg)
-                .iter()
-                .map(|l| PassLaunch::declared(self.sim, l))
-                .collect();
-            if launches.is_empty() {
-                continue;
-            }
-            // Each launch tiles as the simulator tiles it — `slabs`
-            // contiguous block ranges, at most one per block — with its
-            // seconds split evenly over its tiles.
-            let mut tiles = Vec::new();
-            for l in &launches {
-                let n = slabs.clamp(1, l.grid_blocks);
-                fold_slab_seconds(&mut tiles, slabs, (0..n).map(|_| l.seconds / n as f64));
-            }
-            charges.add(pass.kind, &launches, tiles);
-        }
-        // The staging link is PCIe regardless of the intra-group
-        // interconnect — matching `CuZc::transfer`, so predictions share a
-        // basis with the per-job `e2e` the report aggregates.
-        let (times, profiles, _, legs) =
-            charges.settle(Some(*self), Some(HostLink::pcie()), shape, cfg, &schedule);
-        CostEstimate {
-            pass_seconds: charges
-                .pass_tiles
-                .iter()
-                .map(|(kind, tiles)| (*kind, tiles.iter().sum()))
-                .collect(),
-            seconds: legs.map_or(times.total(), |l| l.end_to_end().overlapped_s),
-            profiles,
-            slabs,
-        }
-    }
-
-    /// Halo bytes a device exchanges with one neighbour for a pattern.
-    fn halo_bytes(&self, pattern: Pattern, shape: zc_tensor::Shape, cfg: &AssessConfig) -> u64 {
-        let slab = shape.slab_len() as u64 * 4 * 2; // both fields
-        match pattern {
-            Pattern::GlobalReduction => 0,
-            // Stencil needs the largest lag's worth of neighbour slices.
-            Pattern::Stencil => slab * cfg.max_lag as u64,
-            // SSIM blocks own y ranges; neighbours share window ghost rows.
-            Pattern::SlidingWindow => {
-                (shape.nx() * shape.nz()) as u64 * 4 * 2 * (cfg.ssim.window as u64 - 1)
-            }
-            Pattern::CompressionMeta => 0,
-        }
-    }
-
-    /// Re-price the merged per-pattern runs on this placement. On one
-    /// device nothing is exchanged, so each run costs its own launch model
-    /// on its own grid.
-    pub fn pattern_times(
-        &self,
-        runs: &[PatternRun],
-        shape: zc_tensor::Shape,
-        cfg: &AssessConfig,
-    ) -> PatternTimes {
-        let g = self.link.gpus as u64;
-        let sim = self.sim;
-        let mut times = PatternTimes::default();
-        for run in runs {
-            let Some(res) = run.resources else { continue };
-            // Each device executes its share of the grid: the makespan
-            // device holds ceil(grid / g) blocks and ~1/g of the counters.
-            let grid_d = (run.grid_blocks as u64).div_ceil(g) as usize;
-            let c = run.counters.div_ceil_by(g);
-            let occ = occupancy(&sim.dev, &res);
-            let t = gpu_time(&sim.dev, &sim.calib, &c, &occ, grid_d.max(1), run.class);
-            // Communication: halo exchange with up to two neighbours plus
-            // the ring all-reduce of scalar partials.
-            let halo = self.halo_bytes(run.pattern, shape, cfg);
-            let comm_s = if g > 1 && halo > 0 {
-                2.0 * self.link.link.transfer_s(halo)
-            } else {
-                0.0
-            } + self.link.allreduce_s();
-            let total = t.total_s + comm_s;
-            match run.pattern {
-                Pattern::GlobalReduction => times.p1 += total,
-                Pattern::Stencil => times.p2 += total,
-                Pattern::SlidingWindow => times.p3 += total,
-                Pattern::CompressionMeta => {}
-            }
-        }
-        times
-    }
 }
 
 /// Accumulates one pattern's launches into a Table-II profile row plus a
@@ -963,8 +982,7 @@ impl<'a> PlanRunner<'a> {
         self
     }
 
-    /// Execute the plan on an executor, re-pricing the modeled times under
-    /// its multi-device placement when it has one.
+    /// Execute the plan on an executor.
     pub fn run(
         &self,
         backend: &(impl Executor + ?Sized),
@@ -1018,13 +1036,7 @@ impl<'a> PlanRunner<'a> {
             }
             done.push(pass.kind);
         }
-        let (times, profiles, runs, legs) = charges.settle(
-            backend.placement(),
-            backend.transfer(),
-            orig.shape(),
-            cfg,
-            &schedule,
-        );
+        let (times, profiles, runs, legs) = charges.settle(backend.transfer(), cfg, &schedule);
 
         let p1 = ctx
             .p1
@@ -1048,7 +1060,7 @@ impl<'a> PlanRunner<'a> {
 
 /// Per-pass launch records folded per pattern — the one place a run is
 /// priced, whether its launches were executed ([`PlanRunner::run`]) or
-/// declared ([`DevicePlacement::price_job`]), so a prediction goes through
+/// declared ([`price_job`]), so a prediction goes through
 /// exactly the code its run will.
 struct Charges {
     accs: [PatternAcc; 3],
@@ -1084,16 +1096,11 @@ impl Charges {
         self.pass_tiles.push((kind, tiles));
     }
 
-    /// Per-pattern times, profiles and runs; re-priced under a multi-device
-    /// `placement` (compute share + halo/all-reduce communication, scaling
-    /// each pass's slab seconds in place — counters, runs and profiles are
-    /// placement-invariant by construction); then the run's stream legs
+    /// Per-pattern times, profiles and runs, then the run's stream legs
     /// over `schedule` and the backend's host `link`, if it has one.
     fn settle(
         &mut self,
-        placement: Option<DevicePlacement<'_>>,
         link: Option<HostLink>,
-        shape: Shape,
         cfg: &AssessConfig,
         schedule: &SlabSchedule,
     ) -> (
@@ -1116,21 +1123,6 @@ impl Charges {
                 profiles.push(acc.profile());
             }
             runs.push(acc.run());
-        }
-
-        if let Some(p) = placement.filter(|p| p.link.gpus > 1) {
-            let placed = p.pattern_times(&runs, shape, cfg);
-            // Tile durations scale with their pass.
-            for (kind, tiles) in self.pass_tiles.iter_mut() {
-                let pattern = kind.pattern();
-                let (old, new) = (times.of(pattern), placed.of(pattern));
-                if old > 0.0 {
-                    for t in tiles.iter_mut() {
-                        *t *= new / old;
-                    }
-                }
-            }
-            times = placed;
         }
 
         let legs = link

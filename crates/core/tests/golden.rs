@@ -2,7 +2,7 @@
 //! reference executor on a fixed seeded 32³ field, pinned to exact `f64`
 //! constants.
 //!
-//! Purpose: the differential tier (serial vs ompZC/moZC/cuZC/MultiCuZc)
+//! Purpose: the differential tier (serial vs ompZC/moZC/cuZC)
 //! catches executors drifting *apart*, but not all of them drifting
 //! *together* — a kernel refactor that changes the math identically in
 //! every executor passes differential testing while silently changing
@@ -22,7 +22,7 @@
 //! cargo test -p zc-core --test golden regen -- --ignored --nocapture
 //! ```
 
-use zc_core::exec::{CuZc, Executor, MoZc, MultiCuZc, OmpZc, SerialZc};
+use zc_core::exec::{CuZc, Executor, MoZc, OmpZc, SerialZc};
 use zc_core::{AssessConfig, Metric, TilingPolicy};
 use zc_data::Rng64;
 use zc_gpusim::Counters;
@@ -195,16 +195,14 @@ fn pruned_verdict_agrees_with_full_assessment_on_both_sides() {
     }
 }
 
-/// The five executors whose stride-8 prepass charge is pinned, in the order
-/// of [`GOLDEN_PREPASS_CHARGES`]. The multi-GPU gang has more than one
-/// device so its split-and-all-reduce scaling is exercised.
+/// The four executors whose stride-8 prepass charge is pinned, in the order
+/// of [`GOLDEN_PREPASS_CHARGES`].
 fn prepass_executors() -> Vec<Box<dyn Executor>> {
     vec![
         Box::new(SerialZc),
         Box::new(OmpZc::default()),
         Box::new(MoZc::default()),
         Box::new(CuZc::default()),
-        Box::new(MultiCuZc::nvlink(4)),
     ]
 }
 
@@ -218,7 +216,6 @@ const GOLDEN_PREPASS_CHARGES: &[(&str, Charge, u64)] = &[
     ("ompZC", (32768, 32768, 8192, 1), 0x3f028de50e888635),
     ("moZC", (262144, 122880, 0, 1), 0x3ed431214adde070),
     ("cuZC", (262144, 122880, 0, 1), 0x3ed431214adde070),
-    ("cuZC-multi", (262144, 122880, 0, 1), 0x3f100b4cabd60637),
 ];
 
 /// The full counter set a pinned charge tuple stands for.
@@ -303,13 +300,8 @@ const E2E_TILINGS: [TilingPolicy; 3] = [
 ];
 
 /// The device-resident executors whose timelines are pinned, in row order.
-/// The gang has two devices so its per-device transfer split is exercised.
 fn e2e_executors() -> Vec<Box<dyn Executor>> {
-    vec![
-        Box::new(CuZc::default()),
-        Box::new(MoZc::default()),
-        Box::new(MultiCuZc::nvlink(2)),
-    ]
+    vec![Box::new(CuZc::default()), Box::new(MoZc::default())]
 }
 
 /// (executor name, tiling, [h2d, d2h, compute, serialized, overlapped] bits).
@@ -321,9 +313,6 @@ const GOLDEN_E2E: &[(&str, TilingPolicy, [u64; 5])] = &[
     ("moZC", TilingPolicy::Slabs(4), [0x3f1ab2b980f05b22, 0x3f35024e418a16a2, 0x3f533475ce361072, 0x3f5a2034f6a79bcd, 0x3f55c54735a40d25]),
     ("moZC", TilingPolicy::Slabs(16), [0x3f36673686e6a57f, 0x3f52082201fcf9dc, 0x3f533475ce361071, 0x3f656b32b8f659db, 0x3f605860b0a301b4]),
     ("moZC", TilingPolicy::Monolithic, [0x3f05f062b48b98dc, 0x3f151f186b7e1fb8, 0x3f533475ce361073, 0x3f5535ea6a924f36, 0x3f5437dd287ef8e1]),
-    ("cuZC-multi", TilingPolicy::Slabs(4), [0x3f1ab2b980f05b22, 0x3f35024e418a16a2, 0x3f439cd043e23f2a, 0x3f50ba274a62aaf1, 0x3f4afee1324062df]),
-    ("cuZC-multi", TilingPolicy::Slabs(16), [0x3f36673686e6a57f, 0x3f52082201fcf9dc, 0x3f439ce36b4f8cb3, 0x3f60b830acaf34c3, 0x3f58226889fcedc2]),
-    ("cuZC-multi", TilingPolicy::Monolithic, [0x3f05f062b48b98dc, 0x3f151f186b7e1fb8, 0x3f439cd043e23f29, 0x3f479fb97c9abcad, 0x3f45a39ef8741004]),
 ];
 
 /// The five `EndToEnd` fields of one run, as f64 bits.

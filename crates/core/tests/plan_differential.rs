@@ -1,5 +1,5 @@
 //! Plan differential tier: running the shared plan must reproduce what the
-//! five hand-scheduled executors produced before the plan-IR refactor.
+//! four hand-scheduled executors produced before the plan-IR refactor.
 //!
 //! Two pins on the seeded golden 32³ pair:
 //!
@@ -10,12 +10,8 @@
 //! - **Metric values**: the serial reference stays bit-identical to the
 //!   `golden.rs` constants, and every executor's headline metrics are pinned
 //!   to exact `f64` bits so all of them drifting together is caught.
-//!
-//! MultiCuZc rows equal the CuZc rows by construction: it is the same
-//! backend under a different device placement, which re-prices time but
-//! must not change the work.
 
-use zc_core::exec::{CuZc, Executor, MoZc, MultiCuZc, OmpZc, SerialZc};
+use zc_core::exec::{CuZc, Executor, MoZc, OmpZc, SerialZc};
 use zc_core::metrics::{Metric, MetricSelection, Pattern};
 use zc_core::plan::AssessPlan;
 use zc_core::AssessConfig;
@@ -47,8 +43,6 @@ fn executors() -> Vec<(&'static str, Box<dyn Executor>)> {
         ("ompzc", Box::new(OmpZc::default())),
         ("mozc", Box::new(MoZc::default())),
         ("cuzc", Box::new(CuZc::default())),
-        ("multi2", Box::new(MultiCuZc::nvlink(2))),
-        ("multi3", Box::new(MultiCuZc::pcie(3))),
     ]
 }
 
@@ -113,14 +107,6 @@ fn pinned() -> Vec<(&'static str, &'static str, Counters, usize, usize)> {
         ("cuzc",   "p1",   counters(627_456, 103_168, 0, 108_032, 1_950_304, 65_536, 26_144, 64, 2, 2, 4), 1, 1),
         ("cuzc",   "p2",   counters(6_669_248, 68_464, 0, 3_876_848, 5_377_508, 86_768, 26_144, 2_152, 11, 11, 16), 2, 2),
         ("cuzc",   "p3",   counters(873_328, 4_976, 0, 1_030_728, 6_371_300, 64_018, 109_024, 256, 2, 2, 32), 2, 2),
-        ("multi2", "full", counters(7_636_016, 166_880, 0, 4_996_152, 10_503_016, 150_786, 109_024, 2_408, 13, 13, 32), 3, 3),
-        ("multi2", "p1",   counters(627_456, 103_168, 0, 108_032, 1_950_304, 65_536, 26_144, 64, 2, 2, 4), 1, 1),
-        ("multi2", "p2",   counters(6_669_248, 68_464, 0, 3_876_848, 5_377_508, 86_768, 26_144, 2_152, 11, 11, 16), 2, 2),
-        ("multi2", "p3",   counters(873_328, 4_976, 0, 1_030_728, 6_371_300, 64_018, 109_024, 256, 2, 2, 32), 2, 2),
-        ("multi3", "full", counters(7_636_016, 166_880, 0, 4_996_152, 10_503_016, 150_786, 109_024, 2_408, 13, 13, 32), 3, 3),
-        ("multi3", "p1",   counters(627_456, 103_168, 0, 108_032, 1_950_304, 65_536, 26_144, 64, 2, 2, 4), 1, 1),
-        ("multi3", "p2",   counters(6_669_248, 68_464, 0, 3_876_848, 5_377_508, 86_768, 26_144, 2_152, 11, 11, 16), 2, 2),
-        ("multi3", "p3",   counters(873_328, 4_976, 0, 1_030_728, 6_371_300, 64_018, 109_024, 256, 2, 2, 32), 2, 2),
     ]
 }
 
@@ -173,20 +159,6 @@ const PINNED_SCALARS: &[(&str, f64, f64, f64, f64)] = &[
     ),
     (
         "cuzc",
-        70.83489292827493,
-        0.999998822369074,
-        0.0009076035842160322,
-        3.299744592914627e-7,
-    ),
-    (
-        "multi2",
-        70.83489292827493,
-        0.999998822369074,
-        0.0009076035842160322,
-        3.299744592914627e-7,
-    ),
-    (
-        "multi3",
         70.83489292827493,
         0.999998822369074,
         0.0009076035842160322,

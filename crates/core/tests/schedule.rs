@@ -6,7 +6,7 @@
 //! capacities — none, at least the pair, under the pair, and too small for
 //! even per-plane slabs — pins:
 //!
-//! * the footprint's slab count is the count [`DevicePlacement::price_job`]
+//! * the footprint's slab count is the count [`price_job`]
 //!   prices on a device of that memory (an unplaceable job is priced as
 //!   one slab);
 //! * a capacity error renders in `plan/capacity` exactly as the cuZC
@@ -16,10 +16,10 @@
 
 use zc_core::config::TilingPolicy;
 use zc_core::exec::{AssessError, CuZc, Executor};
-use zc_core::plan::{footprint, verify, AssessPlan, BackendCaps, DevicePlacement};
+use zc_core::plan::{footprint, price_job, verify, AssessPlan, BackendCaps};
 use zc_core::AssessConfig;
 use zc_data::SplitMix64;
-use zc_gpusim::{GpuSim, MultiGpuModel};
+use zc_gpusim::GpuSim;
 use zc_tensor::{Shape, Tensor};
 
 #[test]
@@ -74,11 +74,7 @@ fn verifier_pricer_and_runner_agree_on_one_schedule() {
                 if let Some(m) = capacity {
                     sim.dev.mem_bytes = m;
                 }
-                let priced = DevicePlacement {
-                    link: MultiGpuModel::nvlink(1),
-                    sim: &sim,
-                }
-                .price_job(&plan, shape, &cfg);
+                let priced = price_job(&sim, &plan, shape, &cfg);
 
                 let capacity_diags: Vec<String> = verify(&plan, shape, &cfg, &caps)
                     .into_iter()

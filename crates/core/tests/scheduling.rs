@@ -17,14 +17,14 @@
 //! * **Scheduling is placement-only** — switching schedulers changes
 //!   *which group* a job runs on, never any metric bit or merged counter.
 //! * **Prepass uniformity** — the progressive subsample estimates are
-//!   bit-identical across all five executors (the estimate is the shared
+//!   bit-identical across all four executors (the estimate is the shared
 //!   host scan; only the modeled charge differs).
 
 use zc_compress::CompressorSpec;
 use zc_core::campaign::{
     CampaignReport, CampaignSpec, FieldRef, FleetSpec, RecoveryPolicy, Scheduler,
 };
-use zc_core::exec::{CuZc, Executor, MoZc, MultiCuZc, OmpZc, SerialZc};
+use zc_core::exec::{CuZc, Executor, MoZc, OmpZc, SerialZc};
 use zc_core::recommend::{ProgressivePolicy, QualityCriteria};
 use zc_core::AssessConfig;
 use zc_data::{AppDataset, GenOptions};
@@ -192,7 +192,6 @@ fn prepass_estimates_are_bit_identical_across_all_five_executors() {
         Box::new(OmpZc::default()),
         Box::new(MoZc::default()),
         Box::new(CuZc::default()),
-        Box::new(MultiCuZc::nvlink(2)),
     ];
     for stride in [1usize, 3, 8, 17] {
         let reference = executors[0].prepass(&orig, &dec, stride).unwrap();

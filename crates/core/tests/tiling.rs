@@ -15,7 +15,7 @@
 //!   extent clamp to valid schedules instead of failing.
 
 use zc_core::config::TilingPolicy;
-use zc_core::exec::{AssessError, Assessment, CuZc, Executor, MoZc, MultiCuZc, OmpZc, SerialZc};
+use zc_core::exec::{AssessError, Assessment, CuZc, Executor, MoZc, OmpZc, SerialZc};
 use zc_core::metrics::Metric;
 use zc_core::AssessConfig;
 use zc_data::Rng64;
@@ -43,7 +43,6 @@ fn executors() -> Vec<(&'static str, Box<dyn Executor>)> {
         ("ompzc", Box::new(OmpZc::default())),
         ("mozc", Box::new(MoZc::default())),
         ("cuzc", Box::new(CuZc::default())),
-        ("multi2", Box::new(MultiCuZc::nvlink(2))),
     ]
 }
 
@@ -146,17 +145,13 @@ fn out_of_core_matches_unconstrained_reference_on_every_executor() {
     cu.sim.dev.mem_bytes = cap;
     let mut mo = MoZc::default();
     mo.sim.dev.mem_bytes = cap;
-    let mut multi = MultiCuZc::nvlink(2);
-    multi.inner.sim.dev.mem_bytes = cap;
 
     for (name, a) in [
         ("cuzc-ooc", cu.assess(&orig, &dec, &cfg).unwrap()),
         ("mozc-ooc", mo.assess(&orig, &dec, &cfg).unwrap()),
-        ("multi-ooc", multi.assess(&orig, &dec, &cfg).unwrap()),
     ] {
         let mono = match name {
             "mozc-ooc" => MoZc::default().assess(&orig, &dec, &cfg).unwrap(),
-            "multi-ooc" => MultiCuZc::nvlink(2).assess(&orig, &dec, &cfg).unwrap(),
             _ => reference.clone(),
         };
         assert_bit_identical(name, 0, &a, &mono);

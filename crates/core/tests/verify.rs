@@ -1,7 +1,7 @@
 //! Static-verifier tier (DESIGN.md §6.10): mutant plans the lowering can
 //! never produce must each be rejected with the expected lint id, and —
 //! the property the whole tier protects — every plan that executes cleanly
-//! on all five executors verifies with zero error diagnostics.
+//! on all four executors verifies with zero error diagnostics.
 //!
 //! Mutants are built through [`AssessPlan::from_passes`], the verifier's
 //! seam that bypasses the lowering invariants; the timeline mutant goes
@@ -9,7 +9,7 @@
 //! schedule is honest by construction.
 
 use zc_core::config::TilingPolicy;
-use zc_core::exec::{CuZc, Executor, MoZc, MultiCuZc, OmpZc, SerialZc};
+use zc_core::exec::{CuZc, Executor, MoZc, OmpZc, SerialZc};
 use zc_core::metrics::{Metric, MetricSelection, Pattern};
 use zc_core::plan::{verify, verify_tile_schedule, AssessPlan, BackendCaps, Pass, PassKind};
 use zc_core::AssessConfig;
@@ -175,7 +175,6 @@ fn plans_that_execute_cleanly_verify_cleanly() {
         ("ompzc", Box::new(OmpZc::default())),
         ("mozc", Box::new(MoZc::default())),
         ("cuzc", Box::new(CuZc::default())),
-        ("multi2", Box::new(MultiCuZc::nvlink(2))),
     ];
     for sel in [
         MetricSelection::all(),

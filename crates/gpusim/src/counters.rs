@@ -61,48 +61,6 @@ impl Counters {
         self.global_read_bytes + self.global_write_bytes
     }
 
-    /// Per-device share of a grid-partitioned launch: divide every
-    /// *additive* quantity by `g` (rounding up — the makespan device holds
-    /// the largest share), while preserving the launch structure
-    /// (`launches`, `grid_syncs`) and the per-thread serial depth
-    /// (`iters_per_thread`), which do not shrink when a grid is split.
-    ///
-    /// The exhaustive destructuring is deliberate: adding a counter field
-    /// without deciding whether it scales per-device is a compile error
-    /// here, not a silently unscaled quantity.
-    pub fn div_ceil_by(&self, g: u64) -> Counters {
-        assert!(g >= 1, "device count must be >= 1");
-        let Counters {
-            global_read_bytes,
-            global_write_bytes,
-            global_scatter_bytes,
-            shared_accesses,
-            lane_flops,
-            special_ops,
-            shuffles,
-            ballots,
-            syncs,
-            launches,
-            grid_syncs,
-            iters_per_thread,
-        } = *self;
-        let d = |v: u64| v.div_ceil(g);
-        Counters {
-            global_read_bytes: d(global_read_bytes),
-            global_write_bytes: d(global_write_bytes),
-            global_scatter_bytes: d(global_scatter_bytes),
-            shared_accesses: d(shared_accesses),
-            lane_flops: d(lane_flops),
-            special_ops: d(special_ops),
-            shuffles: d(shuffles),
-            ballots: d(ballots),
-            syncs: d(syncs),
-            launches,
-            grid_syncs,
-            iters_per_thread,
-        }
-    }
-
     /// Fold an iterator of counter sets into one (the campaign-level
     /// aggregation: sums everywhere, max for the per-thread serial depth —
     /// same invariant as [`Counters::merge`]).
@@ -146,44 +104,6 @@ mod tests {
         assert_eq!(a.global_read_bytes, 13);
         assert_eq!(a.global_bytes(), 20);
         assert_eq!(a.iters_per_thread, 5);
-    }
-
-    #[test]
-    fn div_ceil_by_scales_every_additive_field_and_preserves_structure() {
-        // Every field odd and distinct, so div_ceil rounding is visible and
-        // a field accidentally divided (or accidentally preserved) shows up
-        // as a unique wrong value.
-        let c = Counters {
-            global_read_bytes: 101,
-            global_write_bytes: 103,
-            global_scatter_bytes: 105,
-            shared_accesses: 107,
-            lane_flops: 109,
-            special_ops: 111,
-            shuffles: 113,
-            ballots: 115,
-            syncs: 117,
-            launches: 7,
-            grid_syncs: 5,
-            iters_per_thread: 33,
-        };
-        let s = c.div_ceil_by(4);
-        // Additive quantities: ceil-divided.
-        assert_eq!(s.global_read_bytes, 26);
-        assert_eq!(s.global_write_bytes, 26);
-        assert_eq!(s.global_scatter_bytes, 27);
-        assert_eq!(s.shared_accesses, 27);
-        assert_eq!(s.lane_flops, 28);
-        assert_eq!(s.special_ops, 28);
-        assert_eq!(s.shuffles, 29);
-        assert_eq!(s.ballots, 29);
-        assert_eq!(s.syncs, 30);
-        // Structural quantities: preserved.
-        assert_eq!(s.launches, 7);
-        assert_eq!(s.grid_syncs, 5);
-        assert_eq!(s.iters_per_thread, 33);
-        // g = 1 is the identity.
-        assert_eq!(c.div_ceil_by(1), c);
     }
 
     #[test]

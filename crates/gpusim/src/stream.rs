@@ -6,8 +6,8 @@
 //! does the same for compression). This module models that dimension:
 //!
 //! * a [`HostLink`] prices an H2D/D2H leg (latency + bytes / bandwidth);
-//!   [`crate::MultiGpuModel`] prices its inter-device legs on the same
-//!   links;
+//!   a [`crate::MultiGpuModel`]'s devices gather their results over the
+//!   same links;
 //! * a [`Timeline`] schedules *events* onto streams and engines. A V100 has
 //!   one compute engine and two DMA copy engines (one per direction), so
 //!   events on the same [`Engine`] serialize, events in the same stream

@@ -466,8 +466,8 @@ fn run() -> Result<ExitCode, String> {
 /// lints (verify), and exit without assessing. Error-severity diagnostics
 /// exit 4 — distinct from usage errors (2) and sanitizer hazards (3).
 fn run_static_analysis(args: &Args, run: &RunConfig, shape: Shape) -> Result<ExitCode, String> {
-    use zc_core::plan::{footprint, verify, DevicePlacement};
-    use zc_gpusim::{GpuSim, MultiGpuModel};
+    use zc_core::plan::{footprint, price_job, verify};
+    use zc_gpusim::GpuSim;
     let plan = AssessPlan::lower(&run.assess);
     let caps = BackendCaps::for_kind(run.executor, args.device_mem);
 
@@ -481,11 +481,7 @@ fn run_static_analysis(args: &Args, run: &RunConfig, shape: Shape) -> Result<Exi
         if let Some(m) = args.device_mem {
             sim.dev.mem_bytes = m;
         }
-        let est = DevicePlacement {
-            link: MultiGpuModel::nvlink(1),
-            sim: &sim,
-        }
-        .price_job(&plan, shape, &run.assess);
+        let est = price_job(&sim, &plan, shape, &run.assess);
         println!("assessment plan for {shape} ({:?} executor)", run.executor);
         for p in &fp.passes {
             let deps = if p.deps.is_empty() {

@@ -385,10 +385,16 @@ impl Server {
         self.engine.backlog_s(now_s)
     }
 
-    /// Offer one request to the service at its arrival time. Quota and
-    /// watermark are checked before admission so a saturated service does
-    /// no verification work.
+    /// Offer one request to the service at its arrival time. A non-finite
+    /// arrival is a bad request. Quota and watermark are checked before
+    /// admission so a saturated service does no verification work.
     pub fn offer(&mut self, req: &ServeRequest) -> Result<JobTicket, ServeError> {
+        if !req.arrival_s.is_finite() {
+            return Err(ServeError::BadRequest(format!(
+                "arrival time {} s is not finite",
+                req.arrival_s
+            )));
+        }
         let tenant = req.tenant as usize;
         if self.tenant_queued.len() <= tenant {
             self.tenant_queued.resize(tenant + 1, 0);
@@ -520,11 +526,17 @@ impl Server {
                 settle(drained, first_ticket, &slots, &mut verdicts);
             }
         }
-        let end = trace.requests.last().map(|r| r.arrival_s).unwrap_or(0.0);
+        // Refused non-finite arrivals bound neither end of the trace.
+        let mut arrivals = trace
+            .requests
+            .iter()
+            .map(|r| r.arrival_s)
+            .filter(|a| a.is_finite());
+        let first_arrival = arrivals.next().unwrap_or(0.0);
+        let end = arrivals.next_back().unwrap_or(first_arrival);
         let drained = self.drain(end);
         settle(drained, first_ticket, &slots, &mut verdicts);
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let first_arrival = trace.requests.first().map(|r| r.arrival_s).unwrap_or(0.0);
         let span = (last_completion - first_arrival).max(f64::EPSILON);
         let group_busy_s = self.engine.group_busy_s();
         let utilization = if group_busy_s.is_empty() {
@@ -754,6 +766,34 @@ mod tests {
             }
         }
         assert!(quota_hits > 0, "12 skewed requests, quota 1, no refusals?");
+    }
+
+    #[test]
+    fn non_finite_arrival_is_refused_and_the_trace_completes() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for slot in [0, 3, 15] {
+                let mut trace = RequestTrace::synthetic(42, 16);
+                trace.requests[slot].arrival_s = bad;
+                let mut server = Server::new(ServeConfig::new(FleetSpec::nvlink(2))).unwrap();
+                let report = server.run_trace(&trace);
+                let at = format!("arrival {bad} at request {slot}");
+                assert!(
+                    matches!(
+                        report.verdicts[slot],
+                        Verdict::Refused(ServeError::BadRequest(_))
+                    ),
+                    "{at}: {:?}",
+                    report.verdicts[slot]
+                );
+                assert_eq!(report.admission_refused, 1, "{at}");
+                let refused = report.saturated + report.quota_refused;
+                assert_eq!(report.completed + report.failed + refused, 15, "{at}");
+                assert!(report.completed > 0, "{at}");
+                assert!(report.makespan_s.is_finite(), "{at}");
+                assert!(report.p99_latency_s.is_finite(), "{at}");
+                assert!(report.jobs_per_sec.is_finite(), "{at}");
+            }
+        }
     }
 
     #[test]

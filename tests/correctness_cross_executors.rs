@@ -5,7 +5,7 @@
 
 use cuz_checker::compress::{Compressor, ErrorBound, SzCompressor};
 use cuz_checker::core::config::AssessConfig;
-use cuz_checker::core::exec::{Assessment, Executor, MultiCuZc};
+use cuz_checker::core::exec::{Assessment, Executor};
 use cuz_checker::core::{CuZc, Metric, MoZc, OmpZc, SerialZc};
 use cuz_checker::data::{AppDataset, GenOptions};
 
@@ -38,24 +38,6 @@ fn assess_all(ds: AppDataset, field_idx: usize) -> Vec<(&'static str, Assessment
         (
             "cuZC",
             CuZc::default().assess(&field.data, &dec, &cfg).unwrap(),
-        ),
-        // The §VI multi-GPU executor must stay value-equivalent at every
-        // device count (the grid partition may not change any metric).
-        (
-            "cuZC-multi2",
-            MultiCuZc::nvlink(2)
-                .assess(&field.data, &dec, &cfg)
-                .unwrap(),
-        ),
-        (
-            "cuZC-multi3",
-            MultiCuZc::pcie(3).assess(&field.data, &dec, &cfg).unwrap(),
-        ),
-        (
-            "cuZC-multi4",
-            MultiCuZc::nvlink(4)
-                .assess(&field.data, &dec, &cfg)
-                .unwrap(),
         ),
     ]
 }
@@ -149,7 +131,6 @@ fn identical_inputs_yield_perfect_scores_everywhere() {
         Box::new(OmpZc::default()),
         Box::new(MoZc::default()),
         Box::new(CuZc::default()),
-        Box::new(MultiCuZc::nvlink(3)),
     ] {
         let a = ex.assess(&field.data, &field.data, &cfg).unwrap();
         assert_eq!(
@@ -248,7 +229,6 @@ fn a_pair_without_one_finite_element_is_refused_by_every_executor() {
         ("ompZC", Box::new(OmpZc::default())),
         ("moZC", Box::new(MoZc::default())),
         ("cuZC", Box::new(CuZc::default())),
-        ("cuZC-multi", Box::new(MultiCuZc::nvlink(2))),
     ];
     let cfg = AssessConfig::default();
     for (name, ex) in &executors {
