@@ -7,25 +7,25 @@
 //! kernels' declared launches: no field is generated and no executor runs.
 
 use zc_bench::fullscale::spread_s;
-use zc_bench::HarnessOpts;
+use zc_core::AssessConfig;
 use zc_data::AppDataset;
 use zc_gpusim::MultiGpuModel;
 
 fn main() {
-    let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("multigpu: {e}\nusage: multigpu [--scale N]");
-            std::process::exit(2);
-        }
-    };
+    // Every figure is a full-shape price under the default config, so no
+    // argument could change it.
+    if std::env::args().len() > 1 {
+        eprintln!("usage: multigpu");
+        std::process::exit(2);
+    }
+    let cfg = AssessConfig::default();
     println!("Multi-GPU scaling model (paper SVI future work)\n");
     println!(
         "{:<12} {:>6} {:>12} {:>12} {:>12} {:>10}",
         "dataset", "GPUs", "NVLink (s)", "PCIe (s)", "ideal (s)", "NVLink eff"
     );
     for ds in AppDataset::ALL {
-        let time = |link: MultiGpuModel| spread_s(ds.full_shape(), &opts.cfg, link);
+        let time = |link: MultiGpuModel| spread_s(ds.full_shape(), &cfg, link);
         let single = time(MultiGpuModel::nvlink(1));
         for gpus in [1u32, 2, 4, 8] {
             let nv = time(MultiGpuModel::nvlink(gpus));

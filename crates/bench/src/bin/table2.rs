@@ -8,21 +8,20 @@
 //! occupancy limit, capped by that assignment.
 
 use zc_bench::fullscale::full_profiles;
-use zc_bench::HarnessOpts;
-use zc_core::Pattern;
+use zc_core::{AssessConfig, Pattern};
 use zc_data::AppDataset;
 
 fn main() {
-    let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("table2: {e}\nusage: table2 [--scale N]");
-            std::process::exit(2);
-        }
-    };
+    // Every figure is a full-shape price under the default config, so no
+    // argument could change it.
+    if std::env::args().len() > 1 {
+        eprintln!("usage: table2");
+        std::process::exit(2);
+    }
+    let cfg = AssessConfig::default();
     let rows: Vec<_> = AppDataset::ALL
         .iter()
-        .map(|&ds| (ds, full_profiles(ds.full_shape(), &opts.cfg)))
+        .map(|&ds| (ds, full_profiles(ds.full_shape(), &cfg)))
         .collect();
     println!("Table II — cuZC runtime profiling (full paper shapes)\n");
     for (title, pattern) in [

@@ -41,7 +41,7 @@ pub(crate) mod shard;
 
 pub use job::{FieldRef, JobMetrics, JobOutcome, JobRecord, JobSpec};
 pub use recover::{RecoveryPolicy, RecoveryReport};
-pub(crate) use report::{gather_s, part_s};
+pub(crate) use report::gather_s;
 pub use report::{CampaignReport, EngineBusy, FleetUtilization, PatternTotals};
 pub use shard::{FleetSpec, LinkKind, Scheduler, ShardPlan};
 
@@ -175,7 +175,7 @@ impl CampaignSpec {
         }
         // One cache-off engine batch: the functional work runs once, then
         // is booked per fleet.
-        let mut engine = Engine::open(self.fleet, self.scheduler, 0);
+        let mut engine = Engine::open(self.fleet, 0);
         let plan = AssessPlan::lower(&self.cfg);
         // Admission: one verdict per field (jobs sharing a field share a
         // plan and a shape). A refused job skips the drain but still

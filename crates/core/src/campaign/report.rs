@@ -157,7 +157,7 @@ pub(crate) fn gather_s(fleet: &FleetSpec, cfg: &AssessConfig) -> f64 {
 /// Modeled seconds one part of a job holds its device group: its `share`
 /// of the job's `span_s` (see [`super::JobMetrics::span_s`]) plus the
 /// part's own result gather.
-pub(crate) fn part_s(share: f64, span_s: f64, gather_s: f64) -> f64 {
+pub(super) fn part_s(share: f64, span_s: f64, gather_s: f64) -> f64 {
     share * span_s + gather_s
 }
 

@@ -9,14 +9,11 @@
 //! result gather is one more D2H event after its last read-back; the
 //! gather's end is when the job is ready.
 //!
-//! Two rules keep the overlap honest:
-//!
-//! * **Device memory.** A job's first upload waits until its resident
-//!   window ([`crate::plan::SlabSchedule::resident_bytes`]) plus the
-//!   windows of the group's jobs still computing fit in the device.
-//! * **Split parts.** A part of a job the scheduler split over several
-//!   groups holds all three engines of its group for its share of the
-//!   job's span plus the gather, as a scalar clock would.
+//! Every job runs whole on one group, and one rule keeps the overlap
+//! honest, the **device-memory guard**: a job's first upload waits until
+//! its resident window ([`crate::plan::SlabSchedule::resident_bytes`])
+//! plus the windows of the group's jobs still computing fit in the
+//! device.
 
 use crate::plan::RunLegs;
 use zc_gpusim::stream::{Engine, EngineCursors, Timeline};
@@ -84,16 +81,6 @@ impl GroupTimeline {
         tl.push(GATHER_STREAM, Engine::D2H, gather_s, last.as_slice());
         self.cursors = tl.cursors();
         tl
-    }
-
-    /// Hold all three engines for `seconds` from `release_s` or when the
-    /// group is free, whichever is later: a split job's part. Returns its
-    /// end.
-    pub(crate) fn hold(&mut self, release_s: f64, seconds: f64) -> f64 {
-        let end = self.free_at_s().max(release_s) + seconds;
-        self.cursors = [end; 3];
-        self.resident.clear();
-        end
     }
 }
 
@@ -166,10 +153,10 @@ mod tests {
         }
     }
 
-    /// Jobs released in order onto one group, some of them split parts:
-    /// each is ready no later than back-to-back scalar clocks would have
-    /// it (up to the rounding of sums shifted to a later origin), and no
-    /// engine ever runs two events at once.
+    /// Jobs released in order onto one group: each is ready no later than
+    /// back-to-back scalar clocks would have it (up to the rounding of sums
+    /// shifted to a later origin), and no engine ever runs two events at
+    /// once.
     #[test]
     fn the_timeline_never_trails_scalar_clocks_and_never_double_books_an_engine() {
         let mut rng = SplitMix64::new(0x6A0F_1E02);
@@ -185,25 +172,9 @@ mod tests {
                 let legs = legs(&mut rng, mem);
                 let gather = 1e-5 * u01(&mut rng);
                 let span = legs.end_to_end().overlapped_s;
-                let (ready, scalar) = if rng.next_u64().is_multiple_of(4) {
-                    let share = 0.25 + 0.5 * u01(&mut rng);
-                    let start = group.free_at_s().max(release);
-                    let end = group.hold(release, share * span + gather);
-                    for engine in [Engine::H2D, Engine::Compute, Engine::D2H] {
-                        events.push(Event {
-                            stream: 0,
-                            engine,
-                            duration_s: end - start,
-                            start_s: start,
-                            end_s: end,
-                        });
-                    }
-                    (end, clock.max(release) + share * span + gather)
-                } else {
-                    let tl = group.run(&legs, release, gather);
-                    events.extend_from_slice(tl.events());
-                    (tl.makespan_s(), clock.max(release) + span + gather)
-                };
+                let tl = group.run(&legs, release, gather);
+                events.extend_from_slice(tl.events());
+                let (ready, scalar) = (tl.makespan_s(), clock.max(release) + span + gather);
                 assert!(ready >= release, "case {case}");
                 assert!(
                     ready <= scalar * (1.0 + 1e-12),
@@ -262,18 +233,5 @@ mod tests {
                 assert!(upload.start_s >= computed, "case {case}");
             }
         }
-    }
-
-    #[test]
-    fn a_split_part_holds_every_engine_of_its_group() {
-        let mut rng = SplitMix64::new(0x6A0F_1E04);
-        let legs = legs(&mut rng, 16 << 30);
-        let mut group = GroupTimeline::default();
-        let whole = group.run(&legs, 0.0, 1e-6).makespan_s();
-        let end = group.hold(0.0, 5e-4);
-        assert_eq!(end, whole + 5e-4);
-        assert_eq!(group.free_at_s(), end);
-        let next = group.run(&legs, 0.0, 1e-6);
-        assert!(next.events().iter().all(|e| e.start_s >= end));
     }
 }

@@ -28,12 +28,13 @@
 //!    same one [`crate::campaign::CampaignSpec::job_costs`] uses): a miss
 //!    keeps the price its plan got at submit, a partial hit prices its
 //!    residual plan;
-//! 7. place the priced jobs on the session's device groups, each starting
-//!    from when its stream timeline goes idle, then replay every job's own
-//!    run legs onto its group's timeline in ticket order (DESIGN.md
-//!    §6.12), and give every result the modeled time it is ready: no
-//!    earlier than its job's result gather ends, nor than the cached
-//!    result it read (see [`JobResult::ready_s`]).
+//! 7. place the priced jobs whole on the session's device groups with the
+//!    list scheduler, each group starting from when its stream timeline
+//!    goes idle, then replay every job's own run legs onto its group's
+//!    timeline in ticket order (DESIGN.md §6.12), and give every result
+//!    the modeled time it is ready: no earlier than its job's result
+//!    gather ends, nor than the cached result it read (see
+//!    [`JobResult::ready_s`]).
 //!
 //! A campaign runs steps 1–5 on a cache-off session:
 //! [`crate::campaign::CampaignSpec::run_on_fleets`] admits each field once,
@@ -83,7 +84,7 @@ use cache::merge_sections;
 pub use cache::{field_digest, CacheKey, CacheStats, CfgKey, Lookup, ResultCache};
 pub use calibrate::CostCalibration;
 
-use crate::campaign::{gather_s, job, part_s, FieldRef, FleetSpec, JobOutcome, Scheduler};
+use crate::campaign::{gather_s, job, FieldRef, FleetSpec, JobOutcome, Scheduler};
 use crate::config::AssessConfig;
 use crate::exec::{Assessment, Confidence, CuZc, Executor, PatternTimes};
 use crate::plan::{estimate_job_cost, verify, AssessPlan, BackendCaps, PassKind, RunLegs};
@@ -184,11 +185,10 @@ pub struct JobResult {
     pub report: Option<AnalysisReport>,
     /// Modeled time this result is ready, on the clock of the drain's
     /// `now_s`: when its job's result gather ends on its group's stream
-    /// timeline (for a split job, the latest of its parts' ends) — and
-    /// never before the cached result it read is ready. A full hit
-    /// occupies no device: it is ready at the drain, or when the run that
-    /// filled its entry is, whichever is later. A job that failed before
-    /// reaching the device is ready at the drain.
+    /// timeline — and never before the cached result it read is ready. A
+    /// full hit occupies no device: it is ready at the drain, or when the
+    /// run that filled its entry is, whichever is later. A job that failed
+    /// before reaching the device is ready at the drain.
     pub ready_s: f64,
 }
 
@@ -246,15 +246,6 @@ type WaveEntry = (
     Option<Box<AnalysisReport>>,
     Option<Source>,
 );
-
-/// How an executed job occupies its groups' timelines.
-struct Occupancy {
-    legs: Option<RunLegs>,
-    /// Its stream makespan (its modeled seconds without legs).
-    span_s: f64,
-    /// Its result gather over the fleet's link.
-    gather_s: f64,
-}
 
 /// Where a hit or partial hit's cached sections came from.
 #[derive(Clone, Copy, Debug)]
@@ -316,22 +307,20 @@ impl DigestMemo {
     }
 }
 
-/// A resident assessment session: a fleet, its scheduler, and a
-/// content-addressed result cache, fed by [`Engine::submit`] and driven
-/// by [`Engine::drain`].
+/// A resident assessment session: a fleet, its device groups' stream
+/// timelines, and a content-addressed result cache, fed by
+/// [`Engine::submit`] and driven by [`Engine::drain`].
 #[derive(Clone, Debug)]
 pub struct Engine {
     fleet: FleetSpec,
-    scheduler: Scheduler,
     executor: CuZc,
     caps: BackendCaps,
     cache: ResultCache,
     memo: DigestMemo,
     fields_generated: u64,
     pending: Vec<(JobTicket, AssessRequest)>,
-    /// The plan each pending request was admitted under, and its
-    /// [`job_cost`].
-    pending_plans: Vec<(AssessPlan, (f64, usize))>,
+    /// The plan each pending request was admitted under, and its price.
+    pending_plans: Vec<(AssessPlan, f64)>,
     /// Summed prices of the pending requests, in submission order.
     pending_s: f64,
     next_ticket: u64,
@@ -343,18 +332,13 @@ impl Engine {
     /// Open a session on a fleet: validate it and build its executor.
     pub fn new(fleet: FleetSpec) -> Result<Engine, EngineError> {
         fleet.validate().map_err(EngineError::BadFleet)?;
-        Ok(Engine::open(
-            fleet,
-            Scheduler::default(),
-            DEFAULT_CACHE_ENTRIES,
-        ))
+        Ok(Engine::open(fleet, DEFAULT_CACHE_ENTRIES))
     }
 
     /// A session on an already-validated fleet.
-    pub(crate) fn open(fleet: FleetSpec, scheduler: Scheduler, cache_entries: usize) -> Engine {
+    pub(crate) fn open(fleet: FleetSpec, cache_entries: usize) -> Engine {
         Engine {
             executor: fleet.executor(),
-            scheduler,
             caps: BackendCaps::v100(),
             cache: ResultCache::new(cache_entries),
             memo: DigestMemo::new(cache_entries),
@@ -366,13 +350,6 @@ impl Engine {
             groups: Vec::new(),
             fleet,
         }
-    }
-
-    /// Replace the job-placement policy (default: the fleet scheduler's
-    /// default).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
     }
 
     /// Replace the result-cache capacity (0 disables caching). The digest
@@ -456,19 +433,19 @@ impl Engine {
             .map_err(|e| EngineError::BadConfig(e.to_string()))?;
         let plan = AssessPlan::lower(&req.cfg);
         self.admit_plan(&plan, req.field.shape(), &req.cfg)?;
-        let price = job_cost(&plan, req.field.shape(), &req.cfg);
+        let (price, _) = job_cost(&plan, req.field.shape(), &req.cfg);
         let ticket = JobTicket(self.next_ticket);
         self.next_ticket += 1;
-        self.pending_s += price.0;
+        self.pending_s += price;
         self.pending.push((ticket, req));
         self.pending_plans.push((plan, price));
         Ok(ticket)
     }
 
-    /// Execute every pending request at modeled time `now_s`, place the
-    /// executed jobs on the session's device groups from when each group's
-    /// timeline goes idle, replay them onto the groups' timelines in
-    /// ticket order, and return the batch.
+    /// Execute every pending request at modeled time `now_s`, place each
+    /// executed job whole on a device group with the list scheduler, from
+    /// when each group's timeline goes idle, replay the jobs onto their
+    /// groups' timelines in ticket order, and return the batch.
     pub fn drain(&mut self, now_s: f64) -> BatchReport {
         self.pending_s = 0.0;
         if self.groups.is_empty() {
@@ -483,29 +460,19 @@ impl Engine {
         // Per result: the executed job behind it (`None` for a full hit),
         // the cached result it read, and the key it was absorbed under.
         let mut links = Vec::with_capacity(reqs.len());
-        // Per executed job: its price, and how it occupies its groups
+        // Per executed job: its price, and its run legs and result gather
         // (`None` if it failed).
-        let (mut costs, mut splittable) = (Vec::new(), Vec::new());
-        let mut occupancy = Vec::new();
+        let (mut costs, mut runs) = (Vec::new(), Vec::new());
         for (((ticket, req), price), r) in tickets.into_iter().zip(reqs).zip(prices).zip(resolved) {
             let job = (r.cache != CacheOutcome::Hit).then_some(costs.len());
             links.push((job, r.source, r.absorbed));
             if job.is_some() {
                 // A miss ran the plan it was priced with at submit.
-                let (cost, slabs) = match &r.residual {
-                    Some(plan) => job_cost(plan, req.field.shape(), &req.cfg),
+                costs.push(match &r.residual {
+                    Some(plan) => job_cost(plan, req.field.shape(), &req.cfg).0,
                     None => price,
-                };
-                costs.push(cost);
-                splittable.push(slabs);
-                occupancy.push(match &r.outcome {
-                    JobOutcome::Done(m) => Some(Occupancy {
-                        legs: r.legs,
-                        span_s: m.span_s(),
-                        gather_s: gather_s(&self.fleet, &req.cfg),
-                    }),
-                    JobOutcome::Failed(_) => None,
                 });
+                runs.push(r.legs.map(|legs| (legs, gather_s(&self.fleet, &req.cfg))));
             }
             results.push(JobResult {
                 ticket,
@@ -517,28 +484,17 @@ impl Engine {
         }
         let before = self.group_free_at_s();
         let owed: Vec<f64> = before.iter().map(|&free| (free - now_s).max(0.0)).collect();
-        let shard = self
-            .scheduler
-            .plan_onto(&costs, &splittable, self.fleet.groups(), &owed);
-        // Ticket order: a whole job replays its legs onto its group's
-        // timeline; a split job's parts each hold their group.
-        let ends: Vec<f64> = occupancy
+        // No split limits: every job is placed whole.
+        let shard = Scheduler::List.plan_onto(&costs, &[], self.fleet.groups(), &owed);
+        // Ticket order: each job replays its legs onto its group's timeline.
+        let ends: Vec<f64> = runs
             .iter()
             .enumerate()
-            .map(|(j, occ)| {
-                let Some(occ) = occ else { return now_s };
-                match (shard.shares_of(j), &occ.legs) {
-                    (&[(g, _)], Some(legs)) => self.groups[g as usize]
-                        .run(legs, now_s, occ.gather_s)
-                        .makespan_s(),
-                    (parts, _) => parts
-                        .iter()
-                        .map(|&(g, share)| {
-                            self.groups[g as usize]
-                                .hold(now_s, part_s(share, occ.span_s, occ.gather_s))
-                        })
-                        .fold(now_s, f64::max),
-                }
+            .map(|(j, run)| match run {
+                Some((legs, gather)) => self.groups[shard.group_of(j) as usize]
+                    .run(legs, now_s, *gather)
+                    .makespan_s(),
+                None => now_s,
             })
             .collect();
         let busy_s: Vec<f64> = self
@@ -809,6 +765,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TilingPolicy;
     use crate::metrics::{Metric, MetricSelection};
     use zc_compress::ErrorBound;
     use zc_data::{AppDataset, GenOptions};
@@ -858,18 +815,19 @@ mod tests {
 
     #[test]
     fn a_batch_fills_the_idle_group_and_reports_when_each_result_is_ready() {
-        // Group 0 is busy for a second; the list scheduler places the miss
-        // on idle group 1, round-robin stacks it behind group 0's backlog.
-        let busy_group_0 = |engine: &mut Engine| {
-            engine.groups = vec![GroupTimeline::default(); 2];
-            engine.groups[0].hold(0.0, 1.0);
-        };
-        let mut list = Engine::new(FleetSpec::nvlink(2))
-            .unwrap()
-            .with_scheduler(Scheduler::List);
-        busy_group_0(&mut list);
-        list.submit(request(MetricSelection::all())).unwrap();
-        let batch = list.drain(0.0);
+        // A first drain leaves group 0 busy; the list scheduler places the
+        // next miss on idle group 1.
+        let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
+        engine
+            .submit(AssessRequest {
+                field: FieldRef::new(AppDataset::Nyx, 1, GenOptions::scaled(32)),
+                ..request(MetricSelection::all())
+            })
+            .unwrap();
+        let first = engine.drain(0.0).busy_s;
+        assert!(first[0] > 0.0 && first[1] == 0.0, "{first:?}");
+        engine.submit(request(MetricSelection::all())).unwrap();
+        let batch = engine.drain(0.0);
         let busy = batch.busy_s.clone();
         assert_eq!(busy[0], 0.0);
         assert!(busy[1] > 0.0);
@@ -877,31 +835,38 @@ mod tests {
         // its own stream makespan plus the gather, which is exactly how far
         // the group's timeline advanced.
         let m = done(&batch.results[0]);
-        let gather = gather_s(&list.fleet, &request(MetricSelection::all()).cfg);
+        let gather = gather_s(&engine.fleet, &request(MetricSelection::all()).cfg);
         assert_eq!(batch.results[0].ready_s, busy[1]);
         assert_eq!(busy[1], m.e2e.unwrap().overlapped_s + gather);
-        assert_eq!(list.group_free_at_s(), [1.0, busy[1]]);
-        assert_eq!(list.group_busy_s(), busy);
+        assert_eq!(engine.group_free_at_s(), [first[0], busy[1]]);
+        assert_eq!(engine.group_busy_s(), [first[0], busy[1]]);
         // A repeat is a full hit: it occupies no group, and is ready at its
         // drain or when the run it reads is, whichever is later.
         for now in [busy[1] / 2.0, 2.0 * busy[1]] {
-            list.submit(request(MetricSelection::all())).unwrap();
-            let hit = list.drain(now);
+            engine.submit(request(MetricSelection::all())).unwrap();
+            let hit = engine.drain(now);
             assert_eq!(hit.results[0].cache, CacheOutcome::Hit);
             assert_eq!(hit.busy_s, [0.0, 0.0]);
             assert_eq!(hit.results[0].ready_s, now.max(busy[1]));
-            assert_eq!(list.group_free_at_s(), [1.0, busy[1]]);
+            assert_eq!(engine.group_free_at_s(), [first[0], busy[1]]);
         }
+    }
 
-        let mut rr = Engine::new(FleetSpec::nvlink(2)).unwrap();
-        busy_group_0(&mut rr);
-        rr.submit(request(MetricSelection::all())).unwrap();
-        let batch = rr.drain(0.0);
-        // The same legs, shifted to start at 1 s: equal up to the rounding
-        // of the shifted sums.
-        let ready = batch.results[0].ready_s;
-        assert!((ready - (1.0 + busy[1])).abs() <= 1e-12, "{ready}");
-        assert_eq!(batch.busy_s, [ready - 1.0, 0.0]);
+    #[test]
+    fn a_lone_tiled_request_runs_whole_on_one_group() {
+        // Eight slabs and a batch of one: the job costs more than its
+        // per-group share, yet it runs once, whole, so it books one group
+        // for its own run and is ready when that run's gather ends.
+        let mut req = request(MetricSelection::all());
+        req.cfg.tiling = TilingPolicy::Slabs(8);
+        let gather = gather_s(&FleetSpec::nvlink(4), &req.cfg);
+        let mut engine = Engine::new(FleetSpec::nvlink(4)).unwrap();
+        engine.submit(req).unwrap();
+        let batch = engine.drain(0.0);
+        let run = done(&batch.results[0]).e2e.unwrap().overlapped_s + gather;
+        let booked: Vec<f64> = batch.busy_s.iter().copied().filter(|&b| b > 0.0).collect();
+        assert_eq!(booked, [run], "{:?}", batch.busy_s);
+        assert_eq!(batch.results[0].ready_s, run);
     }
 
     #[test]
@@ -911,9 +876,7 @@ mod tests {
         // miss's sections) and its repeat (a full hit on the partial).
         let psnr = || request(MetricSelection::none().with(Metric::Psnr));
         let all = || request(MetricSelection::all());
-        let mut engine = Engine::new(FleetSpec::nvlink(2))
-            .unwrap()
-            .with_scheduler(Scheduler::List);
+        let mut engine = Engine::new(FleetSpec::nvlink(2)).unwrap();
         for req in [psnr(), psnr(), all(), all()] {
             engine.submit(req).unwrap();
         }

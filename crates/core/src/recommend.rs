@@ -10,7 +10,7 @@
 //! prepass when it can be), criteria are checked, and passing candidates
 //! are ranked by compression ratio.
 
-use crate::campaign::{FieldRef, FleetSpec, JobOutcome, Scheduler};
+use crate::campaign::{FieldRef, FleetSpec, JobOutcome};
 use crate::config::AssessConfig;
 use crate::engine::{AssessRequest, Engine, EngineError};
 use crate::exec::Confidence;
@@ -273,7 +273,7 @@ pub fn recommend(
 ) -> Result<(Vec<Verdict>, SweepStats), RecommendError> {
     cfg.validate()
         .map_err(|e| RecommendError::Refused(EngineError::BadConfig(e.to_string())))?;
-    let mut engine = Engine::open(FleetSpec::nvlink(1), Scheduler::default(), 0);
+    let mut engine = Engine::open(FleetSpec::nvlink(1), 0);
     let plan = AssessPlan::lower(cfg);
     engine
         .admit_plan(&plan, field.shape(), cfg)

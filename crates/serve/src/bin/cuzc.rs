@@ -87,10 +87,12 @@ const USAGE: &str = "usage: cuzc [options]
   --demo                  run on built-in synthetic data (no files needed)
   --fleet <gpus>          with --demo: run a mixed-size demo campaign on a
                           simulated fleet of this many GPUs (1-4096)
-  --scheduler <policy>    campaign job placement: round-robin (default) or
-                          list (cost-model LPT with oversized-job splitting)
-  --progressive           campaign prepass: early-exit jobs whose strided
-                          subsample is decidable far from the thresholds
+  --scheduler <policy>    with --demo --fleet: campaign job placement,
+                          round-robin (default) or list (cost-model LPT
+                          with oversized-job splitting)
+  --progressive           with --demo --fleet: campaign prepass that
+                          early-exits jobs whose strided subsample is
+                          decidable far from the thresholds
   --chaos <seed>:<rate>   with --demo --fleet: inject seeded transient
                           device faults at <rate> (a fraction, e.g. 0.05)
                           and recover with retry/backoff rescheduling;
@@ -268,6 +270,21 @@ fn run() -> Result<ExitCode, String> {
         // ZC_SANITIZE=1 enables the same mode without the flag.
         zc_gpusim::sanitizer::set_enabled(true);
     }
+    // Campaign-only flags mean nothing anywhere else, so a run that would
+    // ignore them is refused.
+    if !args.demo || args.fleet.is_none() || args.serve_demo {
+        for (given, flag) in [
+            (args.scheduler.is_some(), "--scheduler"),
+            (args.progressive, "--progressive"),
+            (args.chaos.is_some(), "--chaos"),
+        ] {
+            if given {
+                return Err(format!(
+                    "{flag} applies only to the demo campaign; use it with --demo --fleet <gpus>"
+                ));
+            }
+        }
+    }
     if args.serve_demo {
         return run_serve_demo(&args);
     }
@@ -283,11 +300,6 @@ fn run() -> Result<ExitCode, String> {
             ));
         }
         return run_demo_campaign(gpus, &args, &run);
-    }
-    if args.chaos.is_some() {
-        return Err(format!(
-            "--chaos injects faults into the demo fleet; add --demo --fleet <gpus>\n{USAGE}"
-        ));
     }
 
     // Acquire the original field.
@@ -672,19 +684,11 @@ fn run_serve_demo(args: &Args) -> Result<ExitCode, String> {
     use zc_serve::{RequestTrace, ServeConfig, Server};
     let gpus = args.fleet.unwrap_or(4);
     let (seed, count) = args.requests.unwrap_or((42, 32));
-    let mut cfg = ServeConfig::new(FleetSpec::nvlink(gpus));
-    // The service batches through the cost-model list scheduler by
-    // default; --scheduler overrides it.
-    if let Some(s) = args.scheduler {
-        cfg.scheduler = s;
-    }
+    let cfg = ServeConfig::new(FleetSpec::nvlink(gpus));
     eprintln!(
         "serve demo: {count} requests (seed {seed}) on {gpus} simulated GPUs \
-         ({} scheduler, batch {}, quota {}/tenant, watermark {:.2}s)",
-        cfg.scheduler.label(),
-        cfg.batch,
-        cfg.tenant_quota,
-        cfg.watermark_s
+         (list scheduler, batch {}, quota {}/tenant, watermark {:.2}s)",
+        cfg.batch, cfg.tenant_quota, cfg.watermark_s
     );
     let mut server = Server::new(cfg).map_err(|e| format!("serve: {e}"))?;
     let trace = RequestTrace::synthetic(seed, count);

@@ -7,7 +7,8 @@
 //!
 //! * a **request loop** ([`Server`]): requests arrive (modeled arrival
 //!   times), pass admission, batch up, and drain onto the simulated fleet
-//!   as one shard-scheduled batch per window. Each device group of the
+//!   as one batch per window, the cost-model list scheduler placing each
+//!   job whole on one device group. Each device group of the
 //!   engine session keeps one stream timeline — its H2D, compute and D2H
 //!   engine cursors — so a job's upload overlaps the kernels of the job
 //!   ahead of it on the group and its read-backs overlap the kernels of
@@ -39,20 +40,19 @@
 #![warn(missing_docs)]
 
 use zc_compress::{CompressorSpec, ErrorBound};
-use zc_core::campaign::{FieldRef, FleetSpec, JobOutcome, Scheduler};
+use zc_core::campaign::{FieldRef, FleetSpec, JobOutcome};
 use zc_core::engine::{AssessRequest, CacheOutcome, CacheStats, Engine, EngineError, JobTicket};
 use zc_core::metrics::{Metric, MetricSelection};
 use zc_core::AssessConfig;
 use zc_data::{AppDataset, GenOptions, SplitMix64};
 
-/// Service configuration.
+/// Service configuration. Placement is not a setting: every drained
+/// batch goes through the cost-model list scheduler, which places each
+/// job whole on one device group.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// The simulated fleet the service runs on.
     pub fleet: FleetSpec,
-    /// Job-placement policy for each drained batch (default: the
-    /// cost-model list scheduler — the service exists to batch well).
-    pub scheduler: Scheduler,
     /// Queued requests per batch window; the queue drains when full.
     pub batch: usize,
     /// Max queued requests one tenant may hold per batch window.
@@ -65,13 +65,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Service defaults on a fleet: list scheduling, 8-request batches,
-    /// 4 requests per tenant per window, a 0.5 s modeled-backlog
-    /// watermark, 256 cache entries.
+    /// Service defaults on a fleet: 8-request batches, 4 requests per
+    /// tenant per window, a 0.5 s modeled-backlog watermark, 256 cache
+    /// entries.
     pub fn new(fleet: FleetSpec) -> Self {
         ServeConfig {
             fleet,
-            scheduler: Scheduler::List,
             batch: 8,
             tenant_quota: 4,
             watermark_s: 0.5,
@@ -368,7 +367,6 @@ impl Server {
     pub fn new(cfg: ServeConfig) -> Result<Server, ServeError> {
         let engine = Engine::new(cfg.fleet)
             .map_err(|e| ServeError::BadRequest(e.to_string()))?
-            .with_scheduler(cfg.scheduler)
             .with_cache_entries(cfg.cache_entries);
         Ok(Server {
             engine,
@@ -647,6 +645,39 @@ mod tests {
             .count();
         // Index 0 of the pool should absorb roughly half the traffic.
         assert!(hot > 60, "hot field drew only {hot}/200");
+    }
+
+    #[test]
+    fn a_lone_tiled_request_completes_when_its_one_run_does() {
+        // Eight slabs and a batch of one on four groups: the job runs once,
+        // whole, so it completes when that run's result gather ends.
+        let request = AssessRequest {
+            field: FieldRef::new(AppDataset::Nyx, 0, GenOptions::scaled(32)),
+            compressor: CompressorSpec::Sz(ErrorBound::Rel(1e-3)),
+            cfg: AssessConfig {
+                max_lag: 3,
+                bins: 32,
+                tiling: zc_core::config::TilingPolicy::Slabs(8),
+                ..Default::default()
+            },
+        };
+        let fleet = FleetSpec::nvlink(4);
+        let gather = zc_core::plan::gather_s(&fleet.link.host_link(), &request.cfg);
+        let mut server = Server::new(ServeConfig::new(fleet)).unwrap();
+        server
+            .offer(&ServeRequest {
+                tenant: 0,
+                arrival_s: 0.0,
+                request,
+            })
+            .unwrap();
+        let drained = server.drain(0.0);
+        let JobOutcome::Done(m) = &drained[0].4.outcome else {
+            panic!("the job must complete");
+        };
+        let run = m.e2e.unwrap().overlapped_s + gather;
+        assert_eq!(drained[0].3, run);
+        assert_eq!(server.backlog_s(0.0), run);
     }
 
     #[test]

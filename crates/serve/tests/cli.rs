@@ -297,6 +297,31 @@ fn fleet_mode_rejects_bad_arguments() {
 }
 
 #[test]
+fn campaign_flags_are_refused_outside_the_demo_campaign() {
+    // Each would be silently ignored by the single-pair demo and by the
+    // service, so each is a one-line usage error there.
+    for (flag, value) in [
+        ("--scheduler", Some("list")),
+        ("--progressive", None),
+        ("--chaos", Some("42:0.05")),
+    ] {
+        for mode in [
+            &["--demo"][..],
+            &["--serve-demo"],
+            &["--serve-demo", "--fleet", "2"],
+        ] {
+            let out = cuzc().args(mode).arg(flag).args(value).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{mode:?} {flag}: {err}");
+            assert_eq!(err.lines().count(), 1, "{mode:?} {flag}: {err}");
+            assert!(err.starts_with(flag), "{mode:?} {flag}: {err}");
+            assert!(err.contains("--demo --fleet"), "{mode:?} {flag}: {err}");
+            assert!(out.stdout.is_empty(), "{mode:?} {flag}");
+        }
+    }
+}
+
+#[test]
 fn help_is_available() {
     let out = cuzc().arg("--help").output().unwrap();
     // Help goes to stderr with a non-zero exit (it is an interrupted run).
