@@ -20,7 +20,7 @@ fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("ablation: {e}\nusage: ablation [--scale N]");
+            eprintln!("ablation: {e}; usage: ablation [--scale N]");
             std::process::exit(2);
         }
     };

@@ -33,7 +33,7 @@ fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("campaign: {e}\nusage: campaign [--scale N] [--fields K] [--rel-bound X]");
+            eprintln!("campaign: {e}; usage: campaign [--scale N] [--fields K] [--rel-bound X]");
             std::process::exit(2);
         }
     };

@@ -137,7 +137,7 @@ fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("chaos: {e}\nusage: chaos [--scale N]");
+            eprintln!("chaos: {e}; usage: chaos [--scale N]");
             std::process::exit(2);
         }
     };

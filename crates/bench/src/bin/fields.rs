@@ -13,7 +13,7 @@ fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("fields: {e}\nusage: fields [--scale N] [--rel-bound X]");
+            eprintln!("fields: {e}; usage: fields [--scale N] [--rel-bound X]");
             std::process::exit(2);
         }
     };

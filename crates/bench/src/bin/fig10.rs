@@ -4,15 +4,19 @@
 //! 8 / step 1, exactly the paper's settings).
 
 use zc_bench::paper::{against, OVERALL_VS_MOZC, OVERALL_VS_OMPZC};
-use zc_bench::runner::write_csv;
+use zc_bench::runner::{take_csv, write_csv};
 use zc_bench::{assess_dataset, HarnessOpts};
 use zc_data::AppDataset;
 
 fn main() {
-    let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
-        Ok(o) => o,
+    let parsed = take_csv(std::env::args().skip(1))
+        .and_then(|(csv, rest)| Ok((csv, HarnessOpts::from_args(rest.into_iter())?)));
+    let (csv, opts) = match parsed {
+        Ok(p) => p,
         Err(e) => {
-            eprintln!("fig10: {e}\nusage: fig10 [--scale N] [--fields N] [--rel-bound X]");
+            eprintln!(
+                "fig10: {e}; usage: fig10 [--scale N] [--fields N] [--rel-bound X] [--csv FILE]"
+            );
             std::process::exit(2);
         }
     };
@@ -54,11 +58,13 @@ fn main() {
             r.ompzc.total()
         ));
     }
-    write_csv(
-        &opts,
-        "dataset,fields,mean_ratio,speedup_vs_ompzc,speedup_vs_mozc,cuzc_s,mozc_s,ompzc_s",
-        &csv_rows,
-    );
+    if let Some(path) = &csv {
+        write_csv(
+            path,
+            "dataset,fields,mean_ratio,speedup_vs_ompzc,speedup_vs_mozc,cuzc_s,mozc_s,ompzc_s",
+            &csv_rows,
+        );
+    }
     println!(
         "\nmeasured overall band vs ompZC: {worst_omp:.1}x – {best_omp:.1}x (paper: 22.6x – 31.2x)"
     );

@@ -20,7 +20,7 @@ fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("fig11: {e}\nusage: fig11 [--scale N] [--fields N] [--rel-bound X]");
+            eprintln!("fig11: {e}; usage: fig11 [--scale N] [--fields N] [--rel-bound X]");
             std::process::exit(2);
         }
     };

@@ -11,7 +11,7 @@ fn main() {
     let opts = match HarnessOpts::from_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("fig12: {e}\nusage: fig12 [--scale N] [--fields N] [--rel-bound X]");
+            eprintln!("fig12: {e}; usage: fig12 [--scale N] [--fields N] [--rel-bound X]");
             std::process::exit(2);
         }
     };

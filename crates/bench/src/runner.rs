@@ -18,8 +18,6 @@ pub struct HarnessOpts {
     /// Relative error bound for the SZ-like compressor producing the
     /// decompressed data under assessment.
     pub rel_bound: f64,
-    /// Optional path for a machine-readable CSV copy of the figure data.
-    pub csv: Option<std::path::PathBuf>,
     /// Assessment configuration.
     pub cfg: AssessConfig,
 }
@@ -30,7 +28,6 @@ impl Default for HarnessOpts {
             scale: 4,
             max_fields: None,
             rel_bound: 1e-3,
-            csv: None,
             cfg: AssessConfig::default(),
         }
     }
@@ -65,9 +62,6 @@ impl HarnessOpts {
                     opts.rel_bound = take("--rel-bound")?
                         .parse()
                         .map_err(|_| "--rel-bound must be a float".to_string())?;
-                }
-                "--csv" => {
-                    opts.csv = Some(std::path::PathBuf::from(take("--csv")?));
                 }
                 other => return Err(format!("unknown argument '{other}'")),
             }
@@ -158,9 +152,27 @@ fn accumulate(
     }
 }
 
-/// Write CSV rows (with header) to the harness's `--csv` path, if set.
-pub fn write_csv(opts: &HarnessOpts, header: &str, rows: &[String]) {
-    let Some(path) = &opts.csv else { return };
+/// Split `--csv FILE` off the arguments: the one option only `fig10`,
+/// the bin that writes a CSV, accepts. Returns the path, if given, and the
+/// remaining arguments for [`HarnessOpts::from_args`].
+pub fn take_csv(
+    args: impl Iterator<Item = String>,
+) -> Result<(Option<std::path::PathBuf>, Vec<String>), String> {
+    let mut csv = None;
+    let mut rest = Vec::new();
+    let mut it = args;
+    while let Some(arg) = it.next() {
+        if arg == "--csv" {
+            csv = Some(it.next().ok_or("--csv needs a value")?.into());
+        } else {
+            rest.push(arg);
+        }
+    }
+    Ok((csv, rest))
+}
+
+/// Write CSV rows (with header) to `path`.
+pub fn write_csv(path: &std::path::Path, header: &str, rows: &[String]) {
     let mut text = String::from(header);
     text.push('\n');
     for r in rows {
@@ -270,12 +282,23 @@ mod tests {
         assert_eq!(o.max_fields, Some(2));
         assert!((o.rel_bound - 1e-4).abs() < 1e-18);
         assert!(HarnessOpts::from_args(["--bogus".to_string()].into_iter()).is_err());
-        let o =
-            HarnessOpts::from_args(["--csv", "/tmp/x.csv"].iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(o.csv.as_deref(), Some(std::path::Path::new("/tmp/x.csv")));
+        assert!(HarnessOpts::from_args(["--csv", "x.csv"].iter().map(|s| s.to_string())).is_err());
         assert!(
             HarnessOpts::from_args(["--scale".to_string(), "0".to_string()].into_iter()).is_err()
         );
+    }
+
+    #[test]
+    fn csv_splits_off_the_harness_arguments() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (csv, rest) = take_csv(args(&["--scale", "8", "--csv", "x.csv"]).into_iter()).unwrap();
+        assert_eq!(csv.as_deref(), Some(std::path::Path::new("x.csv")));
+        assert_eq!(rest, args(&["--scale", "8"]));
+        assert_eq!(
+            take_csv(args(&["--scale", "8"]).into_iter()).unwrap().0,
+            None
+        );
+        assert!(take_csv(args(&["--csv"]).into_iter()).is_err());
     }
 
     #[test]

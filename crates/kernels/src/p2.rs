@@ -20,6 +20,7 @@
 
 use crate::acc::{deriv1_nd, deriv2_nd, grad_mag, P2Stats};
 use crate::{FieldPair, HasReferencePath};
+use std::ops::Range;
 use zc_gpusim::{BlockCtx, BlockKernel, KernelClass, KernelResources, SharedBuf, WARP};
 
 /// Tile side length (threads per block = TILE²).
@@ -60,16 +61,17 @@ impl P2FusedKernel<'_> {
         self.stride == 1
     }
 
-    /// Slices of each field staged per tile: z−1, z, z+1 for derivatives
-    /// and z+τ for autocorrelation (deduplicated when τ = 1; 1D/2D fields
-    /// stage only their own plane — the stencil has no z extent there).
-    fn slice_offsets(&self) -> Vec<isize> {
+    /// Slices of each field staged per tile, as z offsets and their count:
+    /// z, z−1, z+1 for derivatives and z, z+τ for autocorrelation
+    /// (deduplicated when τ = 1; 1D/2D fields stage only their own plane —
+    /// the stencil has no z extent there).
+    fn slice_offsets(&self) -> ([isize; 3], usize) {
         if self.fields.shape.ndim() < 3 {
-            vec![0]
+            ([0, 0, 0], 1)
         } else if self.derivatives() {
-            vec![0, -1, 1]
+            ([0, -1, 1], 3)
         } else {
-            vec![0, self.stride as isize]
+            ([0, self.stride as isize, 0], 2)
         }
     }
 
@@ -115,222 +117,13 @@ impl BlockKernel for P2FusedKernel<'_> {
     }
 
     fn run_block(&self, block: usize, ctx: &mut BlockCtx) -> P2Stats {
-        let s = self.fields.shape;
-        let ndim = s.ndim();
-        let (nx, ny, nz) = (s.nx(), s.ny(), s.nz());
-        let z0 = block % nz;
-        let w4 = block / nz;
-        let tau = self.stride;
-        let offs = self.slice_offsets();
-        let wdt = self.tile_width();
-        let mut stats = P2Stats::identity(self.max_lag);
-
-        let deriv_plane = self.derivatives() && (ndim < 3 || (z0 >= 1 && z0 + 1 < nz));
-        let ac_plane = ndim < 3 || z0 + tau < nz;
-        if !deriv_plane && !ac_plane {
-            return stats;
+        // One body per stencil rank (x; x, y; x, y, z — a 4th axis only
+        // picks the plane), chosen once per block.
+        match self.fields.shape.ndim() {
+            1 => self.run_block_fast::<1>(block, ctx),
+            2 => self.run_block_fast::<2>(block, ctx),
+            _ => self.run_block_fast::<3>(block, ctx),
         }
-
-        // Active stencil axes (x, then y for 2-D, then z for 3-D): the
-        // per-point shared-read totals charged in bulk below depend on it.
-        let axes = ndim.min(3) as u64;
-
-        // The real kernel stages tiles into shared memory. The fast path
-        // keeps the allocation (footprint parity) and charges the exact
-        // per-element staging traffic in closed form below, but reads the
-        // very same f32 values straight from the global arrays — identical
-        // inputs, so bit-identical results, without the physical copies.
-        let _shared: SharedBuf<f32> = ctx.shared_alloc(2 * offs.len() * wdt * wdt);
-
-        let tiles_x = nx.div_ceil(TILE);
-        let tiles_y = ny.div_ceil(TILE);
-        ctx.note_iters((tiles_x * tiles_y * (offs.len() + 1)) as u64);
-
-        // Global row base of (y, z).
-        let grow = |y: usize, z: usize| s.linear([0, y, z, w4]);
-
-        for ty in 0..tiles_y {
-            for tx in 0..tiles_x {
-                // Tile anchor: coverage is [tx0-1, tx0+TILE+hi) per axis.
-                let tx0 = tx * TILE;
-                let ty0 = ty * TILE;
-
-                // ---- shared-staging accounting (no physical copy) ------
-                // Every staged element's traffic, in closed form: the valid
-                // x-run is the same for every row of the tile, the valid
-                // rows and slices depend only on (ty0, z0), and fresh global
-                // columns are everything for the row's first tile, at most
-                // TILE new columns afterwards (sliding-tile halo reuse) —
-                // identical totals to the reference's per-element charges.
-                let n_slices = offs
-                    .iter()
-                    .filter(|&&dz| {
-                        let z = z0 as isize + dz;
-                        z >= 0 && z < nz as isize
-                    })
-                    .count() as u64;
-                let n_rows = {
-                    let lo = if ty0 == 0 { 1 } else { 0 };
-                    let hi = wdt.min(ny + 1 - ty0);
-                    hi.saturating_sub(lo) as u64
-                };
-                let valid = {
-                    let lo = if tx0 == 0 { 1 } else { 0 };
-                    let hi = wdt.min(nx + 1 - tx0);
-                    hi.saturating_sub(lo) as u64
-                };
-                let fresh = if tx == 0 {
-                    valid
-                } else {
-                    valid.min(TILE as u64)
-                };
-                ctx.charge_shared(2 * n_slices * n_rows * valid);
-                ctx.g_read_raw(2 * 4 * n_slices * n_rows * fresh);
-                ctx.sync_threads();
-
-                // ---- per-point computation from global memory ----------
-                // Same f32 inputs the staged tile would hold; the
-                // shared-get, flop and special-unit totals are charged in
-                // bulk per tile from the deriv/ac point counts. Derivative
-                // and autocorr points form contiguous x-runs, so the two
-                // families split into separate row loops with hoisted row
-                // bases — each statistic still absorbs its points in the
-                // same (y, x) order as the reference, keeping values
-                // bit-identical (absorb_deriv and absorb_ac_nd touch
-                // disjoint fields).
-                let (mut n_deriv, mut n_ac) = (0u64, 0u64);
-                if deriv_plane {
-                    // Interior x-run of this tile: x ∈ [1, nx−1).
-                    let lx_lo = if tx0 == 0 { 1 } else { 0 };
-                    let lx_hi = TILE.min(nx - 1 - tx0);
-                    for ly in 0..TILE {
-                        let y = ty0 + ly;
-                        if y >= ny {
-                            break;
-                        }
-                        if ndim >= 2 && (y < 1 || y + 1 >= ny) {
-                            continue;
-                        }
-                        // Neighbour rows only sampled (and thus only
-                        // computed) on axes the stencil actually has.
-                        let rc = grow(y, z0);
-                        let ru = if ndim >= 2 { grow(y - 1, z0) } else { rc };
-                        let rd = if ndim >= 2 { grow(y + 1, z0) } else { rc };
-                        let rzm = if ndim >= 3 { grow(y, z0 - 1) } else { rc };
-                        let rzp = if ndim >= 3 { grow(y, z0 + 1) } else { rc };
-                        // Two passes per row: an elementwise pass (stencil
-                        // reads, derivative arithmetic, the two sqrts) that
-                        // has no loop-carried dependency and vectorizes,
-                        // then a scalar in-order accumulation — each of
-                        // `absorb_deriv`'s accumulators still receives the
-                        // identical term sequence, so the sums, maxes and
-                        // squared errors stay bit-identical.
-                        let cnt = lx_hi.saturating_sub(lx_lo);
-                        let mut gq = [[0f64; TILE]; 2];
-                        let mut dvq = [[0f64; TILE]; 2];
-                        let mut lpq = [[0f64; TILE]; 2];
-                        for (f, arr) in [self.fields.orig, self.fields.dec].into_iter().enumerate()
-                        {
-                            for i in 0..cnt {
-                                let x = tx0 + lx_lo + i;
-                                // Constant (dx, dy, dz) fold the base select
-                                // once `deriv{1,2}_nd` inline.
-                                let sl = |dx: isize, dy: isize, dz: isize| {
-                                    let r = if dz < 0 {
-                                        rzm
-                                    } else if dz > 0 {
-                                        rzp
-                                    } else if dy < 0 {
-                                        ru
-                                    } else if dy > 0 {
-                                        rd
-                                    } else {
-                                        rc
-                                    };
-                                    arr[((r + x) as isize + dx) as usize] as f64
-                                };
-                                let d1 = deriv1_nd(sl, ndim);
-                                let d2v = deriv2_nd(sl, ndim);
-                                gq[f][i] = grad_mag(d1);
-                                dvq[f][i] = d1[0] + d1[1] + d1[2];
-                                lpq[f][i] = (d2v[0] + d2v[1] + d2v[2]).abs();
-                            }
-                        }
-                        stats.n_interior += cnt as u64;
-                        for i in 0..cnt {
-                            let (gx, gy) = (gq[0][i], gq[1][i]);
-                            stats.sum_grad_x += gx;
-                            stats.max_grad_x = stats.max_grad_x.max(gx);
-                            stats.sum_grad_y += gy;
-                            stats.max_grad_y = stats.max_grad_y.max(gy);
-                            stats.sum_grad_err2 += (gx - gy) * (gx - gy);
-                            stats.sum_div_x += dvq[0][i];
-                            stats.sum_div_y += dvq[1][i];
-                            stats.sum_lap_x += lpq[0][i];
-                            stats.sum_lap_y += lpq[1][i];
-                        }
-                        n_deriv += cnt as u64;
-                    }
-                }
-                if ac_plane {
-                    // Autocorr x-run of this tile: x + τ < nx.
-                    let lx_hi = TILE.min((nx - tx0).saturating_sub(tau));
-                    for ly in 0..TILE {
-                        let y = ty0 + ly;
-                        if y >= ny {
-                            break;
-                        }
-                        if ndim >= 2 && y + tau >= ny {
-                            continue;
-                        }
-                        let r0 = grow(y, z0);
-                        let ry = if ndim >= 2 { grow(y + tau, z0) } else { r0 };
-                        let rz = if ndim >= 3 { grow(y, z0 + tau) } else { r0 };
-                        // Elementwise pass, then in-order accumulation (see
-                        // the derivative loop). The neighbour sum starts
-                        // from 0.0 and adds x, y, z in that order — the
-                        // exact association `absorb_ac_nd`'s `iter().sum()`
-                        // uses, so every term is bit-identical.
-                        let og = self.fields.orig;
-                        let dg = self.fields.dec;
-                        let kf = axes as f64;
-                        let mut terms = [0f64; TILE];
-                        for (i, t) in terms[..lx_hi].iter_mut().enumerate() {
-                            let x = tx0 + i;
-                            let e = |r: usize| og[r + x] as f64 - dg[r + x] as f64 - self.mean_e;
-                            let e0 = e(r0);
-                            let mut sum = 0.0 + e(r0 + tau);
-                            if ndim >= 2 {
-                                sum += e(ry);
-                            }
-                            if ndim >= 3 {
-                                sum += e(rz);
-                            }
-                            *t = e0 * sum / kf;
-                        }
-                        for &t in &terms[..lx_hi] {
-                            stats.ac_num[tau - 1] += t;
-                        }
-                        stats.ac_n[tau - 1] += lx_hi as u64;
-                        n_ac += lx_hi as u64;
-                    }
-                }
-                // Bulk charges: a deriv point makes 2 fields × (4·axes + 1)
-                // shared gets, 54 flops and 2 sqrt; an ac point makes
-                // 2·(1 + axes) shared gets and 12 flops — exactly what the
-                // reference charges one access at a time.
-                ctx.charge_shared(n_deriv * 2 * (4 * axes + 1));
-                ctx.flops(n_deriv * DERIV_FLOPS);
-                ctx.special(n_deriv * 2);
-                ctx.charge_shared(n_ac * 2 * (1 + axes));
-                ctx.flops(n_ac * AC_FLOPS);
-                ctx.sync_threads();
-            }
-        }
-
-        // Block partial to global for the grid fold.
-        ctx.g_write_raw((10 + 2 * self.max_lag as u64) * 8);
-        stats
     }
 
     fn finalize(&self, ctx: &mut BlockCtx, partials: Vec<P2Stats>) -> P2Stats {
@@ -345,6 +138,335 @@ impl BlockKernel for P2FusedKernel<'_> {
     }
 }
 
+impl P2FusedKernel<'_> {
+    /// The fast path over an `N`-axis stencil.
+    ///
+    /// The real kernel stages tiles into shared memory. The fast path keeps
+    /// the allocation (footprint parity) and charges every tile's staging,
+    /// shared-get, flop, special-unit and barrier traffic in closed form —
+    /// the reference's per-access totals — but reads the very same f32
+    /// values straight from the global arrays. Per band of `TILE` rows it
+    /// runs whole-row elementwise passes (stencil reads, derivative
+    /// arithmetic, the sqrts, the autocorrelation products) into band
+    /// scratch, then absorbs the scratch tile by tile in the reference's
+    /// `(ty, tx, ly, x)` order: every accumulator receives the identical
+    /// term sequence, so the statistics are bit-identical.
+    fn run_block_fast<const N: usize>(&self, block: usize, ctx: &mut BlockCtx) -> P2Stats {
+        let s = self.fields.shape;
+        let (nx, ny, nz) = (s.nx(), s.ny(), s.nz());
+        let z0 = block % nz;
+        let w4 = block / nz;
+        let tau = self.stride;
+        let (offs, n_offs) = self.slice_offsets();
+        let wdt = self.tile_width();
+        let mut stats = P2Stats::identity(self.max_lag);
+
+        let deriv_plane = self.derivatives() && (N < 3 || (z0 >= 1 && z0 + 1 < nz));
+        let ac_plane = N < 3 || z0 + tau < nz;
+        if !deriv_plane && !ac_plane {
+            return stats;
+        }
+
+        let _shared: SharedBuf<f32> = ctx.shared_alloc(2 * n_offs * wdt * wdt);
+        let tiles_x = nx.div_ceil(TILE);
+        let tiles_y = ny.div_ceil(TILE);
+        ctx.note_iters((tiles_x * tiles_y * (n_offs + 1)) as u64);
+        // Staged slices inside the field — fixed for the block's plane.
+        let n_slices = offs[..n_offs]
+            .iter()
+            .filter(|&&dz| (0..nz as isize).contains(&(z0 as isize + dz)))
+            .count() as u64;
+
+        // Point sets as (x, y) ranges: the derivative stencil covers the
+        // interior [1, n−1) of each axis it has; an autocorrelation point
+        // keeps its +τ neighbour inside the field.
+        let interior = |n: usize| 1..n.saturating_sub(1).max(1);
+        let (dxs, dys) = points(
+            deriv_plane,
+            interior(nx),
+            if N >= 2 { interior(ny) } else { 0..ny },
+        );
+        let (axs, ays) = points(
+            ac_plane,
+            0..nx.saturating_sub(tau),
+            if N >= 2 {
+                0..ny.saturating_sub(tau)
+            } else {
+                0..ny
+            },
+        );
+
+        // Scratch, allocated once per block (empty for an absent family).
+        let d_len = if dys.is_empty() { 0 } else { nx };
+        let a_len = if ays.is_empty() { 0 } else { nx };
+        // Per band row: |∇|, divergence and |Laplacian| of the original,
+        // then of the decompressed field.
+        let mut d_terms = vec![0f64; TILE * DERIV_ROWS * d_len];
+        // Per band row: the autocorrelation terms.
+        let mut a_terms = vec![0f64; TILE * a_len];
+        // Centred errors of the block's plane, a ring of rows y mod
+        // (TILE + τ): a band reads its own rows and τ more.
+        let ring = TILE + tau;
+        let mut e_plane = vec![0f64; ring * a_len];
+        let mut e_done = 0;
+
+        let mut sums = DerivSums::default();
+        let mut ac = stats.ac_num[tau - 1];
+        let (og, dg) = (self.fields.orig, self.fields.dec);
+        let row = |y: usize, z: usize| s.linear([0, y, z, w4]);
+
+        for ty in 0..tiles_y {
+            let ty0 = ty * TILE;
+            let band = ty0..(ty0 + TILE).min(ny);
+            let d_rows = clamp(&dys, &band);
+            let a_rows = clamp(&ays, &band);
+
+            // ---- whole-row elementwise passes ---------------------------
+            for y in d_rows.clone() {
+                // Neighbour rows exist only on axes the stencil has.
+                let rc = row(y, z0);
+                let rows = [
+                    rc,
+                    if N >= 2 { row(y - 1, z0) } else { rc },
+                    if N >= 2 { row(y + 1, z0) } else { rc },
+                    if N >= 3 { row(y, z0 - 1) } else { rc },
+                    if N >= 3 { row(y, z0 + 1) } else { rc },
+                ];
+                let out = &mut d_terms[(y - ty0) * DERIV_ROWS * nx..][..DERIV_ROWS * nx];
+                let (o, d) = out.split_at_mut(DERIV_ROWS / 2 * nx);
+                let rows = rows.map(|r| r + dxs.start);
+                deriv_row::<N>(og, rows, o, &dxs);
+                deriv_row::<N>(dg, rows, d, &dxs);
+            }
+            if !a_rows.is_empty() {
+                // Plane errors up to the last row this band reads.
+                let need = if N >= 2 { a_rows.end + tau } else { a_rows.end };
+                for y in e_done.max(ty0)..need {
+                    let r = row(y, z0);
+                    let out = &mut e_plane[(y % ring) * nx..][..nx];
+                    err_row(&og[r..][..nx], &dg[r..][..nx], self.mean_e, out);
+                }
+                e_done = need;
+            }
+            for y in a_rows.clone() {
+                let e0 = &e_plane[(y % ring) * nx..][..nx];
+                let ey = if N >= 2 {
+                    &e_plane[((y + tau) % ring) * nx..][..nx]
+                } else {
+                    e0
+                };
+                let rz = if N >= 3 { row(y, z0 + tau) } else { row(y, z0) };
+                let z = (&og[rz..][..nx], &dg[rz..][..nx]);
+                let out = &mut a_terms[(y - ty0) * nx..][..axs.end];
+                ac_row::<N>(e0, ey, z, self.mean_e, tau, out);
+            }
+
+            // ---- per-tile charges and in-order absorption ---------------
+            // Staged rows of this band's tiles: the window [ty0−1,
+            // ty0+wdt−1) clipped to the field.
+            let n_rows = wdt.min(ny + 1 - ty0).saturating_sub(usize::from(ty0 == 0)) as u64;
+            for tx in 0..tiles_x {
+                let tx0 = tx * TILE;
+                // Every staged element's traffic: the valid x-run is the
+                // same for every staged row, and fresh global columns are
+                // everything for the row's first tile, at most TILE new
+                // columns afterwards (sliding-tile halo reuse).
+                let valid = wdt.min(nx + 1 - tx0).saturating_sub(usize::from(tx0 == 0)) as u64;
+                let fresh = if tx == 0 {
+                    valid
+                } else {
+                    valid.min(TILE as u64)
+                };
+                ctx.charge_shared(2 * n_slices * n_rows * valid);
+                ctx.g_read_raw(2 * 4 * n_slices * n_rows * fresh);
+                ctx.sync_threads();
+
+                let tile = tx0..tx0 + TILE;
+                let dx = clamp(&dxs, &tile);
+                let ax = clamp(&axs, &tile);
+                for y in d_rows.clone() {
+                    sums.absorb(
+                        &d_terms[(y - ty0) * DERIV_ROWS * nx..][..DERIV_ROWS * nx],
+                        &dx,
+                    );
+                }
+                for y in a_rows.clone() {
+                    for &t in &a_terms[(y - ty0) * nx..][ax.clone()] {
+                        ac += t;
+                    }
+                }
+
+                // A deriv point makes 2 fields × (4·N + 1) shared gets,
+                // DERIV_FLOPS flops and 2 sqrts; an autocorr point makes
+                // 2·(1 + N) shared gets and AC_FLOPS flops.
+                let n_deriv = (d_rows.len() * dx.len()) as u64;
+                let n_ac = (a_rows.len() * ax.len()) as u64;
+                let axes = N as u64;
+                ctx.charge_shared(n_deriv * 2 * (4 * axes + 1));
+                ctx.flops(n_deriv * DERIV_FLOPS);
+                ctx.special(n_deriv * 2);
+                ctx.charge_shared(n_ac * 2 * (1 + axes));
+                ctx.flops(n_ac * AC_FLOPS);
+                ctx.sync_threads();
+            }
+        }
+
+        stats.n_interior = (dys.len() * dxs.len()) as u64;
+        sums.store(&mut stats);
+        stats.ac_num[tau - 1] = ac;
+        stats.ac_n[tau - 1] = (ays.len() * axs.len()) as u64;
+        // Block partial to global for the grid fold.
+        ctx.g_write_raw((10 + 2 * self.max_lag as u64) * 8);
+        stats
+    }
+}
+
+/// Band-scratch rows per derivative band row: |∇|, divergence and
+/// |Laplacian| of the original, then of the decompressed field.
+const DERIV_ROWS: usize = 6;
+
+/// A point family's (x, y) ranges: both empty when the family is off or
+/// has no point.
+fn points(on: bool, xs: Range<usize>, ys: Range<usize>) -> (Range<usize>, Range<usize>) {
+    if on && !xs.is_empty() && !ys.is_empty() {
+        (xs, ys)
+    } else {
+        (0..0, 0..0)
+    }
+}
+
+/// `r` clipped to `to` (empty when they do not meet).
+fn clamp(r: &Range<usize>, to: &Range<usize>) -> Range<usize> {
+    let lo = r.start.max(to.start);
+    lo..r.end.min(to.end).max(lo)
+}
+
+/// One field's derivative terms along one row at x ∈ `xs`, written at
+/// the same x into `out`'s three nx-long rows: |∇|, divergence and
+/// |Laplacian|. `rows` are the linear indices, at x = `xs.start`, of the
+/// row itself and of its y−1, y+1, z−1 and z+1 neighbours (the row itself
+/// on absent axes). The arithmetic is [`deriv1_nd`], [`deriv2_nd`] and
+/// [`P2Stats::absorb_deriv`]'s, term for term.
+#[inline]
+fn deriv_row<const N: usize>(f: &[f32], rows: [usize; 5], out: &mut [f64], xs: &Range<usize>) {
+    let n = xs.len();
+    let nx = out.len() / 3;
+    let [rc, ru, rd, rzm, rzp] = rows;
+    // The seven stencil taps as unit-stride runs.
+    let [xm, xc, xp, ym, yp, zm, zp] = [rc - 1, rc, rc + 1, ru, rd, rzm, rzp].map(|r| &f[r..][..n]);
+    let (g, rest) = out.split_at_mut(nx);
+    let (dv, lp) = rest.split_at_mut(nx);
+    let (g, dv, lp) = (
+        &mut g[xs.start..][..n],
+        &mut dv[xs.start..][..n],
+        &mut lp[xs.start..][..n],
+    );
+    for i in 0..n {
+        let get = |dx: isize, dy: isize, dz: isize| {
+            (match (dx, dy, dz) {
+                (-1, _, _) => xm[i],
+                (1, _, _) => xp[i],
+                (_, -1, _) => ym[i],
+                (_, 1, _) => yp[i],
+                (_, _, -1) => zm[i],
+                (_, _, 1) => zp[i],
+                _ => xc[i],
+            }) as f64
+        };
+        let d1 = deriv1_nd(get, N);
+        let d2 = deriv2_nd(get, N);
+        g[i] = grad_mag(d1);
+        dv[i] = d1[0] + d1[1] + d1[2];
+        lp[i] = (d2[0] + d2[1] + d2[2]).abs();
+    }
+}
+
+/// Centred errors `o − d − μ` of one row, elementwise.
+#[inline]
+fn err_row(o: &[f32], d: &[f32], mean: f64, out: &mut [f64]) {
+    for ((e, &a), &b) in out.iter_mut().zip(o).zip(d) {
+        *e = a as f64 - b as f64 - mean;
+    }
+}
+
+/// One row's lag-τ autocorrelation terms `e0·(0 + ex + ey + ez)/N` into
+/// `out` (one per x). `e0` is the point's own row of centred errors (its
+/// +τ x neighbour is `e0[x + τ]`) and `ey` the row τ further in y; the row
+/// τ further in z comes raw, as `(orig, dec)`, and is centred here by
+/// `mean` (rows on absent axes are unused). The neighbour sum starts from
+/// 0.0 and adds x, y, z in that order: the association
+/// [`P2Stats::absorb_ac_nd`]'s sum uses, so each term is bit-identical.
+#[inline]
+fn ac_row<const N: usize>(
+    e0: &[f64],
+    ey: &[f64],
+    (zo, zd): (&[f32], &[f32]),
+    mean: f64,
+    tau: usize,
+    out: &mut [f64],
+) {
+    let m = out.len();
+    let (e, ex, ey, zo, zd) = (&e0[..m], &e0[tau..][..m], &ey[..m], &zo[..m], &zd[..m]);
+    let k = N as f64;
+    for (i, t) in out.iter_mut().enumerate() {
+        let mut sum = 0.0 + ex[i];
+        if N >= 2 {
+            sum += ey[i];
+        }
+        if N >= 3 {
+            sum += zo[i] as f64 - zd[i] as f64 - mean;
+        }
+        *t = e[i] * sum / k;
+    }
+}
+
+/// The derivative accumulators of [`P2Stats`] as (orig, dec) pairs, held
+/// in locals across a block's absorption loops and stored once at its end.
+#[derive(Clone, Copy, Default)]
+struct DerivSums {
+    sum_grad: [f64; 2],
+    max_grad: [f64; 2],
+    sum_grad_err2: f64,
+    sum_div: [f64; 2],
+    sum_lap: [f64; 2],
+}
+
+impl DerivSums {
+    /// Absorb one band row's points at `xs`, in x order — the sequence
+    /// [`P2Stats::absorb_deriv`] sees. `m.max(g)` is a compare-select
+    /// here: `g` is a square root, never −0.0, and a NaN `g` leaves the
+    /// running max alone either way, so the maxima are bit-identical. The
+    /// sums run in a local copy so they stay in registers.
+    #[inline]
+    fn absorb(&mut self, terms: &[f64], xs: &Range<usize>) {
+        let (nx, n) = (terms.len() / DERIV_ROWS, xs.len());
+        let q = |k: usize| &terms[k * nx + xs.start..][..n];
+        let [gx, dvx, lpx, gy, dvy, lpy] = [0, 1, 2, 3, 4, 5].map(q);
+        let mut s = *self;
+        for i in 0..n {
+            let g = [gx[i], gy[i]];
+            for ((sum, max), g) in s.sum_grad.iter_mut().zip(&mut s.max_grad).zip(g) {
+                *sum += g;
+                *max = if g > *max { g } else { *max };
+            }
+            s.sum_grad_err2 += (g[0] - g[1]) * (g[0] - g[1]);
+            s.sum_div[0] += dvx[i];
+            s.sum_div[1] += dvy[i];
+            s.sum_lap[0] += lpx[i];
+            s.sum_lap[1] += lpy[i];
+        }
+        *self = s;
+    }
+
+    fn store(&self, st: &mut P2Stats) {
+        [st.sum_grad_x, st.sum_grad_y] = self.sum_grad;
+        [st.max_grad_x, st.max_grad_y] = self.max_grad;
+        st.sum_grad_err2 = self.sum_grad_err2;
+        [st.sum_div_x, st.sum_div_y] = self.sum_div;
+        [st.sum_lap_x, st.sum_lap_y] = self.sum_lap;
+    }
+}
+
 impl HasReferencePath for P2FusedKernel<'_> {
     // Per-access implementation: every staged element is an individually
     // charged `sh_write`, every stencil get an `sh_read`.
@@ -355,7 +477,8 @@ impl HasReferencePath for P2FusedKernel<'_> {
         let z0 = block % nz;
         let w4 = block / nz;
         let tau = self.stride;
-        let offs = self.slice_offsets();
+        let (offs, n_offs) = self.slice_offsets();
+        let offs = &offs[..n_offs];
         let wdt = self.tile_width();
         let mut stats = P2Stats::identity(self.max_lag);
 
@@ -429,8 +552,13 @@ impl HasReferencePath for P2FusedKernel<'_> {
                 ctx.sync_threads();
 
                 // ---- per-point computation from shared memory ----------
-                // Slice index lookup (offset → staged position).
-                let slice_of = |dz: isize| offs.iter().position(|&o| o == dz).unwrap();
+                // Staged position of z offset `dz` (see `slice_offsets`):
+                // the point's own plane first, then z−1 or z+τ, then z+1.
+                let slice_of = |dz: isize| match dz {
+                    0 => 0,
+                    -1 => 1,
+                    _ => n_offs - 1,
+                };
                 for ly in 0..TILE {
                     let y = ty0 + ly;
                     if y >= ny {

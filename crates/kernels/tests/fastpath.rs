@@ -144,19 +144,52 @@ fn p1_hist_fast_path_matches_reference() {
     }
 }
 
+/// Pattern-2 shapes beyond [`shapes`]: a 4-D field (its blocks split as
+/// `block / nz`), x extents of 1–3 and extents under the widest lag (empty
+/// x-runs and rows), and a plane of several bands and tiles in x and y.
+fn stencil_shapes(rng: &mut Rng) -> Vec<Shape> {
+    vec![
+        Shape::d4(
+            rng.range(3, 40),
+            rng.range(2, 12),
+            rng.range(2, 5),
+            rng.range(2, 4),
+        ),
+        Shape::d1(1),
+        Shape::d1(2),
+        Shape::d1(3),
+        Shape::d2(rng.range(1, 4), rng.range(2, 30)),
+        Shape::d3(rng.range(1, 4), rng.range(2, 20), rng.range(3, 6)),
+        Shape::d2(rng.range(2, 10), rng.range(2, 10)),
+        Shape::d3(rng.range(2, 10), rng.range(2, 10), rng.range(2, 10)),
+        Shape::d3(rng.range(40, 70), rng.range(35, 60), 3),
+    ]
+}
+
 #[test]
 fn p2_fused_fast_path_matches_reference() {
+    // Strides 1..=10 at `max_lag` 10: the default config's widest staged
+    // tile.
+    let max_lag = 10;
     let mut rng = Rng(4);
-    for shape in shapes(&mut rng) {
-        let (orig, dec) = fields(shape, &mut rng);
-        for stride in 1..=3usize {
-            let k = P2FusedKernel {
-                fields: FieldPair::new(&orig, &dec),
-                stride,
-                mean_e: 1.5e-4,
-                max_lag: 3,
-            };
-            assert_paths_agree(&k, k.grid(), &format!("p2 {shape:?} stride {stride}"));
+    for round in 0..3 {
+        let mut cases = shapes(&mut rng);
+        cases.extend(stencil_shapes(&mut rng));
+        for shape in cases {
+            let (orig, dec) = fields(shape, &mut rng);
+            for stride in 1..=max_lag {
+                let k = P2FusedKernel {
+                    fields: FieldPair::new(&orig, &dec),
+                    stride,
+                    mean_e: 1.5e-4,
+                    max_lag,
+                };
+                assert_paths_agree(
+                    &k,
+                    k.grid(),
+                    &format!("p2 {shape:?} stride {stride} round {round}"),
+                );
+            }
         }
     }
 }
